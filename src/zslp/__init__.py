@@ -8,14 +8,10 @@ from .automaton import (
     nfa_accepts,
 )
 from .engine import (
-    CountInfo,
-    GrammarSearch,
     SearchStats,
     collect_stats,
     contains_match,
-    count_combine,
     count_matching_lines,
-    init_terminals,
     run_count,
 )
 from .oracle import oracle_count, oracle_lines
@@ -38,9 +34,7 @@ from .slp import (
 __all__ = [
     "BadMagicError",
     "CompressionReport",
-    "CountInfo",
     "Fsa",
-    "GrammarSearch",
     "InvalidGrammarError",
     "NewlinePatternError",
     "PatternSyntaxError",
@@ -54,13 +48,11 @@ __all__ = [
     "compress",
     "compression_report",
     "contains_match",
-    "count_combine",
     "count_matching_lines",
     "decode_slp",
     "encode_slp",
     "expand",
     "expand_symbol",
-    "init_terminals",
     "nfa_accepts",
     "oracle_count",
     "oracle_lines",

@@ -37,6 +37,7 @@ _LINE_BYTES = _ALL_BYTES - {NEWLINE}
 # Guard rails against pathological patterns, not contractual limits.
 _MAX_REPEAT = 512
 _MAX_STATES = 20000
+_MAX_NESTING = 100  # groups plus stacked repeat operators, on any path
 
 
 class PatternSyntaxError(ValueError):
@@ -78,18 +79,31 @@ class Repeat:
 
 
 class _Parser:
+    """Recursive descent; each rule returns ``(node, nesting height)``.
+
+    Nesting counts groups and stacked repeat operators. It is capped, so
+    neither the parser nor the compiler's walk over the tree can exhaust the
+    interpreter's recursion limit.
+    """
+
     def __init__(self, pattern: str):
         self.text = pattern
         self.pos = 0
+        self.open_groups = 0
 
     def parse(self):
-        node = self._alternation()
+        node, _ = self._alternation()
         if self.pos < len(self.text):
             self._fail(f"unexpected {self.text[self.pos]!r}")
         return node
 
     def _fail(self, message: str):
         raise PatternSyntaxError(message, self.pos)
+
+    def _deeper(self, height: int) -> int:
+        if height >= _MAX_NESTING:
+            self._fail(f"pattern nested deeper than {_MAX_NESTING} levels")
+        return height + 1
 
     def _peek(self):
         if self.pos >= len(self.text):
@@ -102,29 +116,38 @@ class _Parser:
         return ch
 
     def _alternation(self):
-        options = [self._concat()]
+        node, height = self._concat()
+        options = [node]
         while self._peek() == "|":
             self.pos += 1
-            options.append(self._concat())
+            node, other = self._concat()
+            options.append(node)
+            height = max(height, other)
         if len(options) == 1:
-            return options[0]
-        return Branch(tuple(options))
+            return options[0], height
+        return Branch(tuple(options)), height
 
     def _concat(self):
         parts = []
+        height = 0
         while True:
             ch = self._peek()
             if ch is None or ch in "|)":
                 break
-            parts.append(self._piece())
+            node, other = self._piece()
+            parts.append(node)
+            height = max(height, other)
         if len(parts) == 1:
-            return parts[0]
-        return Seq(tuple(parts))
+            return parts[0], height
+        return Seq(tuple(parts)), height
 
     def _piece(self):
-        node = self._atom()
+        node, height = self._atom()
         while True:
             ch = self._peek()
+            if ch is None or ch not in "*+?{":
+                return node, height
+            height = self._deeper(height)
             if ch == "*":
                 self.pos += 1
                 node = Repeat(node, 0, None)
@@ -134,10 +157,8 @@ class _Parser:
             elif ch == "?":
                 self.pos += 1
                 node = Repeat(node, 0, 1)
-            elif ch == "{":
-                node = Repeat(node, *self._interval())
             else:
-                return node
+                node = Repeat(node, *self._interval())
 
     def _interval(self) -> tuple[int, int | None]:
         self.pos += 1  # consume '{'
@@ -171,27 +192,31 @@ class _Parser:
         if ch is None:
             self._fail("expected an atom, found end of pattern")
         if ch == "(":
+            self._deeper(self.open_groups)
+            self.open_groups += 1
             self.pos += 1
-            node = self._alternation()
+            node, height = self._alternation()
             if self._peek() != ")":
                 self._fail("unclosed '('")
+            height = self._deeper(height)
             self.pos += 1
-            return node
+            self.open_groups -= 1
+            return node, height
         if ch == "[":
-            return self._char_class()
+            return self._char_class(), 0
         if ch == "\\":
             self.pos += 1
             if self._peek() is None:
                 self._fail("dangling backslash")
-            return self._literal(self._take())
+            return self._literal(self._take()), 0
         if ch in "*+?{":
             self._fail(f"nothing to repeat before {ch!r}")
         if ch in "|)":
             self._fail(f"unexpected {ch!r}")
         self.pos += 1
         if ch == ".":
-            return ByteSet(_LINE_BYTES)
-        return self._literal(ch)
+            return ByteSet(_LINE_BYTES), 0
+        return self._literal(ch), 0
 
     def _literal(self, ch: str):
         code = ord(ch)
@@ -421,19 +446,6 @@ class Fsa:
         """Yield (state, byte, frozenset of targets) for every labelled cell."""
         for (state, byte), targets in self._succ.items():
             yield state, byte, targets
-
-    @cached_property
-    def _by_byte(self) -> dict:
-        table: dict[int, list[tuple[int, int]]] = {}
-        for (state, byte), targets in self._succ.items():
-            row = table.setdefault(byte, [])
-            for target in targets:
-                row.append((state, target))
-        return {byte: tuple(sorted(pairs)) for byte, pairs in table.items()}
-
-    def pairs_on(self, byte: int) -> tuple:
-        """All (source, target) transitions labelled with the byte."""
-        return self._by_byte.get(byte, ())
 
     @cached_property
     def is_deterministic(self) -> bool:

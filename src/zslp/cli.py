@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 
 from .automaton import NewlinePatternError, PatternSyntaxError, compile_pattern
 from .engine import collect_stats, run_count
@@ -27,36 +29,33 @@ from .slp import (
 
 
 def _open_input(path):
-    if path is None:
-        return sys.stdin.buffer, False
-    return open(path, "rb"), True
+    return nullcontext(sys.stdin.buffer) if path is None else open(path, "rb")
 
 
 def _open_output(path):
-    if path is None:
-        return sys.stdout.buffer, False
-    return open(path, "wb"), True
+    return nullcontext(sys.stdout.buffer) if path is None else open(path, "wb")
+
+
+def _load_slp(path) -> Slp:
+    """Read a whole ZSLP stream into a grammar."""
+    with _open_input(path) as stream:
+        reader = ZslpReader(stream)
+        pairs = list(reader.iter_rules())
+        axiom = reader.read_axiom()
+    return Slp.from_pairs(pairs, axiom)
 
 
 def _cmd_compress(args) -> int:
-    stream, close_in = _open_input(args.input)
-    try:
+    with _open_input(args.input) as stream:
         data = stream.read()
-    finally:
-        if close_in:
-            stream.close()
     if not data:
         print("zslp: input error: refusing to compress empty input", file=sys.stderr)
         return 2
     slp = compress(data)
     payload = encode_slp(slp)
-    out, close_out = _open_output(args.output)
-    try:
+    with _open_output(args.output) as out:
         out.write(payload)
         out.flush()
-    finally:
-        if close_out:
-            out.close()
     report = compression_report(slp, len(data))
     print(
         f"rules={report.rules} axiom_len={report.axiom_len} ratio={report.ratio:.3f}",
@@ -66,35 +65,19 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
-    stream, close_in = _open_input(args.input)
-    try:
-        reader = ZslpReader(stream)
-        pairs = list(reader.iter_rules())
-        axiom = reader.read_axiom()
-    finally:
-        if close_in:
-            stream.close()
-    slp = Slp.from_pairs(pairs, axiom)
-    out, close_out = _open_output(args.output)
-    try:
+    slp = _load_slp(args.input)
+    with _open_output(args.output) as out:
         for chunk in iter_expand(slp):
             out.write(chunk)
         out.flush()
-    finally:
-        if close_out:
-            out.close()
     return 0
 
 
 def _cmd_count(args) -> int:
     fsa = compile_pattern(args.pattern)
-    stream, close_in = _open_input(args.input)
-    try:
+    with _open_input(args.input) as stream:
         reader = ZslpReader(stream)
         total = run_count(reader.iter_rules(), reader.read_axiom, fsa)
-    finally:
-        if close_in:
-            stream.close()
     sys.stdout.write(f"{total}\n")
     sys.stdout.flush()
     return 0 if total > 0 else 1
@@ -102,15 +85,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_search(args) -> int:
     fsa = compile_pattern(args.pattern)
-    stream, close_in = _open_input(args.input)
-    try:
-        reader = ZslpReader(stream)
-        pairs = list(reader.iter_rules())
-        axiom = reader.read_axiom()
-    finally:
-        if close_in:
-            stream.close()
-    slp = Slp.from_pairs(pairs, axiom)
+    slp = _load_slp(args.input)
     emitted = report_matching_lines(
         slp, fsa, sys.stdout.buffer, prune=not args.no_prune
     )
@@ -120,15 +95,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_stats(args) -> int:
     fsa = compile_pattern(args.pattern)
-    stream, close_in = _open_input(args.input)
-    try:
-        reader = ZslpReader(stream)
-        pairs = list(reader.iter_rules())
-        axiom = reader.read_axiom()
-    finally:
-        if close_in:
-            stream.close()
-    stats = collect_stats(Slp.from_pairs(pairs, axiom), fsa)
+    stats = collect_stats(_load_slp(args.input), fsa)
     if args.json:
         payload = {
             "states": stats.s,
@@ -219,9 +186,25 @@ def run_cli(argv=None) -> int:
     except InvalidGrammarError as exc:
         print(f"zslp: grammar error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Like grep when its reader goes away: no message, and the status a
+        # shell reports for death by SIGPIPE (128 + 13). Pointing stdout at
+        # devnull keeps the flush at interpreter exit from failing again.
+        _stdout_to_devnull()
+        return 141
     except OSError as exc:
         print(f"zslp: io error: {exc}", file=sys.stderr)
         return 2
+
+
+def _stdout_to_devnull() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # a stand-in stream without a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main() -> None:

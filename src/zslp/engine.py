@@ -1,32 +1,34 @@
 """Counting regex-matching lines directly on the compressed grammar.
 
-The engine keeps one table entry per symbol: a counting tuple plus the list
-of automaton transitions the symbol labels after saturation. A transition
-(q1, X, q2) exists exactly when the automaton can move from q1 to q2 reading
-a factor of X's expansion that is a prefix (unless q2 is final), a suffix
-(unless q1 is initial), the whole expansion, or any inner factor when q1 is
-initial and q2 is final. Rules are processed in definition order, one pass;
-two scratch structures give O(1) operations per step:
+Automaton states are bits of a Python int. Every symbol gets two values:
 
-* a last-writer matrix keyed by state pair, stamped with the id of the rule
-  that produced a transition (never cleared; staleness is detected by
-  comparing the stamp with the current rule id), and
-* per-state successor rows for the rule's right child, reloaded each rule
-  and invalidated by writing a single sentinel per previously touched row.
+* a counting tuple ``(nl, left, right, count)`` for its expansion u: whether
+  u contains a newline, whether its first and its last line contain a match,
+  and how many closed lines (newline on both sides) of u match; and
+* a relation ``{source: target-bitmask}``. Target q2 is in the row of q1
+  exactly when the automaton can move from q1 to q2 reading a factor of u
+  that is a prefix (unless q2 is final), a suffix (unless q1 is initial),
+  the whole of u, or any inner factor when q1 is initial and q2 is final.
 
-Successor rows hold only transitions that leave non-initial states; the
-right child's initial-state successors are kept in a separate list, which is
-what keeps every row at most one state wide on deterministic automata.
+``saturate`` builds both for the 256 terminals straight from the automaton
+and then for every rule ``X -> A B`` in definition order, one pass: each row
+``(q1, m)`` of A keeps ``m & FINALS`` and ORs in B's row of every other bit
+of m; B's rows from initial states are ORed in as they are (the match may
+start inside B). An initial q1 that reaches a final state through a middle
+state marks a match across the seam of A and B. This is bit-parallel NFA
+simulation (Baeza-Yates & Gonnet's Shift-Or; Navarro & Raffinot, *Flexible
+Pattern Matching in Strings*) lifted from bytes to grammar symbols.
+
+``fold`` runs the axiom left to right carrying one int: the states reachable
+from an initial state by reading some suffix of the prefix expanded so far
+(final states, once entered, are kept). Counting, the match decision and
+the statistics use this one saturate/fold path; the reporter walks the
+grammar over the same saturated tables.
 
 The engine requires automata with no transitions entering an initial state
 or leaving a final state, the shape the pattern compiler produces. Without
-it, saturated transitions could stand for non-contiguous fragments of the
+it, saturated rows could stand for non-contiguous fragments of the
 expansion and boundary matches would be over-reported.
-
-The axiom is folded left to right without materialising transitions for the
-intermediate prefixes: only the set of states reachable from an initial
-state by reading some suffix of the prefix expanded so far is carried over,
-together with the running counting tuple.
 """
 
 from __future__ import annotations
@@ -34,63 +36,213 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
-from .automaton import Fsa
+from .automaton import NEWLINE, Fsa
 from .slp import InvalidGrammarError, Slp, validate_slp
-
-_NO_WRITER = -1  # last-writer sentinel; no symbol id is negative
-_ROW_END = -1  # successor-row terminator; states are non-negative
 
 PERCENTILE_POINTS = (50, 75, 95, 98, 100)
 
-
-@dataclass(frozen=True)
-class CountInfo:
-    """Per-symbol counting tuple for the symbol's expansion u.
-
-    nl     -- u contains a newline
-    left   -- the first line of u contains a match
-    right  -- the last line of u contains a match
-    count  -- number of closed lines of u (newline on both sides) that match
-    """
-
-    nl: bool
-    left: bool
-    right: bool
-    count: int
-
-    def __post_init__(self):
-        if not self.nl:
-            assert self.left == self.right, "single-line tuple must have left == right"
-            assert self.count == 0, "closed lines require a newline"
-
-    def as_tuple(self) -> tuple[bool, bool, bool, int]:
-        return (self.nl, self.left, self.right, self.count)
+# Counting tuple of the empty string; the neutral element of ``combine``.
+EMPTY_INFO = (False, False, False, 0)
 
 
-def count_combine(ca: CountInfo, cb: CountInfo, new_match: bool) -> CountInfo:
+def _mask(states) -> int:
+    return sum(1 << q for q in states)
+
+
+def union_rows(mask: int, rel: dict) -> int:
+    """OR of the rows of ``rel`` for every state of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rel.get(low.bit_length() - 1, 0)
+        mask ^= low
+    return out
+
+
+def _bits(mask: int):
+    """The states of a bitmask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def combine(a: tuple, b: tuple, new_match: bool) -> tuple:
     """Counting tuple of a concatenation from its parts.
 
     ``new_match`` reports a match that crosses the boundary between the two
     expansions; it closes the seam line when both sides contain a newline.
     """
-    nl = ca.nl or cb.nl
-    left = (ca.left or cb.left or new_match) if not ca.nl else ca.left
-    right = (ca.right or cb.right or new_match) if not cb.nl else cb.right
-    count = ca.count + cb.count
-    if ca.nl and cb.nl and (ca.right or cb.left or new_match):
-        count += 1
-    return CountInfo(nl, left, right, count)
+    a_nl, a_left, a_right, a_count = a
+    b_nl, b_left, b_right, b_count = b
+    if a_nl:
+        if b_nl:
+            seam = a_right or b_left or new_match
+            return (True, a_left, b_right, a_count + b_count + seam)
+        return (True, a_left, a_right or b_right or new_match, a_count)
+    if b_nl:
+        return (True, a_left or b_left or new_match, b_right, b_count)
+    hit = a_left or b_left or new_match
+    return (False, hit, hit, 0)
 
 
-@dataclass
-class SymbolEntry:
-    info: CountInfo
-    edges: list
+def matching_lines(info: tuple) -> int:
+    """Number of matching lines of a whole text from its counting tuple."""
+    nl, left, right, count = info
+    return count + ((left + right) if nl else left)
+
+
+def saturate(rule_pairs, fsa: Fsa) -> tuple[list, list]:
+    """Counting tuples and relations of every symbol, indexed by symbol id.
+
+    ``rule_pairs`` yields ``(first, second)`` per rule in definition order
+    and is consumed once.
+    """
+    finals = _mask(fsa.finals)
+    initials = _mask(fsa.initials)
+    initial_states = sorted(fsa.initials)
+
+    rels: list[dict] = [{} for _ in range(256)]
+    for src, byte, targets in fsa.iter_transitions():
+        if not targets:
+            continue
+        if src in fsa.finals:
+            raise ValueError("automaton has transitions leaving a final state")
+        if targets & fsa.initials:
+            raise ValueError("automaton has transitions entering an initial state")
+        rels[byte][src] = _mask(targets)
+    infos: list[tuple] = []
+    for byte, rel in enumerate(rels):
+        hit = any(rel.get(q, 0) & finals for q in initial_states)
+        infos.append((byte == NEWLINE, hit, hit, 0))
+
+    for first, second in rule_pairs:
+        left_id = len(rels)
+        if not 0 <= first < left_id or not 0 <= second < left_id:
+            raise InvalidGrammarError(
+                f"rule for symbol {left_id} references undefined/later symbol"
+            )
+        rel_b = rels[second]
+        rel = {}
+        new_match = False
+        for q1, m in rels[first].items():
+            through = union_rows(m & ~finals, rel_b)
+            out = through | m & finals
+            if out:
+                rel[q1] = out
+                if through & finals and initials >> q1 & 1:
+                    new_match = True
+        for q in initial_states:
+            row = rel_b.get(q)
+            if row:
+                rel[q] = rel.get(q, 0) | row
+        rels.append(rel)
+        infos.append(combine(infos[first], infos[second], new_match))
+    return infos, rels
+
+
+def fold(
+    axiom,
+    infos: list,
+    rels: list,
+    fsa: Fsa,
+    early_exit: bool = False,
+    start: tuple = (EMPTY_INFO, 0),
+):
+    """Left fold over the axiom; returns ``(counting tuple, reached mask)``.
+
+    ``reached`` holds the states an initial state can reach by reading a
+    suffix of the expansion so far, final states included once entered.
+    With ``early_exit`` the fold stops as soon as a final state is reached.
+    ``start`` is the result of folding the symbols before ``axiom``.
+    """
+    if not axiom:
+        raise InvalidGrammarError("empty axiom")
+    finals = _mask(fsa.finals)
+    initial_states = sorted(fsa.initials)
+    info, reached = start
+    for sym in axiom:
+        rel = rels[sym]
+        through = union_rows(reached & ~finals, rel)
+        info = combine(info, infos[sym], through & finals != 0)
+        reached = through | reached & finals
+        for q in initial_states:
+            reached |= rel.get(q, 0)
+        if early_exit and reached & finals:
+            break
+    return info, reached
+
+
+def _line_count_arithmetic(rule_pairs, read_axiom) -> int:
+    """Number of lines in the expansion, from newline counts alone.
+
+    Lines are newline-separated segments; a trailing newline does not open a
+    final empty line, while adjacent newlines do enclose empty lines.
+    """
+    newline_counts = [1 if byte == NEWLINE else 0 for byte in range(256)]
+    ends_with_newline = [byte == NEWLINE for byte in range(256)]
+    for first, second in rule_pairs:
+        newline_counts.append(newline_counts[first] + newline_counts[second])
+        ends_with_newline.append(ends_with_newline[second])
+    axiom = read_axiom()
+    total = sum(newline_counts[sym] for sym in axiom)
+    return total + (0 if ends_with_newline[axiom[-1]] else 1)
+
+
+def run_count(rule_pairs, read_axiom, fsa: Fsa) -> int:
+    """Streaming form of ``count_matching_lines``.
+
+    ``rule_pairs`` is consumed one rule at a time; ``read_axiom`` is a
+    zero-argument callable invoked only after the last rule, so a caller can
+    hand over a decoder that produces both from a single pass over a stream.
+    """
+    if fsa.matches_empty:
+        # Every line matches; count lines without touching the automaton.
+        return _line_count_arithmetic(rule_pairs, read_axiom)
+    infos, rels = saturate(rule_pairs, fsa)
+    info, _ = fold(read_axiom(), infos, rels, fsa)
+    return matching_lines(info)
+
+
+def checked_rule_pairs(slp: Slp):
+    """Validate the grammar, then return its ``(first, second)`` rule pairs."""
+    violations = validate_slp(slp)
+    if violations:
+        raise InvalidGrammarError("; ".join(violations))
+    return ((rule.first, rule.second) for rule in slp.rules)
+
+
+def count_matching_lines(slp: Slp, fsa: Fsa) -> int:
+    """Number of lines of the expansion containing a match, without expanding."""
+    return run_count(checked_rule_pairs(slp), lambda: slp.axiom, fsa)
+
+
+def contains_match(slp: Slp, fsa: Fsa) -> bool:
+    """Whether any line of the expansion contains a match.
+
+    Every rule is still read (later rules may define axiom symbols), but the
+    axiom fold stops as soon as a match is certain.
+    """
+    pairs = checked_rule_pairs(slp)
+    if fsa.matches_empty:
+        return True
+    infos, rels = saturate(pairs, fsa)
+    _, reached = fold(slp.axiom, infos, rels, fsa, early_exit=True)
+    return reached & _mask(fsa.finals) != 0
 
 
 @dataclass(frozen=True)
 class SearchStats:
-    """Operation-count instrumentation for one counting run."""
+    """Operation counts of one counting run, derived from its relations.
+
+    ``per_rule`` and ``per_axiom_symbol`` are the paper's accounting in
+    transition pairs: for ``X -> A B``, B's pairs, plus s, plus one per pair
+    (q1, q) of A and one per pair leaving q in B; for an axiom symbol, its
+    pairs. ``measured_ops`` counts the word operations the engine performs:
+    one per tuple combination and per initial-state row, plus one per row of
+    A and per middle bit of it for a rule, and one per middle state reached
+    before an axiom symbol.
+    """
 
     s: int
     p: int
@@ -119,300 +271,35 @@ def nearest_rank_percentiles(values, points=PERCENTILE_POINTS) -> dict:
     return result
 
 
-def init_terminals(fsa: Fsa) -> list:
-    """Build the 256 terminal entries straight from the automaton."""
-    initials = fsa.initials
-    finals = fsa.finals
-    entries = []
-    for byte in range(256):
-        edges = list(fsa.pairs_on(byte))
-        hit = any(q in initials and t in finals for q, t in edges)
-        entries.append(
-            SymbolEntry(CountInfo(byte == 0x0A, hit, hit, 0), edges)
-        )
-    return entries
-
-
-class GrammarSearch:
-    """One counting run over a streamed grammar.
-
-    Feed rules in definition order with ``feed_rule``, then close with
-    ``finish_axiom``. The instance owns its scratch structures and must not
-    be shared across threads; the Fsa and any Slp stay untouched.
-    """
-
-    def __init__(self, fsa: Fsa, debug: bool = False):
-        for src, _, targets in fsa.iter_transitions():
-            if src in fsa.finals and targets:
-                raise ValueError("automaton has transitions leaving a final state")
-            if targets & fsa.initials:
-                raise ValueError("automaton has transitions entering an initial state")
-        self.fsa = fsa
-        self.debug = debug
-        self.s = fsa.state_count
-        self._initials = fsa.initials
-        self._finals = fsa.finals
-        self._initial_list = sorted(fsa.initials)
-        self.entries: list[SymbolEntry] = init_terminals(fsa)
-        self._last_writer = [[_NO_WRITER] * self.s for _ in range(self.s)]
-        self._rows = [[_ROW_END] * (self.s + 1) for _ in range(self.s)]
-        self._row_len = [0] * self.s
-        self._touched: list[int] = []
-        self.per_rule: list[int] = []
-        self.per_axiom_symbol: list[int] = []
-        self.measured_ops = 0
-        self.final_info: CountInfo | None = None
-        self.fold_trace: list[CountInfo] = []
-        self.max_row_width = 0
-
-    def feed_rule(self, first: int, second: int) -> None:
-        """Process one rule, appending the entry for its left-hand variable."""
-        entries = self.entries
-        left_id = len(entries)
-        if not 0 <= first < left_id or not 0 <= second < left_id:
-            raise InvalidGrammarError(
-                f"rule for symbol {left_id} references undefined/later symbol"
-            )
-        ops = 0
-        initials = self._initials
-        finals = self._finals
-        rows = self._rows
-        row_len = self._row_len
-
-        # Invalidate rows left over from the previous rule: one sentinel each.
-        for q in self._touched:
-            rows[q][0] = _ROW_END
-            row_len[q] = 0
-            ops += 1
-        self._touched.clear()
-
-        # Load the right child's transitions; initial-state sources go to
-        # side lists (they only matter for the implicit initial pairs).
-        beta_edges = entries[second].edges
-        s_beta = len(beta_edges)
-        initial_successors: dict[int, list[int]] = {}
-        touched = self._touched
-        for q, target in beta_edges:
-            ops += 1
-            if q in initials:
-                initial_successors.setdefault(q, []).append(target)
-            else:
-                fill = row_len[q]
-                if fill == 0:
-                    touched.append(q)
-                rows[q][fill] = target
-                row_len[q] = fill + 1
-        for q in touched:
-            rows[q][row_len[q]] = _ROW_END
-            ops += 1
-        if self.debug and self.fsa.is_deterministic:
-            for q in touched:
-                assert row_len[q] <= 1, (
-                    f"deterministic automaton produced a {row_len[q]}-wide row"
-                )
-        if touched:
-            self.max_row_width = max(
-                self.max_row_width, max(row_len[q] for q in touched)
-            )
-
-        last_writer = self._last_writer
-        new_edges: list[tuple[int, int]] = []
-        new_match = False
-        op_count = s_beta + self.s
-
-        for q1, mid in entries[first].edges:
-            ops += 1
-            row = rows[mid]
-            width = row_len[mid]
-            op_count += 1 + width
-            q1_is_initial = q1 in initials
-            mid_is_middle = mid not in initials and mid not in finals
-            writer_row = last_writer[q1]
-            for k in range(width):
-                q2 = row[k]
-                ops += 1
-                if writer_row[q2] != left_id:
-                    writer_row[q2] = left_id
-                    new_edges.append((q1, q2))
-                if q1_is_initial and mid_is_middle and q2 in finals:
-                    new_match = True
-            if mid in finals:
-                ops += 1
-                if writer_row[mid] != left_id:
-                    writer_row[mid] = left_id
-                    new_edges.append((q1, mid))
-
-        # Implicit pairs (q, q) for initial q: the match may start inside the
-        # right child's expansion with the left child contributing nothing.
-        for q in self._initial_list:
-            ops += 1
-            writer_row = last_writer[q]
-            for q2 in initial_successors.get(q, ()):
-                ops += 1
-                if writer_row[q2] != left_id:
-                    writer_row[q2] = left_id
-                    new_edges.append((q, q2))
-
-        info = count_combine(entries[first].info, entries[second].info, new_match)
-        if self.debug:
-            assert len(set(new_edges)) == len(new_edges), "duplicate saturated edge"
-        entries.append(SymbolEntry(info, new_edges))
-        self.per_rule.append(op_count)
-        self.measured_ops += ops
-
-    def _fold_axiom(self, axiom, early_exit: bool = False):
-        """Left fold over the axiom; yields nothing, sets final state.
-
-        Returns (info, reached) where ``reached`` is the set of states an
-        initial state can reach by reading a suffix of the expansion so far
-        (final states, once entered, are retained). With ``early_exit`` the
-        fold stops as soon as a final state is reached.
-        """
-        entries = self.entries
-        initials = self._initials
-        finals = self._finals
-        first_entry = entries[axiom[0]]
-        self.per_axiom_symbol.append(len(first_entry.edges))
-        ops = 1
-        reached = set()
-        for q, target in first_entry.edges:
-            ops += 1
-            if q in initials:
-                reached.add(target)
-        info = first_entry.info
-        if self.debug:
-            self.fold_trace.append(info)
-        self.measured_ops += ops
-        if early_exit and reached & finals:
-            return info, reached
-        for sym in axiom[1:]:
-            entry = entries[sym]
-            self.per_axiom_symbol.append(len(entry.edges))
-            ops = 1
-            new_match = False
-            next_reached = set()
-            for q, target in entry.edges:
-                ops += 1
-                if q in reached:
-                    next_reached.add(target)
-                    if (
-                        not new_match
-                        and q not in initials
-                        and q not in finals
-                        and target in finals
-                    ):
-                        new_match = True
-                elif q in initials:
-                    next_reached.add(target)
-            for q in reached & finals:
-                next_reached.add(q)
-                ops += 1
-            reached = next_reached
-            info = count_combine(info, entry.info, new_match)
-            if self.debug:
-                self.fold_trace.append(info)
-            self.measured_ops += ops
-            if early_exit and reached & finals:
-                return info, reached
-        return info, reached
-
-    def finish_axiom(self, axiom) -> int:
-        """Fold the axiom and return the number of matching lines."""
-        if not axiom:
-            raise InvalidGrammarError("empty axiom")
-        info, _ = self._fold_axiom(axiom)
-        self.final_info = info
-        return info.count + ((info.left + info.right) if info.nl else info.left)
-
-
-def _line_count_arithmetic(rule_pairs, read_axiom) -> int:
-    """Number of lines in the expansion, from newline counts alone.
-
-    Lines are newline-separated segments; a trailing newline does not open a
-    final empty line, while adjacent newlines do enclose empty lines.
-    """
-    newline_counts = [1 if byte == 0x0A else 0 for byte in range(256)]
-    ends_with_newline = [byte == 0x0A for byte in range(256)]
-    for first, second in rule_pairs:
-        newline_counts.append(newline_counts[first] + newline_counts[second])
-        ends_with_newline.append(ends_with_newline[second])
-    axiom = read_axiom()
-    total = sum(newline_counts[sym] for sym in axiom)
-    return total + (0 if ends_with_newline[axiom[-1]] else 1)
-
-
-def run_count(rule_pairs, read_axiom, fsa: Fsa, debug: bool = False) -> int:
-    """Streaming form of ``count_matching_lines``.
-
-    ``rule_pairs`` is consumed one rule at a time; ``read_axiom`` is a
-    zero-argument callable invoked only after the last rule, so a caller can
-    hand over a decoder that produces both from a single pass over a stream.
-    """
-    if fsa.matches_empty:
-        # Every line matches; count lines without touching the automaton.
-        return _line_count_arithmetic(rule_pairs, read_axiom)
-    engine = GrammarSearch(fsa, debug=debug)
-    for first, second in rule_pairs:
-        engine.feed_rule(first, second)
-    return engine.finish_axiom(read_axiom())
-
-
-def count_matching_lines(slp: Slp, fsa: Fsa, debug: bool = False) -> int:
-    """Number of lines of the expansion containing a match, without expanding."""
-    violations = validate_slp(slp)
-    if violations:
-        raise InvalidGrammarError("; ".join(violations))
-    return run_count(
-        ((rule.first, rule.second) for rule in slp.rules),
-        lambda: slp.axiom,
-        fsa,
-        debug=debug,
-    )
-
-
-def contains_match(slp: Slp, fsa: Fsa) -> bool:
-    """Whether any line of the expansion contains a match.
-
-    Every rule is still read (later rules may define axiom symbols), but the
-    axiom fold stops as soon as a match is certain.
-    """
-    violations = validate_slp(slp)
-    if violations:
-        raise InvalidGrammarError("; ".join(violations))
-    if fsa.matches_empty:
-        return True
-    engine = GrammarSearch(fsa)
-    for rule in slp.rules:
-        engine.feed_rule(rule.first, rule.second)
-    _, reached = engine._fold_axiom(slp.axiom, early_exit=True)
-    return bool(reached & fsa.finals)
-
-
-def collect_stats(slp: Slp, fsa: Fsa, debug: bool = False) -> SearchStats:
-    """Run a count and report the per-rule and per-axiom operation counts."""
-    violations = validate_slp(slp)
-    if violations:
-        raise InvalidGrammarError("; ".join(violations))
-    engine = GrammarSearch(fsa, debug=debug)
-    for rule in slp.rules:
-        engine.feed_rule(rule.first, rule.second)
-    engine.finish_axiom(slp.axiom)
+def collect_stats(slp: Slp, fsa: Fsa) -> SearchStats:
+    """Saturate the grammar and report its per-rule and per-axiom-symbol costs."""
+    infos, rels = saturate(checked_rule_pairs(slp), fsa)
     s = fsa.state_count
-    rule_bound = s**3 + s
-    axiom_bound = s**2
-    for value in engine.per_rule:
-        assert value <= rule_bound, f"per-rule operations {value} exceed {rule_bound}"
-    for value in engine.per_axiom_symbol:
-        assert value <= axiom_bound, (
-            f"per-axiom-symbol operations {value} exceed {axiom_bound}"
-        )
+    middle = ~_mask(fsa.finals)
+    per_initial = 1 + len(fsa.initials)
+    pairs = [sum(row.bit_count() for row in rel.values()) for rel in rels]
+    per_rule = []
+    measured = 0
+    for rule in slp.rules:
+        rel_b = rels[rule.second]
+        ops = pairs[rule.second] + s
+        for m in rels[rule.first].values():
+            ops += sum(1 + rel_b.get(q, 0).bit_count() for q in _bits(m))
+            measured += 1 + (m & middle).bit_count()
+        per_rule.append(ops)
+        measured += per_initial
+    state = (EMPTY_INFO, 0)
+    for sym in slp.axiom:
+        measured += per_initial + (state[1] & middle).bit_count()
+        state = fold((sym,), infos, rels, fsa, start=state)
+    per_axiom_symbol = [pairs[sym] for sym in slp.axiom]
     return SearchStats(
         s=s,
         p=len(slp.rules),
         axiom_len=len(slp.axiom),
-        per_rule=tuple(engine.per_rule),
-        per_axiom_symbol=tuple(engine.per_axiom_symbol),
-        rule_percentiles=nearest_rank_percentiles(engine.per_rule),
-        axiom_percentiles=nearest_rank_percentiles(engine.per_axiom_symbol),
-        measured_ops=engine.measured_ops,
+        per_rule=tuple(per_rule),
+        per_axiom_symbol=tuple(per_axiom_symbol),
+        rule_percentiles=nearest_rank_percentiles(per_rule),
+        axiom_percentiles=nearest_rank_percentiles(per_axiom_symbol),
+        measured_ops=measured,
     )

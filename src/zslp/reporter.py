@@ -1,10 +1,12 @@
 """Lazy top-down decompression that emits only the matching lines.
 
-A counting pass runs first so that every symbol carries its counting tuple
-and saturated transitions. The grammar is then walked top-down, keeping one
-line of state: the bytes of the current line so far, the set of automaton
-states reachable from an initial state by reading some suffix of it, and
-whether the line already matched.
+The engine's saturation pass runs first, so that every symbol carries its
+counting tuple and its relation of state bitmasks. The grammar is then
+walked top-down, keeping one line of state: the symbols of the current line
+so far, the mask of automaton states reachable from an initial state by
+reading some suffix of it, and whether the line already matched. A symbol
+without a newline joins the line whole, in one mask step through its
+relation; its bytes are expanded only if the line turns out to match.
 
 A subtree may be skipped when nothing of it can appear in a matching line:
 it must span a newline (so lines after it do not depend on what precedes
@@ -12,18 +14,21 @@ it), contain no matching closed line, have non-matching first and last
 lines, the current line must not have matched already, and no automaton run
 through the pending suffix states may complete a match inside the subtree's
 head. Skipping discards the current line (it provably cannot match) and
-re-seeds the suffix states from the subtree's own transitions. The skipped
-subtree's trailing line fragment is remembered by symbol id: if a later
-byte completes a match on that same line, exactly that fragment is expanded
-after the fact so the emitted line is byte-identical to the uncompressed
-one. Disabling pruning never changes the output.
+re-seeds the suffix states from the subtree's initial-state rows. The
+skipped subtree's trailing line fragment is remembered by symbol id: if a
+later symbol completes a match on that same line, exactly that fragment is
+expanded after the fact so the emitted line is byte-identical to the
+uncompressed one. Disabling pruning never changes the output.
 """
 
 from __future__ import annotations
 
-from .automaton import Fsa
-from .engine import GrammarSearch
-from .slp import FIRST_VARIABLE, InvalidGrammarError, Slp, expand_symbol, iter_expand, validate_slp
+from .automaton import NEWLINE, Fsa
+from .engine import checked_rule_pairs, saturate, union_rows
+from .slp import FIRST_VARIABLE, Slp, expand_symbols, iter_expand
+
+# Counting tuple of a subtree that spans a newline and matches nowhere.
+_SILENT = (True, False, False, 0)
 
 
 def _report_every_line(slp: Slp, sink) -> int:
@@ -50,21 +55,20 @@ def _report_every_line(slp: Slp, sink) -> int:
     return emitted
 
 
-def _tail_after_last_newline(slp: Slp, entries, sym: int) -> bytes:
+def _tail_after_last_newline(slp: Slp, infos, sym: int) -> bytes:
     """Expansion of the symbol after its last newline (possibly empty)."""
-    suffix_parts = []
+    parts = []  # right to left
     cur = sym
     while cur >= FIRST_VARIABLE:
         rule = slp.rules[cur - FIRST_VARIABLE]
-        if entries[rule.second].info.nl:
+        if infos[rule.second][0]:
             cur = rule.second
         else:
-            suffix_parts.append(rule.second)
+            parts.append(rule.second)
             cur = rule.first
-    base = b"" if cur == 0x0A else bytes([cur])
-    return base + b"".join(
-        expand_symbol(slp, part) for part in reversed(suffix_parts)
-    )
+    if cur != NEWLINE:
+        parts.append(cur)
+    return expand_symbols(slp, parts[::-1])
 
 
 def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
@@ -74,84 +78,62 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     The final line gains a terminating newline even if the source text lacks
     one.
     """
-    violations = validate_slp(slp)
-    if violations:
-        raise InvalidGrammarError("; ".join(violations))
+    pairs = checked_rule_pairs(slp)
     if fsa.matches_empty:
         return _report_every_line(slp, sink)
 
-    engine = GrammarSearch(fsa)
-    for rule in slp.rules:
-        engine.feed_rule(rule.first, rule.second)
-    entries = engine.entries
-
-    initials = fsa.initials
-    finals = fsa.finals
-    # Per-byte successor maps make the per-byte stepping a dict lookup.
-    step: list[dict] = [{} for _ in range(256)]
-    for src, byte, targets in fsa.iter_transitions():
-        if targets:
-            step[byte][src] = targets
+    infos, rels = saturate(pairs, fsa)
+    finals = sum(1 << q for q in fsa.finals)
+    initial_states = sorted(fsa.initials)
+    rules = slp.rules
 
     emitted = 0
-    buffer = bytearray()
     pending: int | None = None  # symbol whose trailing line fragment we skipped
-    reachable: set[int] = set()
+    parts: list[int] = []  # newline-free symbols of the current line, in order
+    reachable = 0
     matched = False
-    rules = slp.rules
 
     def emit_line() -> None:
         nonlocal emitted
-        head = b"" if pending is None else _tail_after_last_newline(slp, entries, pending)
-        sink.write(head + bytes(buffer) + b"\n")
+        head = b"" if pending is None else _tail_after_last_newline(slp, infos, pending)
+        sink.write(head + expand_symbols(slp, parts) + b"\n")
         emitted += 1
 
     stack = list(reversed(slp.axiom))
     while stack:
         sym = stack.pop()
-        if sym < FIRST_VARIABLE:
-            if sym == 0x0A:
-                if matched:
-                    emit_line()
-                buffer.clear()
-                pending = None
-                reachable = set()
-                matched = False
-            else:
-                buffer.append(sym)
-                table = step[sym]
-                moved: set[int] = set()
-                for q in reachable:
-                    hit = table.get(q)
-                    if hit:
-                        moved |= hit
-                for q in initials:
-                    hit = table.get(q)
-                    if hit:
-                        moved |= hit
-                reachable = moved
-                if not matched and moved & finals:
-                    matched = True
+        if sym == NEWLINE:
+            if matched:
+                emit_line()
+            parts.clear()
+            pending = None
+            reachable = 0
+            matched = False
             continue
-
-        entry = entries[sym]
-        info = entry.info
+        info = infos[sym]
+        rel = rels[sym]
+        if not info[0]:
+            # A newline-free symbol joins the line whole: one mask step.
+            parts.append(sym)
+            if not matched:
+                moved = union_rows(reachable, rel)
+                for q in initial_states:
+                    moved |= rel.get(q, 0)
+                reachable = moved
+                matched = moved & finals != 0
+            continue
         if (
             prune
             and not matched
-            and info.nl
-            and info.count == 0
-            and not info.left
-            and not info.right
-            and not any(
-                q in reachable and target in finals for q, target in entry.edges
-            )
+            and info == _SILENT
+            and not union_rows(reachable, rel) & finals
         ):
             # Nothing of this subtree can sit in a matching line; skip it.
-            buffer.clear()
+            parts.clear()
             pending = sym
-            reachable = {target for q, target in entry.edges if q in initials}
-            matched = False
+            reachable = 0
+            for q in initial_states:
+                reachable |= rel.get(q, 0)
             continue
         rule = rules[sym - FIRST_VARIABLE]
         stack.append(rule.second)

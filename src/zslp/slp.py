@@ -113,8 +113,13 @@ def expand_symbol(slp: Slp, sym: int) -> bytes:
     """Return the unique byte string the symbol derives."""
     if not slp.is_defined(sym) or sym < 0:
         raise InvalidGrammarError(f"undefined symbol {sym}")
+    return expand_symbols(slp, (sym,))
+
+
+def expand_symbols(slp: Slp, symbols) -> bytes:
+    """Concatenated expansion of a sequence of defined symbols."""
     out = bytearray()
-    stack = [sym]
+    stack = list(reversed(symbols))
     rules = slp.rules
     while stack:
         t = stack.pop()

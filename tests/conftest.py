@@ -182,6 +182,29 @@ def brute_anchored_pairs(fsa, expansion: bytes) -> set:
     return pairs
 
 
+def relation_pairs(rel: dict) -> set:
+    """The (source, target) pairs of a saturated ``{source: bitmask}`` row map."""
+    return {
+        (q1, q2)
+        for q1, mask in rel.items()
+        for q2 in range(mask.bit_length())
+        if mask >> q2 & 1
+    }
+
+
+def max_row_width(rels, fsa) -> int:
+    """Widest row leaving a non-initial state, over all symbols' relations."""
+    return max(
+        (
+            mask.bit_count()
+            for rel in rels
+            for q, mask in rel.items()
+            if q not in fsa.initials
+        ),
+        default=0,
+    )
+
+
 def brute_count_info(fsa, expansion: bytes) -> tuple:
     """Definitional counting tuple computed on the uncompressed expansion."""
     from zslp.oracle import factor_match

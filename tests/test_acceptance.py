@@ -21,16 +21,20 @@ from conftest import (
     brute_anchored_pairs,
     brute_count_info,
     compiled_random_pattern,
+    max_row_width,
     random_grammar,
     random_text,
+    relation_pairs,
     sample_from_pattern,
 )
 from zslp.automaton import compile_pattern
 from zslp.cli import run_cli
 from zslp.engine import (
-    GrammarSearch,
     collect_stats,
     count_matching_lines,
+    fold,
+    matching_lines,
+    saturate,
 )
 from zslp.oracle import oracle_count, oracle_lines
 from zslp.repair import compress
@@ -72,16 +76,14 @@ def randomized_cases():
 
 @pytest.fixture(scope="module")
 def saturation_instances():
-    """200 (fsa, grammar, finished engine) triples shared by criteria 3 and 4."""
+    """200 (fsa, grammar, (tuples, relations)) triples shared by criteria 3 and 4."""
     rng = random.Random(424242)
     instances = []
     while len(instances) < 200:
         _, fsa = compiled_random_pattern(rng, max_states=10)
         slp = random_grammar(rng, max_rules=30, expansion_cap=80)
-        engine = GrammarSearch(fsa, debug=True)
-        for rule in slp.rules:
-            engine.feed_rule(rule.first, rule.second)
-        instances.append((fsa, slp, engine))
+        saturated = saturate(((r.first, r.second) for r in slp.rules), fsa)
+        instances.append((fsa, slp, saturated))
     return instances
 
 
@@ -89,15 +91,15 @@ def test_criterion_1_example_reproduction(example_grammar):
     """Fixture text counts 3 for ab|ba with the expected intermediate tuples."""
     assert expand(example_grammar) == EXAMPLE_TEXT
     fsa = compile_pattern("ab|ba")
-    engine = GrammarSearch(fsa, debug=True)
-    for rule in example_grammar.rules:
-        engine.feed_rule(rule.first, rule.second)
-    total = engine.finish_axiom(example_grammar.axiom)
-    assert total == 3
-    # debug trace: the two subtree tuples and the combined one
-    assert engine.entries[258].info.as_tuple() == (True, True, False, 0)
-    assert engine.entries[262].info.as_tuple() == (True, False, True, 0)
-    assert engine.fold_trace[-1].as_tuple() == (True, True, True, 1)
+    infos, rels = saturate(
+        ((rule.first, rule.second) for rule in example_grammar.rules), fsa
+    )
+    info, _ = fold(example_grammar.axiom, infos, rels, fsa)
+    assert matching_lines(info) == 3
+    # the two subtree tuples and the combined one
+    assert infos[258] == (True, True, False, 0)
+    assert infos[262] == (True, False, True, 0)
+    assert info == (True, True, True, 1)
     # timing: the counting pass itself stays under a millisecond
     best = min(
         _timed_count(example_grammar, fsa) for _ in range(5)
@@ -133,19 +135,19 @@ def test_criterion_3_saturation_equivalence(saturation_instances):
     inner factors (the last shape is what boundary-match detection and the
     match-decision variant consume).
     """
-    for fsa, slp, engine in saturation_instances:
+    for fsa, slp, (_, rels) in saturation_instances:
         for sym in range(256, 256 + len(slp.rules)):
             expansion = expand_symbol(slp, sym)
-            got = set(engine.entries[sym].edges)
+            got = relation_pairs(rels[sym])
             assert got == brute_anchored_pairs(fsa, expansion), (sym, expansion)
 
 
 def test_criterion_4_count_info_equivalence(saturation_instances):
     """Per-symbol counting tuples equal the definitional values, exactly."""
-    for fsa, slp, engine in saturation_instances:
+    for fsa, slp, (infos, _) in saturation_instances:
         for sym in range(256, 256 + len(slp.rules)):
             expansion = expand_symbol(slp, sym)
-            assert engine.entries[sym].info.as_tuple() == brute_count_info(
+            assert infos[sym] == brute_count_info(
                 fsa, expansion
             ), (sym, expansion)
 
@@ -154,10 +156,9 @@ def test_criterion_5_complexity_instrumentation():
     """Measured work stays within 3x the accounted operation budget.
 
     Per-rule counts stay within s^3 + s and per-axiom-symbol counts within
-    s^2. Deterministic automata additionally keep every successor row at
-    most one state wide (rows are loaded from non-initial states; the
-    initial state's reachable set is inherently a set and lives outside the
-    rows).
+    s^2. Deterministic automata additionally keep every relation row that
+    leaves a non-initial state at most one state wide (the initial state's
+    row is inherently a set).
     """
     rng = random.Random(515151)
     runs = 0
@@ -169,7 +170,7 @@ def test_criterion_5_complexity_instrumentation():
         alphabet = b"ab\n" if runs % 2 else b"abcd \n"
         text = random_text(rng, 600, alphabet=alphabet)
         slp = compress(text)
-        stats = collect_stats(slp, fsa, debug=True)
+        stats = collect_stats(slp, fsa)
         bound_rule = stats.s**3 + stats.s
         bound_axiom = stats.s**2
         assert all(v <= bound_rule for v in stats.per_rule), pattern
@@ -177,11 +178,8 @@ def test_criterion_5_complexity_instrumentation():
         assert stats.measured_ops <= 3 * stats.op_budget, pattern
         runs += 1
         if fsa.is_deterministic:
-            engine = GrammarSearch(fsa, debug=True)
-            for rule in slp.rules:
-                engine.feed_rule(rule.first, rule.second)
-            engine.finish_axiom(slp.axiom)
-            assert engine.max_row_width <= 1, pattern
+            _, rels = saturate(((r.first, r.second) for r in slp.rules), fsa)
+            assert max_row_width(rels, fsa) <= 1, pattern
             det_runs += 1
     assert det_runs >= 10, "expected a healthy share of deterministic automata"
 

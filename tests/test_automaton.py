@@ -104,6 +104,11 @@ def test_syntax_errors_carry_position():
     for bad in ("a|b)", "[ab", "a{2", "a{3,1}", "*a", "a\\"):
         with pytest.raises(PatternSyntaxError):
             compile_pattern(bad)
+    # groups plus stacked repeat operators nest at most 100 deep
+    compile_pattern("(" * 50 + "a" + "*" * 50 + ")" * 50)
+    with pytest.raises(PatternSyntaxError) as err:
+        compile_pattern("(" * 50 + "a" + "*" * 51 + ")" * 50)
+    assert err.value.position == 151  # the ')' that closes level 101
 
 
 def test_newline_only_pattern_rejected():

@@ -153,3 +153,39 @@ def test_count_equals_decompress_then_oracle(tmp_path, capsys):
         out = capsys.readouterr().out
         assert int(out) == oracle_count(data, "a")
         assert code == (0 if int(out) > 0 else 1)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    ["(" * 2000 + "a" + ")" * 2000, "a" + "*" * 3000],
+    ids=["nested-groups", "stacked-repeats"],
+)
+def test_deep_pattern_nesting_is_a_pattern_error(example_file, capsys, pattern):
+    code = run_cli(["count", "-e", pattern, example_file])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "pattern error" in captured.err and "nested deeper" in captured.err
+
+
+def test_search_into_closed_pipe_exits_quietly(tmp_path):
+    import subprocess
+
+    # 2**16 lines of "HTTP\n": far more than a pipe buffer holds
+    pairs = [(72, 84), (84, 80), (256, 257), (258, 10)]
+    for _ in range(16):
+        top = 256 + len(pairs) - 1
+        pairs.append((top, top))
+    packed = tmp_path / "many.zslp"
+    packed.write_bytes(encode_slp(Slp.from_pairs(pairs, [256 + len(pairs) - 1])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zslp", "search", "-e", "HTTP", str(packed)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(5) == b"HTTP\n"
+    proc.stdout.close()  # the reader goes away, like `| head -1`
+    assert proc.wait(timeout=60) == 141
+    with proc.stderr:
+        assert proc.stderr.read() == b""

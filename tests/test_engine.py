@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,30 +8,31 @@ from conftest import (
     brute_anchored_pairs,
     brute_count_info,
     compiled_random_pattern,
+    max_row_width,
     random_grammar,
+    relation_pairs,
 )
 from zslp.automaton import compile_pattern
 from zslp.engine import (
-    CountInfo,
-    GrammarSearch,
+    combine,
     collect_stats,
     contains_match,
-    count_combine,
     count_matching_lines,
-    init_terminals,
+    fold,
+    matching_lines,
     nearest_rank_percentiles,
+    saturate,
 )
 from zslp.oracle import oracle_count
 from zslp.repair import compress
 from zslp.slp import InvalidGrammarError, Slp, expand_symbol
 
 
-def run_engine(slp, fsa, debug=False):
-    engine = GrammarSearch(fsa, debug=debug)
-    for rule in slp.rules:
-        engine.feed_rule(rule.first, rule.second)
-    total = engine.finish_axiom(slp.axiom)
-    return engine, total
+def run_engine(slp, fsa):
+    """Saturate and fold a whole grammar: (infos, rels, final info, total)."""
+    infos, rels = saturate(((r.first, r.second) for r in slp.rules), fsa)
+    info, _ = fold(slp.axiom, infos, rels, fsa)
+    return infos, rels, info, matching_lines(info)
 
 
 def state_roles(fsa):
@@ -44,26 +46,28 @@ def state_roles(fsa):
 
 
 def test_init_terminals_newline(ab_ba_fsa):
-    entry = init_terminals(ab_ba_fsa)[0x0A]
-    assert entry.info.as_tuple() == (True, False, False, 0)
-    assert entry.edges == []
+    infos, rels = saturate([], ab_ba_fsa)
+    assert infos[0x0A] == (True, False, False, 0)
+    assert rels[0x0A] == {}
 
 
 def test_init_terminals_intermediate_byte(ab_ba_fsa):
     initial, final = state_roles(ab_ba_fsa)
-    entry = init_terminals(ab_ba_fsa)[ord("a")]
-    assert entry.info.as_tuple() == (False, False, False, 0)
+    infos, rels = saturate([], ab_ba_fsa)
+    assert infos[ord("a")] == (False, False, False, 0)
     # 'a' moves initial -> after-a and after-b -> final
-    sources = {q for q, _ in entry.edges}
-    targets = {t for _, t in entry.edges}
-    assert len(entry.edges) == 2
+    pairs = relation_pairs(rels[ord("a")])
+    sources = {q for q, _ in pairs}
+    targets = {t for _, t in pairs}
+    assert len(pairs) == 2
     assert initial in sources and final in targets
 
 
 def test_init_terminals_single_byte_pattern():
     fsa = compile_pattern("a")
-    entry = init_terminals(fsa)[ord("a")]
-    assert entry.info.left and entry.info.right
+    infos, _ = saturate([], fsa)
+    _, left, right, _ = infos[ord("a")]
+    assert left and right
 
 
 # ---------------------------------------------------------------------------
@@ -71,27 +75,38 @@ def test_init_terminals_single_byte_pattern():
 
 
 def test_count_combine_boundary_match():
-    a = CountInfo(True, True, False, 0)
-    b = CountInfo(True, False, True, 0)
-    assert count_combine(a, b, True).as_tuple() == (True, True, True, 1)
+    a = (True, True, False, 0)
+    b = (True, False, True, 0)
+    assert combine(a, b, True) == (True, True, True, 1)
 
 
 def test_count_combine_nothing():
-    zero = CountInfo(False, False, False, 0)
-    assert count_combine(zero, zero, False).as_tuple() == (False, False, False, 0)
+    zero = (False, False, False, 0)
+    assert combine(zero, zero, False) == (False, False, False, 0)
 
 
 def test_count_combine_mixed():
-    a = CountInfo(False, True, True, 0)
-    b = CountInfo(True, False, False, 0)
-    assert count_combine(a, b, False).as_tuple() == (True, True, False, 0)
+    a = (False, True, True, 0)
+    b = (True, False, False, 0)
+    assert combine(a, b, False) == (True, True, False, 0)
 
 
 def test_count_info_invariants_enforced():
-    with pytest.raises(AssertionError):
-        CountInfo(False, True, False, 0)
-    with pytest.raises(AssertionError):
-        CountInfo(False, True, True, 3)
+    # a single-line tuple has left == right and no closed lines, whether it
+    # comes from combining single-line parts or from saturating a grammar
+    for left_a, left_b, new_match in itertools.product((False, True), repeat=3):
+        nl, left, right, count = combine(
+            (False, left_a, left_a, 0), (False, left_b, left_b, 0), new_match
+        )
+        assert not nl and left == right and count == 0
+    rng = random.Random(27)
+    for _ in range(40):
+        _, fsa = compiled_random_pattern(rng, max_states=10)
+        infos, _ = saturate(
+            ((r.first, r.second) for r in random_grammar(rng).rules), fsa
+        )
+        for nl, left, right, count in infos:
+            assert nl or (left == right and count == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -100,43 +115,39 @@ def test_count_info_invariants_enforced():
 
 def test_process_rule_ab(ab_ba_fsa):
     initial, final = state_roles(ab_ba_fsa)
-    engine = GrammarSearch(ab_ba_fsa, debug=True)
-    engine.feed_rule(ord("a"), ord("b"))
-    entry = engine.entries[256]
+    infos, rels = saturate([(ord("a"), ord("b"))], ab_ba_fsa)
+    pairs = relation_pairs(rels[256])
     # brute-force verified transition set for expansion "ab"
-    assert set(entry.edges) == brute_anchored_pairs(ab_ba_fsa, b"ab")
-    assert (initial, final) in entry.edges
-    assert entry.info.as_tuple() == (False, True, True, 0)
+    assert pairs == brute_anchored_pairs(ab_ba_fsa, b"ab")
+    assert (initial, final) in pairs
+    assert infos[256] == (False, True, True, 0)
 
 
 def test_process_rule_no_edges():
     fsa = compile_pattern("ab|ba")
-    engine = GrammarSearch(fsa)
-    engine.feed_rule(ord("x"), ord("y"))
-    entry = engine.entries[256]
-    assert entry.edges == []
-    assert entry.info.as_tuple() == (False, False, False, 0)
+    infos, rels = saturate([(ord("x"), ord("y"))], fsa)
+    assert rels[256] == {}
+    assert infos[256] == (False, False, False, 0)
 
 
 def test_example_rule_infos(example_slp, ab_ba_fsa):
-    engine, total = run_engine(example_slp, ab_ba_fsa, debug=True)
-    assert engine.entries[258].info.as_tuple() == (True, True, False, 0)
-    assert engine.entries[262].info.as_tuple() == (True, False, True, 0)
-    assert engine.final_info.as_tuple() == (True, True, True, 1)
+    infos, _, info, total = run_engine(example_slp, ab_ba_fsa)
+    assert infos[258] == (True, True, False, 0)
+    assert infos[262] == (True, False, True, 0)
+    assert info == (True, True, True, 1)
     assert total == 3
 
 
 def test_example_with_top_rule(ab_ba_fsa):
     slp = Slp.from_pairs(EXAMPLE_PAIRS + [(258, 262)], [263])
-    engine, total = run_engine(slp, ab_ba_fsa)
-    assert engine.entries[263].info.as_tuple() == (True, True, True, 1)
+    infos, _, _, total = run_engine(slp, ab_ba_fsa)
+    assert infos[263] == (True, True, True, 1)
     assert total == 3
 
 
 def test_rule_referencing_later_symbol_rejected(ab_ba_fsa):
-    engine = GrammarSearch(ab_ba_fsa)
     with pytest.raises(InvalidGrammarError):
-        engine.feed_rule(300, 97)
+        saturate([(300, 97)], ab_ba_fsa)
 
 
 # ---------------------------------------------------------------------------
@@ -144,29 +155,26 @@ def test_rule_referencing_later_symbol_rejected(ab_ba_fsa):
 
 
 def test_axiom_fold_two_terminals(ab_ba_fsa):
-    engine = GrammarSearch(ab_ba_fsa)
-    total = engine.finish_axiom([ord("a"), ord("b")])
-    assert engine.final_info.as_tuple() == (False, True, True, 0)
+    _, _, info, total = run_engine(Slp.from_pairs([], [ord("a"), ord("b")]), ab_ba_fsa)
+    assert info == (False, True, True, 0)
     assert total == 1
 
 
 def test_axiom_fold_example(example_slp, ab_ba_fsa):
-    _, total = run_engine(example_slp, ab_ba_fsa)
+    *_, total = run_engine(example_slp, ab_ba_fsa)
     assert total == 3
 
 
 def test_axiom_fold_newlines_only(ab_ba_fsa):
-    engine = GrammarSearch(ab_ba_fsa)
-    total = engine.finish_axiom([0x0A, 0x0A])
-    assert engine.final_info.as_tuple() == (True, False, False, 0)
+    _, _, info, total = run_engine(Slp.from_pairs([], [0x0A, 0x0A]), ab_ba_fsa)
+    assert info == (True, False, False, 0)
     assert total == 0
 
 
 def test_axiom_of_length_one(ab_ba_fsa):
-    engine = GrammarSearch(ab_ba_fsa)
-    engine.feed_rule(ord("a"), ord("b"))
-    total = engine.finish_axiom([256])
-    assert engine.final_info.as_tuple() == (False, True, True, 0)
+    slp = Slp.from_pairs([(ord("a"), ord("b"))], [256])
+    _, _, info, total = run_engine(slp, ab_ba_fsa)
+    assert info == (False, True, True, 0)
     assert total == 1
 
 
@@ -177,7 +185,7 @@ def test_fold_equals_explicit_rule_chain():
         slp = random_grammar(rng)
         if len(slp.axiom) < 2:
             continue
-        _, total = run_engine(slp, fsa)
+        *_, total = run_engine(slp, fsa)
         # chain grammar: S1 -> (s)1 (s)2, S_i -> S_{i-1} (s)_{i+1}
         chain_pairs = [(r.first, r.second) for r in slp.rules]
         prev = slp.axiom[0]
@@ -185,7 +193,7 @@ def test_fold_equals_explicit_rule_chain():
             chain_pairs.append((prev, sym))
             prev = 256 + len(chain_pairs) - 1
         chain = Slp.from_pairs(chain_pairs, [prev])
-        _, chain_total = run_engine(chain, fsa)
+        *_, chain_total = run_engine(chain, fsa)
         assert total == chain_total
 
 
@@ -250,9 +258,8 @@ def test_final_formula_consistency():
         if fsa.matches_empty:
             continue
         slp = random_grammar(rng)
-        engine, total = run_engine(slp, fsa)
-        info = engine.final_info
-        assert total == info.count + info.left + (1 if info.nl and info.right else 0)
+        _, _, (nl, left, right, count), total = run_engine(slp, fsa)
+        assert total == count + left + (1 if nl and right else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +272,13 @@ def test_saturation_matches_brute_force_bulk():
     for _ in range(60):
         pattern, fsa = compiled_random_pattern(rng, max_states=10)
         slp = random_grammar(rng, max_rules=15, expansion_cap=60)
-        engine = GrammarSearch(fsa, debug=True)
-        for rule in slp.rules:
-            engine.feed_rule(rule.first, rule.second)
+        infos, rels, *_ = run_engine(slp, fsa)
         for sym in range(256, 256 + len(slp.rules)):
             expansion = expand_symbol(slp, sym)
-            assert set(engine.entries[sym].edges) == brute_anchored_pairs(
+            assert relation_pairs(rels[sym]) == brute_anchored_pairs(
                 fsa, expansion
             ), (pattern, sym, expansion)
-            assert engine.entries[sym].info.as_tuple() == brute_count_info(
+            assert infos[sym] == brute_count_info(
                 fsa, expansion
             ), (pattern, sym, expansion)
             symbols_checked += 1
@@ -302,7 +307,7 @@ def test_collect_stats_bounds_and_budget():
             continue
         text = bytes(rng.choice(b"abc \n") for _ in range(rng.randrange(1, 300)))
         slp = compress(text)
-        stats = collect_stats(slp, fsa, debug=True)
+        stats = collect_stats(slp, fsa)
         bound_rule = stats.s**3 + stats.s
         bound_axiom = stats.s**2
         assert all(v <= bound_rule for v in stats.per_rule)
@@ -324,19 +329,16 @@ def test_nearest_rank_percentiles():
 
 
 def test_deterministic_rows_stay_narrow():
-    # deterministic automaton: the successor rows loaded from non-initial
-    # states hold at most one state each (checked by the debug assert)
+    # deterministic automaton: every row from a non-initial state holds at
+    # most one target state
     fsa = compile_pattern("ab|ba")
     assert fsa.is_deterministic
     rng = random.Random(4)
     for _ in range(25):
         text = bytes(rng.choice(b"ab\n") for _ in range(rng.randrange(1, 200)))
         slp = compress(text)
-        engine = GrammarSearch(fsa, debug=True)
-        for rule in slp.rules:
-            engine.feed_rule(rule.first, rule.second)
-        engine.finish_axiom(slp.axiom)
-        assert engine.max_row_width <= 1
+        _, rels, *_ = run_engine(slp, fsa)
+        assert max_row_width(rels, fsa) <= 1
 
 
 def test_multi_initial_automaton():
@@ -358,14 +360,12 @@ def test_multi_initial_automaton():
         (b"bca\nac", 2),
     ]:
         slp = compress(text)
-        assert count_matching_lines(slp, fsa, debug=True) == expected, text
+        assert count_matching_lines(slp, fsa) == expected, text
         # brute-force cross-check of every rule's transition set
-        engine = GrammarSearch(fsa, debug=True)
-        for rule in slp.rules:
-            engine.feed_rule(rule.first, rule.second)
+        _, rels, *_ = run_engine(slp, fsa)
         for sym in range(256, 256 + len(slp.rules)):
             expansion = expand_symbol(slp, sym)
-            assert set(engine.entries[sym].edges) == brute_anchored_pairs(
+            assert relation_pairs(rels[sym]) == brute_anchored_pairs(
                 fsa, expansion
             ), (text, sym)
 
@@ -375,10 +375,10 @@ def test_engine_rejects_nonnormalised_automata():
 
     looped = Fsa(2, (0,), (1,), {(0, 97): {1}, (1, 97): {1}}, False)
     with pytest.raises(ValueError, match="leaving a final state"):
-        GrammarSearch(looped)
+        saturate([], looped)
     into_initial = Fsa(2, (0,), (1,), {(0, 97): {0, 1}}, False)
     with pytest.raises(ValueError, match="entering an initial state"):
-        GrammarSearch(into_initial)
+        saturate([], into_initial)
 
 
 def test_streaming_rule_feed(example_slp, ab_ba_fsa):

@@ -106,7 +106,7 @@ def test_tail_extraction_matches_expansion():
     import random
 
     from conftest import random_grammar
-    from zslp.engine import GrammarSearch
+    from zslp.engine import saturate
     from zslp.reporter import _tail_after_last_newline
     from zslp.slp import expand_symbol
 
@@ -115,15 +115,13 @@ def test_tail_extraction_matches_expansion():
     checked = 0
     for _ in range(40):
         slp = random_grammar(rng)
-        engine = GrammarSearch(fsa)
-        for rule in slp.rules:
-            engine.feed_rule(rule.first, rule.second)
+        infos, _ = saturate(((r.first, r.second) for r in slp.rules), fsa)
         for sym in range(256, 256 + len(slp.rules)):
-            if not engine.entries[sym].info.nl:
+            if not infos[sym][0]:
                 continue
             expansion = expand_symbol(slp, sym)
             expected = expansion.rsplit(b"\n", 1)[-1]
-            assert _tail_after_last_newline(slp, engine.entries, sym) == expected
+            assert _tail_after_last_newline(slp, infos, sym) == expected
             checked += 1
     assert checked > 50
 
