@@ -15,14 +15,18 @@ support ranges, a leading '^' for negation, and ']' as a literal when it is
 the first member. Bytes, not codepoints: every pattern character must have
 an ordinal below 256 and matching is case-sensitive.
 
-Compilation builds the usual NFA with epsilon transitions, records whether
-the empty string is accepted, then removes epsilons keeping the original
-start and accept as the only initial and final state. The result therefore
-has no transition entering an initial state and none leaving a final state;
-the search engine's saturation step relies on exactly that shape (otherwise
-composed transitions could stand for non-contiguous fragments and the
-counts would drift). Useless states are trimmed afterwards.
-"""
+Compilation is Glushkov's position automaton (Glushkov 1961; Berry & Sethi
+1986), epsilon-free by construction. One pass over the AST computes
+nullable, first and last as int masks over the atom occurrences (positions)
+and a follow mask per position; ``x{m,n}`` is expanded as
+``x^m (x(x(...)?)?)?``, so each copy is entered from the one before it only.
+State 0 is the only initial state and a fresh accept state the only final
+one; every move into a last position is also bent onto it. So no transition
+enters an initial state or leaves a final state, the shape the search
+engine's saturation relies on (otherwise composed transitions could stand
+for non-contiguous fragments and the counts would drift). Two mask sweeps
+trim the rest, and bytes that enter the same positions share one row map
+(RE2's byte classes)."""
 
 from __future__ import annotations
 
@@ -36,7 +40,9 @@ _LINE_BYTES = _ALL_BYTES - {NEWLINE}
 
 # Guard rails against pathological patterns, not contractual limits.
 _MAX_REPEAT = 512
-_MAX_STATES = 20000
+_MAX_STATES = 20000  # positions, before trimming
+_MAX_PAIRS = 1_000_000  # (position, following position) pairs
+_MAX_VISITS = 200_000  # AST nodes visited, each copy of a repeat counted
 _MAX_NESTING = 100  # groups plus stacked repeat operators, on any path
 
 
@@ -280,144 +286,27 @@ def parse_pattern(pattern: str):
 
 
 # ---------------------------------------------------------------------------
-# Thompson construction
+# The automaton
 
 
-class _ThompsonNfa:
-    def __init__(self):
-        self.eps: list[list[int]] = []
-        self.edges: list[list[tuple[frozenset, int]]] = []
-        self.start = 0
-        self.accept = 0
-
-    def new_state(self) -> int:
-        self.eps.append([])
-        self.edges.append([])
-        if len(self.eps) > _MAX_STATES:
-            raise PatternSyntaxError("pattern too large", 0)
-        return len(self.eps) - 1
-
-    def add_eps(self, src: int, dst: int) -> None:
-        self.eps[src].append(dst)
-
-    def add_edge(self, src: int, byteset: frozenset, dst: int) -> None:
-        self.edges[src].append((byteset, dst))
-
-    def closure(self, state: int) -> set[int]:
-        seen = {state}
-        stack = [state]
-        while stack:
-            q = stack.pop()
-            for t in self.eps[q]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return seen
-
-
-def _build(nfa: _ThompsonNfa, node) -> tuple[int, int]:
-    if isinstance(node, ByteSet):
-        s = nfa.new_state()
-        t = nfa.new_state()
-        nfa.add_edge(s, node.bytes_, t)
-        return s, t
-    if isinstance(node, Seq):
-        if not node.parts:
-            s = nfa.new_state()
-            t = nfa.new_state()
-            nfa.add_eps(s, t)
-            return s, t
-        start, end = _build(nfa, node.parts[0])
-        for part in node.parts[1:]:
-            nstart, nend = _build(nfa, part)
-            nfa.add_eps(end, nstart)
-            end = nend
-        return start, end
-    if isinstance(node, Branch):
-        s = nfa.new_state()
-        t = nfa.new_state()
-        for option in node.options:
-            ostart, oend = _build(nfa, option)
-            nfa.add_eps(s, ostart)
-            nfa.add_eps(oend, t)
-        return s, t
-    if isinstance(node, Repeat):
-        return _build_repeat(nfa, node)
-    raise TypeError(f"unknown pattern node {node!r}")
-
-
-def _build_star(nfa: _ThompsonNfa, item) -> tuple[int, int]:
-    s = nfa.new_state()
-    t = nfa.new_state()
-    istart, iend = _build(nfa, item)
-    nfa.add_eps(s, t)
-    nfa.add_eps(s, istart)
-    nfa.add_eps(iend, t)
-    nfa.add_eps(iend, istart)
-    return s, t
-
-
-def _build_repeat(nfa: _ThompsonNfa, node: Repeat) -> tuple[int, int]:
-    if node.low == 0:
-        start = end = None
-    else:
-        start, end = _build(nfa, node.item)
-        for _ in range(node.low - 1):
-            nstart, nend = _build(nfa, node.item)
-            nfa.add_eps(end, nstart)
-            end = nend
-    if node.high is None:
-        sstart, send = _build_star(nfa, node.item)
-        if start is None:
-            return sstart, send
-        nfa.add_eps(end, sstart)
-        return start, send
-    if start is None:
-        start = end = nfa.new_state()
-    for _ in range(node.high - node.low):
-        nend = nfa.new_state()
-        nfa.add_eps(end, nend)
-        istart, iend = _build(nfa, node.item)
-        nfa.add_eps(end, istart)
-        nfa.add_eps(iend, nend)
-        end = nend
-    return start, end
-
-
-def build_thompson(node) -> _ThompsonNfa:
-    nfa = _ThompsonNfa()
-    nfa.start, nfa.accept = _build(nfa, node)
-    return nfa
-
-
-def simulate_thompson(nfa: _ThompsonNfa, data: bytes) -> bool:
-    """Reference run of the raw NFA, epsilon closures included."""
-    current = nfa.closure(nfa.start)
-    for byte in data:
-        moved: set[int] = set()
-        for q in current:
-            for byteset, t in nfa.edges[q]:
-                if byte in byteset:
-                    moved.add(t)
-        current = set()
-        for q in moved:
-            current |= nfa.closure(q)
-        if not current:
-            return False
-    return nfa.accept in current
-
-
-# ---------------------------------------------------------------------------
-# Epsilon removal and the final automaton
+def iter_bits(mask: int):
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Fsa:
     """Epsilon-free automaton over the newline-free byte alphabet.
 
-    Immutable after construction. Initial and final state sets are disjoint;
+    ``rows[byte]`` maps a source state to the bitmask of its targets on that
+    byte; bytes that no state tells apart share one dict. Immutable after
+    construction. Initial and final state sets are disjoint;
     ``matches_empty`` records whether the source pattern accepted the empty
-    string (the automaton itself only accepts non-empty strings). No
-    transition enters an initial state or leaves a final state.
+    string (the automaton itself only accepts non-empty strings). The
+    constructor rejects moves on the newline byte, moves leaving a final
+    state and moves entering an initial state.
     """
 
     def __init__(
@@ -425,31 +314,39 @@ class Fsa:
         state_count: int,
         initials: Iterable[int],
         finals: Iterable[int],
-        transitions: dict,
+        rows: list,
         matches_empty: bool,
     ):
         self.state_count = state_count
         self.initials = frozenset(initials)
         self.finals = frozenset(finals)
+        self.rows = rows
         self.matches_empty = matches_empty
-        self._succ = {key: frozenset(value) for key, value in transitions.items()}
         if self.initials & self.finals:
             raise ValueError("initial and final state sets must be disjoint")
-        for (_, byte), targets in self._succ.items():
-            if byte == NEWLINE and targets:
-                raise ValueError("automaton must not move on the newline byte")
+        if any(rows[NEWLINE].values()):
+            raise ValueError("automaton must not move on the newline byte")
+        initial_mask = sum(1 << q for q in self.initials)
+        for row in {id(row): row for row in rows}.values():
+            for src, targets in row.items():
+                if targets and src in self.finals:
+                    raise ValueError("automaton has transitions leaving a final state")
+                if targets & initial_mask:
+                    raise ValueError("automaton has transitions entering an initial state")
 
     def successors(self, state: int, byte: int) -> frozenset:
-        return self._succ.get((state, byte), frozenset())
+        return frozenset(iter_bits(self.rows[byte].get(state, 0)))
 
     def iter_transitions(self):
         """Yield (state, byte, frozenset of targets) for every labelled cell."""
-        for (state, byte), targets in self._succ.items():
-            yield state, byte, targets
+        for byte, row in enumerate(self.rows):
+            for state, targets in row.items():
+                if targets:
+                    yield state, byte, frozenset(iter_bits(targets))
 
     @cached_property
     def is_deterministic(self) -> bool:
-        return all(len(targets) <= 1 for targets in self._succ.values())
+        return all(m & (m - 1) == 0 for row in self.rows for m in row.values())
 
     def __repr__(self) -> str:
         return (
@@ -458,94 +355,125 @@ class Fsa:
         )
 
 
-def remove_epsilon(nfa: _ThompsonNfa) -> Fsa:
-    """Turn a Thompson NFA into a trimmed epsilon-free Fsa.
+def _sweep(start: int, step: list) -> int:
+    """Every state reachable from the mask ``start`` through ``step`` rows."""
+    seen = todo = start
+    while todo:
+        reached = 0
+        for q in iter_bits(todo):
+            reached |= step[q]
+        todo = reached & ~seen
+        seen |= todo
+    return seen
 
-    Transitions are pulled forward through epsilon closures; a copy of every
-    transition whose target can reach the accept state by epsilons is bent
-    directly onto the accept state. Start and accept stay the only initial
-    and final states, the start keeps no incoming transitions and the accept
-    no outgoing ones.
-    """
-    n = len(nfa.eps)
-    closures = [nfa.closure(q) for q in range(n)]
-    matches_empty = nfa.accept in closures[nfa.start]
 
-    transitions: dict[tuple[int, int], set[int]] = {}
+def _check_budget(used: int, budget: int, what: str) -> None:
+    if used > budget:
+        raise PatternSyntaxError(f"pattern too large: over {budget} {what}", 0)
 
-    def add(src: int, byte: int, dst: int) -> None:
-        transitions.setdefault((src, byte), set()).add(dst)
 
-    for p in range(n):
-        for r in closures[p]:
-            for byteset, t in nfa.edges[r]:
-                to_accept = nfa.accept in closures[t]
-                for byte in byteset:
-                    add(p, byte, t)
-                    if to_accept:
-                        add(p, byte, nfa.accept)
+def _glushkov(ast) -> Fsa:
+    """Trimmed position automaton of the AST, plus a fresh accept state."""
+    follow = [0]  # per position, the positions that may come next
+    entered: dict = {}  # per byte set, the positions that read it
+    pairs = visits = 0
 
-    # Trim to states on some path from start to accept.
-    forward = {nfa.start}
-    stack = [nfa.start]
-    succ_index: dict[int, set[int]] = {}
-    pred_index: dict[int, set[int]] = {}
-    for (src, _), targets in transitions.items():
-        succ_index.setdefault(src, set()).update(targets)
-        for t in targets:
-            pred_index.setdefault(t, set()).add(src)
-    while stack:
-        q = stack.pop()
-        for t in succ_index.get(q, ()):
-            if t not in forward:
-                forward.add(t)
-                stack.append(t)
-    backward = {nfa.accept}
-    stack = [nfa.accept]
-    while stack:
-        q = stack.pop()
-        for t in pred_index.get(q, ()):
-            if t not in backward:
-                backward.add(t)
-                stack.append(t)
-    keep = forward & backward
+    def link(last: int, first: int) -> None:
+        nonlocal pairs
+        for p in iter_bits(last if first else 0):
+            grown = follow[p] | first
+            pairs += grown.bit_count() - follow[p].bit_count()
+            follow[p] = grown
+        _check_budget(pairs, _MAX_PAIRS, "transition pairs")
 
-    # Acceptance of a non-empty string needs at least one surviving
-    # transition into the accept state (start == accept happens for
-    # patterns that only match the empty string).
-    reaches_accept = nfa.start != nfa.accept and any(
-        src in keep for src in pred_index.get(nfa.accept, ())
-    )
-    if nfa.accept not in keep or not reaches_accept:
-        return Fsa(0, (), (), {}, matches_empty)
+    def then(a: tuple, b: tuple) -> tuple:
+        """``(nullable, first, last)`` of a concatenation."""
+        link(a[2], b[1])
+        return (
+            a[0] and b[0],
+            a[1] | (b[1] if a[0] else 0),
+            b[2] | (a[2] if b[0] else 0),
+        )
 
-    renumber = {old: new for new, old in enumerate(sorted(keep))}
-    kept_transitions: dict[tuple[int, int], set[int]] = {}
-    for (src, byte), targets in transitions.items():
-        if src not in renumber:
-            continue
-        live = {renumber[t] for t in targets if t in renumber}
-        if live:
-            kept_transitions[(renumber[src], byte)] = live
-    return Fsa(
-        state_count=len(renumber),
-        initials=(renumber[nfa.start],),
-        finals=(renumber[nfa.accept],),
-        transitions=kept_transitions,
-        matches_empty=matches_empty,
-    )
+    def visit(node) -> tuple:
+        nonlocal visits
+        visits += 1
+        _check_budget(visits, _MAX_VISITS, "node copies")
+        if isinstance(node, ByteSet):
+            if not node.bytes_:  # a newline never occurs within a line
+                return (False, 0, 0)
+            bit = 1 << len(follow)
+            follow.append(0)
+            _check_budget(len(follow), _MAX_STATES, "states")
+            entered[node.bytes_] = entered.get(node.bytes_, 0) | bit
+            return (False, bit, bit)
+        if isinstance(node, Branch):  # options own disjoint positions
+            nullable, first, last = zip(*map(visit, node.options))
+            return (any(nullable), sum(first), sum(last))
+        result = (True, 0, 0)
+        if isinstance(node, Seq):
+            for part in node.parts:
+                result = then(result, visit(part))
+            return result
+        if not isinstance(node, Repeat):
+            raise TypeError(f"unknown pattern node {node!r}")
+        if node.high == 0:
+            return result
+        copies = [visit(node.item)]
+        if not copies[0][1]:  # no positions, so no copy reads a byte
+            return (node.low == 0 or copies[0][0], 0, 0)
+        count = node.low + 1 if node.high is None else node.high
+        copies += [visit(node.item) for _ in range(count - 1)]
+        if node.high is None:  # x* is one optional copy that follows itself
+            link(copies[-1][2], copies[-1][1])
+        for copy in copies[: node.low]:
+            result = then(result, copy)
+        # Optional copies nest, (x(x(...)?)?)?: each is entered from the last.
+        tail = (True, 0, 0)
+        for copy in reversed(copies[node.low :]):
+            tail = (True, *then(copy, tail)[1:])
+        return then(result, tail)
+
+    matches_empty, follow[0], last = visit(ast)
+    accept = len(follow)
+    succ = [m | (1 << accept if m & last else 0) for m in follow] + [0]
+    pred = [0] * len(succ)
+    for q, m in enumerate(succ):
+        for t in iter_bits(m):
+            pred[t] |= 1 << q
+    keep = _sweep(1, succ) & _sweep(1 << accept, pred)
+    if not keep >> accept & 1:
+        return Fsa(0, (), (), [{}] * 256, matches_empty)
+    number = {q: i for i, q in enumerate(iter_bits(keep))}
+    final = 1 << number[accept]
+
+    # A byte's signature is the positions it enters; one row map per signature.
+    signature = [0] * 256
+    for label, mask in entered.items():
+        for byte in label:
+            signature[byte] |= mask
+    rows: dict = {}
+    for sig in set(signature):
+        row = rows[sig] = {}
+        for q in iter_bits(keep ^ 1 << accept):
+            m = follow[q] & sig
+            targets = sum(1 << number[t] for t in iter_bits(m & keep))
+            targets |= final if m & last else 0
+            if targets:
+                row[number[q]] = targets
+    rows_by_byte = [rows[sig] for sig in signature]
+    return Fsa(len(number), (0,), (number[accept],), rows_by_byte, matches_empty)
 
 
 def compile_pattern(pattern: str) -> Fsa:
     """Compile a pattern into an epsilon-free Fsa.
 
-    Raises PatternSyntaxError for dialect violations and NewlinePatternError
-    when every string the pattern could match contains a newline (such
-    patterns cannot match within a line).
+    Raises PatternSyntaxError for dialect violations and for patterns over
+    the size budgets, and NewlinePatternError when every string the pattern
+    could match contains a newline (such patterns cannot match within a
+    line).
     """
-    ast = parse_pattern(pattern)
-    nfa = build_thompson(ast)
-    fsa = remove_epsilon(nfa)
+    fsa = _glushkov(parse_pattern(pattern))
     if fsa.state_count == 0 and not fsa.matches_empty:
         raise NewlinePatternError(
             "newline in pattern: it cannot match any newline-free string"
@@ -556,8 +484,8 @@ def compile_pattern(pattern: str) -> Fsa:
 def nfa_accepts(fsa: Fsa, data: bytes) -> bool:
     """Whole-string acceptance by subset simulation.
 
-    The empty string is accepted exactly when the pattern matched it before
-    epsilon removal. Newline bytes are outside the automaton's alphabet.
+    The empty string is accepted exactly when the source pattern matches
+    it. Newline bytes are outside the automaton's alphabet.
     """
     if NEWLINE in data:
         raise ValueError("input contains a newline byte")
@@ -568,7 +496,5 @@ def nfa_accepts(fsa: Fsa, data: bytes) -> bool:
         moved: set[int] = set()
         for q in current:
             moved |= fsa.successors(q, byte)
-        if not moved:
-            return False
         current = moved
     return bool(current & fsa.finals)

@@ -26,7 +26,8 @@ the statistics use this one saturate/fold path; the reporter walks the
 grammar over the same saturated tables.
 
 The engine requires automata with no transitions entering an initial state
-or leaving a final state, the shape the pattern compiler produces. Without
+or leaving a final state, the shape the pattern compiler produces and
+``Fsa`` enforces; the terminals' relations are the automaton's rows. Without
 it, saturated rows could stand for non-contiguous fragments of the
 expansion and boundary matches would be over-reported.
 """
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
-from .automaton import NEWLINE, Fsa
+from .automaton import NEWLINE, Fsa, iter_bits
 from .slp import InvalidGrammarError, Slp, validate_slp
 
 PERCENTILE_POINTS = (50, 75, 95, 98, 100)
@@ -57,14 +58,6 @@ def union_rows(mask: int, rel: dict) -> int:
         out |= rel.get(low.bit_length() - 1, 0)
         mask ^= low
     return out
-
-
-def _bits(mask: int):
-    """The states of a bitmask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def combine(a: tuple, b: tuple, new_match: bool) -> tuple:
@@ -102,15 +95,7 @@ def saturate(rule_pairs, fsa: Fsa) -> tuple[list, list]:
     initials = _mask(fsa.initials)
     initial_states = sorted(fsa.initials)
 
-    rels: list[dict] = [{} for _ in range(256)]
-    for src, byte, targets in fsa.iter_transitions():
-        if not targets:
-            continue
-        if src in fsa.finals:
-            raise ValueError("automaton has transitions leaving a final state")
-        if targets & fsa.initials:
-            raise ValueError("automaton has transitions entering an initial state")
-        rels[byte][src] = _mask(targets)
+    rels: list[dict] = list(fsa.rows)
     infos: list[tuple] = []
     for byte, rel in enumerate(rels):
         hit = any(rel.get(q, 0) & finals for q in initial_states)
@@ -284,7 +269,7 @@ def collect_stats(slp: Slp, fsa: Fsa) -> SearchStats:
         rel_b = rels[rule.second]
         ops = pairs[rule.second] + s
         for m in rels[rule.first].values():
-            ops += sum(1 + rel_b.get(q, 0).bit_count() for q in _bits(m))
+            ops += sum(1 + rel_b.get(q, 0).bit_count() for q in iter_bits(m))
             measured += 1 + (m & middle).bit_count()
         per_rule.append(ops)
         measured += per_initial

@@ -134,7 +134,7 @@ def _ends_repeat(node: Repeat, data, pos, done, budget):
 def backtrack_match(pattern: str, data: bytes, budget: int = 2_000_000) -> bool:
     """Whole-string match by backtracking over the AST.
 
-    Independent of the Thompson construction and epsilon removal; newline
+    Independent of the position automaton the compiler builds; newline
     bytes never match because atoms exclude them.
     """
     ast = parse_pattern(pattern)

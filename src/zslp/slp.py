@@ -17,7 +17,8 @@ The "ZSLP" binary format:
 
 Varints are unsigned LEB128 (7 bits per byte, little-endian, high bit =
 continuation). Rules are stored before the axiom and in definition order, so
-a consumer can process them one at a time without holding the whole grammar.
+a consumer can process them one at a time without building the whole
+grammar. Nothing may follow the axiom.
 """
 
 from __future__ import annotations
@@ -171,20 +172,32 @@ def _write_uvarint(out: bytearray, value: int) -> None:
             return
 
 
-def _read_uvarint(stream: BinaryIO) -> int:
-    result = 0
-    shift = 0
-    while True:
-        chunk = stream.read(1)
-        if not chunk:
-            raise TruncatedStreamError("stream ended inside a varint")
-        byte = chunk[0]
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result
-        shift += 7
-        if shift > 63:
-            raise SlpFormatError("varint too long")
+def _read_uvarints(data: bytes, pos: int, count: int) -> tuple[list, int]:
+    """Decode ``count`` varints from ``pos``; returns them and the end position."""
+    values = []
+    append = values.append
+    try:
+        for _ in range(count):
+            byte = data[pos]
+            pos += 1
+            if byte < 0x80:
+                append(byte)
+                continue
+            value = byte & 0x7F
+            shift = 7
+            while True:
+                byte = data[pos]
+                pos += 1
+                value |= (byte & 0x7F) << shift
+                if byte < 0x80:
+                    break
+                shift += 7
+                if shift > 63:
+                    raise SlpFormatError("varint too long")
+            append(value)
+    except IndexError:
+        raise TruncatedStreamError("stream ended inside a varint") from None
+    return values, pos
 
 
 def encode_slp(slp: Slp) -> bytes:
@@ -204,34 +217,37 @@ def encode_slp(slp: Slp) -> bytes:
 
 
 class ZslpReader:
-    """Streaming ZSLP reader: rules come one at a time, then the axiom.
+    """ZSLP reader: rules come one at a time, then the axiom.
 
-    The header is parsed on construction. ``iter_rules`` must be exhausted
-    before ``read_axiom`` is called; both validate the structural invariants
-    as they go, so a consumer never sees an out-of-order or undefined symbol.
+    The stream is read once, and the header and the rules' symbol ids are
+    decoded from that buffer on construction. ``iter_rules`` must be
+    exhausted before ``read_axiom`` is called; both validate the structural
+    invariants as they go, so a consumer never sees an out-of-order or
+    undefined symbol, and ``read_axiom`` rejects bytes after the axiom.
     """
 
     def __init__(self, stream: BinaryIO):
-        self._stream = stream
-        magic = stream.read(len(MAGIC))
+        data = self._data = stream.read()
+        magic = data[: len(MAGIC)]
         if len(magic) < len(MAGIC):
             raise TruncatedStreamError("stream ended inside the magic")
         if magic != MAGIC:
             raise BadMagicError(f"bad magic {magic!r}")
-        version = stream.read(1)
-        if not version:
+        if len(data) == len(MAGIC):
             raise TruncatedStreamError("stream ended before the version byte")
-        if version[0] != VERSION:
-            raise SlpFormatError(f"unsupported version {version[0]}")
-        self.rule_count = _read_uvarint(stream)
+        if data[len(MAGIC)] != VERSION:
+            raise SlpFormatError(f"unsupported version {data[len(MAGIC)]}")
+        (self.rule_count,), pos = _read_uvarints(data, len(MAGIC) + 1, 1)
+        self._rule_symbols, self._pos = _read_uvarints(data, pos, 2 * self.rule_count)
         self._rules_read = 0
 
     def iter_rules(self) -> Iterator[tuple[int, int]]:
         """Yield (first, second) for each rule, in definition order."""
+        symbols = self._rule_symbols
         while self._rules_read < self.rule_count:
             left = FIRST_VARIABLE + self._rules_read
-            first = _read_uvarint(self._stream)
-            second = _read_uvarint(self._stream)
+            first = symbols[2 * self._rules_read]
+            second = symbols[2 * self._rules_read + 1]
             if first >= left or second >= left:
                 raise SlpFormatError(
                     f"rule {self._rules_read + 1} references undefined/later "
@@ -243,25 +259,21 @@ class ZslpReader:
     def read_axiom(self) -> tuple[int, ...]:
         if self._rules_read < self.rule_count:
             raise SlpFormatError("axiom read before all rules were consumed")
-        length = _read_uvarint(self._stream)
+        (length,), pos = _read_uvarints(self._data, self._pos, 1)
         if length == 0:
             raise SlpFormatError("empty axiom")
+        axiom, pos = _read_uvarints(self._data, pos, length)
         limit = FIRST_VARIABLE + self.rule_count
-        axiom = []
-        for _ in range(length):
-            sym = _read_uvarint(self._stream)
-            if sym >= limit:
-                raise SlpFormatError(f"axiom references undefined symbol {sym}")
-            axiom.append(sym)
+        if max(axiom) >= limit:
+            bad = next(sym for sym in axiom if sym >= limit)
+            raise SlpFormatError(f"axiom references undefined symbol {bad}")
+        if pos != len(self._data):
+            raise SlpFormatError("trailing data after axiom")
         return tuple(axiom)
 
 
 def decode_slp(data: bytes) -> Slp:
     """Parse ZSLP bytes into a grammar, rejecting malformed streams."""
-    stream = io.BytesIO(data)
-    reader = ZslpReader(stream)
+    reader = ZslpReader(io.BytesIO(data))
     pairs = list(reader.iter_rules())
-    axiom = reader.read_axiom()
-    if stream.read(1):
-        raise SlpFormatError("trailing data after axiom")
-    return Slp.from_pairs(pairs, axiom)
+    return Slp.from_pairs(pairs, reader.read_axiom())

@@ -182,6 +182,16 @@ def brute_anchored_pairs(fsa, expansion: bytes) -> set:
     return pairs
 
 
+def fsa_from_cells(state_count, initials, finals, cells, matches_empty=False):
+    """An ``Fsa`` from ``{(source, byte): targets}`` cells, one row map per byte."""
+    from zslp.automaton import Fsa
+
+    rows = [{} for _ in range(256)]
+    for (source, byte), targets in cells.items():
+        rows[byte][source] = sum(1 << q for q in targets)
+    return Fsa(state_count, initials, finals, rows, matches_empty)
+
+
 def relation_pairs(rel: dict) -> set:
     """The (source, target) pairs of a saturated ``{source: bitmask}`` row map."""
     return {

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,8 @@ from conftest import compiled_random_pattern, random_pattern
 from zslp.automaton import (
     NewlinePatternError,
     PatternSyntaxError,
-    build_thompson,
     compile_pattern,
     nfa_accepts,
-    parse_pattern,
-    remove_epsilon,
-    simulate_thompson,
 )
 from zslp.oracle import backtrack_match
 
@@ -143,25 +140,59 @@ def test_compiled_shape_supports_saturation():
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
-def test_epsilon_removal_preserves_language(seed):
+def test_compiled_language_matches_backtracker(seed):
     rng = random.Random(seed)
-    pattern = random_pattern(rng)
-    try:
-        ast = parse_pattern(pattern)
-    except PatternSyntaxError:
-        return
-    thompson = build_thompson(ast)
-    fsa = remove_epsilon(thompson)
+    pattern = random_pattern(rng, alphabet="ab\n" if seed % 3 == 0 else "ab")
     strings = [b""] + [
         bytes(combo)
         for length in range(1, 7)
         for combo in itertools.product(b"ab", repeat=length)
     ]
+    try:
+        fsa = compile_pattern(pattern)
+    except NewlinePatternError:
+        assert not any(backtrack_match(pattern, string) for string in strings)
+        return
     for string in strings:
-        assert simulate_thompson(thompson, string) == nfa_accepts(fsa, string), (
+        assert nfa_accepts(fsa, string) == backtrack_match(pattern, string), (
             pattern,
             string,
         )
+
+
+def test_bounded_repeat_rows_stay_narrow():
+    # copy i+1 of x{0,n} is entered from copy i only, so a row holds the
+    # next copy and, on 'z', the accept state
+    fsa = compile_pattern(".{0,32}z")
+    assert fsa.state_count == 34
+    assert all(len(targets) <= 2 for _, _, targets in fsa.iter_transitions())
+    # state 0 and the first 31 copies: 255 bytes, plus accept on 'z'; the
+    # last copy: 'z' only
+    assert sum(len(t) for _, _, t in fsa.iter_transitions()) == 32 * 256 + 1
+
+
+def test_oversized_patterns_rejected():
+    with pytest.raises(PatternSyntaxError, match="transition pairs"):
+        compile_pattern("((.?){512}){4}z")
+    with pytest.raises(PatternSyntaxError, match="states"):
+        compile_pattern("(a{512}){512}")
+    with pytest.raises(PatternSyntaxError, match="node copies"):
+        compile_pattern("((" + "()" * 100 + "a){512}){39}")
+
+
+def test_repeats_of_position_free_items_compile_at_once():
+    start = time.process_time()
+    fsa = compile_pattern("((((){512}){512}){512}){512}")
+    assert fsa.state_count == 0 and fsa.matches_empty
+    with pytest.raises(NewlinePatternError):
+        compile_pattern("(((\n{512}){512}){512}){512}")
+    assert time.process_time() - start < 2
+    for pattern in ["a(){2,3}b", "a(\n){0,2}b", "a(\n){1,2}b|ba", "(()|a){2}b*"]:
+        fsa = compile_pattern(pattern)
+        for length in range(4):
+            for combo in itertools.product(b"ab", repeat=length):
+                string = bytes(combo)
+                assert nfa_accepts(fsa, string) == backtrack_match(pattern, string)
 
 
 def test_backtracker_agreement_bulk():

@@ -1,13 +1,18 @@
+import contextlib
 import io
 import json
 import sys
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import EXAMPLE_AXIOM, EXAMPLE_PAIRS
 from zslp.cli import run_cli
 from zslp.oracle import oracle_count
-from zslp.slp import Slp, decode_slp, encode_slp
+from zslp.repair import compress
+from zslp.slp import Slp, SlpFormatError, decode_slp, encode_slp, expand
 
 
 @pytest.fixture
@@ -167,6 +172,93 @@ def test_deep_pattern_nesting_is_a_pattern_error(example_file, capsys, pattern):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "pattern error" in captured.err and "nested deeper" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "-e", "ab"], ["search", "-e", "ab"], ["stats", "-e", "ab"], ["decompress"]],
+    ids=["count", "search", "stats", "decompress"],
+)
+def test_trailing_data_after_axiom_is_a_format_error(tmp_path, capsysbinary, argv):
+    packed = tmp_path / "junk.zslp"
+    packed.write_bytes(encode_slp(compress(b"ab\nba\n")) + b"JUNK")
+    code = run_cli(argv + [str(packed)])
+    captured = capsysbinary.readouterr()
+    assert code == 2
+    assert captured.err.count(b"\n") == 1
+    assert b"format error" in captured.err and b"trailing data" in captured.err
+
+
+def test_wide_bounded_repeat_counts_like_the_oracle(tmp_path, capsys):
+    text = b"z\n" + b"a" * 600 + b"z\n" + b"b" * 300 + b"\nzz\n" + b"y" * 513 + b"\n"
+    src = tmp_path / "wide.txt"
+    src.write_bytes(text)
+    packed = tmp_path / "wide.zslp"
+    assert run_cli(["compress", str(src), "-o", str(packed)]) == 0
+    capsys.readouterr()
+    for pattern in (".{0,512}z", "a.{0,512}z", "y{512}"):
+        assert run_cli(["count", "-e", pattern, str(packed)]) == 0
+        assert int(capsys.readouterr().out) == oracle_count(text, pattern), pattern
+
+
+@pytest.mark.parametrize(
+    "pattern, message",
+    [
+        ("((.?){512}){4}z", "too large"),
+        ("((" + "()" * 500 + "a){512}){39}", "too large"),
+        ("(((\n{512}){512}){512}){512}", "newline"),
+    ],
+    ids=["pair-budget", "visit-budget", "nested-newline-repeats"],
+)
+def test_huge_pattern_is_a_pattern_error(example_file, capsys, pattern, message):
+    start = time.process_time()
+    code = run_cli(["count", "-e", pattern, example_file])
+    elapsed = time.process_time() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "pattern error" in captured.err and message in captured.err
+    assert elapsed < 10
+
+
+@st.composite
+def damaged_zslp(draw):
+    """Valid ZSLP bytes of a short text, then mutated, truncated and extended."""
+    text = draw(st.binary(min_size=1, max_size=24))
+    data = bytearray(encode_slp(compress(text)))
+    for _ in range(draw(st.integers(0, 3))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    del data[draw(st.integers(0, len(data))) :]
+    data += draw(st.binary(max_size=4))
+    return bytes(data)
+
+
+def _quiet_cli(argv):
+    out = io.TextIOWrapper(io.BytesIO(), encoding="latin-1")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        return run_cli(argv)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(damaged_zslp())
+def test_damaged_zslp_is_decoded_or_rejected(tmp_path, data):
+    try:
+        slp = decode_slp(data)
+    except SlpFormatError:
+        slp = None
+    packed = tmp_path / "damaged.zslp"
+    packed.write_bytes(data)
+    for command in ("count", "search"):
+        code = _quiet_cli([command, "-e", "a", str(packed)])
+        if slp is None:
+            assert code == 2
+        else:
+            assert code == (0 if oracle_count(expand(slp), "a") else 1)
 
 
 def test_search_into_closed_pipe_exits_quietly(tmp_path):
