@@ -20,7 +20,6 @@ from .reporter import report_matching_lines
 from .slp import (
     BadMagicError,
     InvalidGrammarError,
-    Rule,
     Slp,
     SlpFormatError,
     TruncatedStreamError,
@@ -28,7 +27,6 @@ from .slp import (
     encode_slp,
     expand,
     expand_symbol,
-    validate_slp,
 )
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "InvalidGrammarError",
     "NewlinePatternError",
     "PatternSyntaxError",
-    "Rule",
     "SearchStats",
     "Slp",
     "SlpFormatError",
@@ -58,7 +55,6 @@ __all__ = [
     "oracle_lines",
     "report_matching_lines",
     "run_count",
-    "validate_slp",
 ]
 
 __version__ = "0.1.0"

@@ -44,6 +44,9 @@ _MAX_STATES = 20000  # positions, before trimming
 _MAX_PAIRS = 1_000_000  # (position, following position) pairs
 _MAX_VISITS = 200_000  # AST nodes visited, each copy of a repeat counted
 _MAX_NESTING = 100  # groups plus stacked repeat operators, on any path
+# The search engine's saturated relations: rows summed over all rules, times
+# the automaton's width in 64-bit words (state_count // 64 + 1).
+MAX_RELATION_WORDS = 50_000_000
 
 
 class PatternSyntaxError(ValueError):

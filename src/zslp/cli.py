@@ -42,7 +42,7 @@ def _load_slp(path) -> Slp:
         reader = ZslpReader(stream)
         pairs = list(reader.iter_rules())
         axiom = reader.read_axiom()
-    return Slp.from_pairs(pairs, axiom)
+    return Slp(pairs, axiom)
 
 
 def _cmd_compress(args) -> int:

@@ -37,8 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
-from .automaton import NEWLINE, Fsa, iter_bits
-from .slp import InvalidGrammarError, Slp, validate_slp
+from .automaton import (
+    MAX_RELATION_WORDS,
+    NEWLINE,
+    Fsa,
+    PatternSyntaxError,
+    iter_bits,
+)
+from .slp import InvalidGrammarError, Slp
 
 PERCENTILE_POINTS = (50, 75, 95, 98, 100)
 
@@ -89,11 +95,14 @@ def saturate(rule_pairs, fsa: Fsa) -> tuple[list, list]:
     """Counting tuples and relations of every symbol, indexed by symbol id.
 
     ``rule_pairs`` yields ``(first, second)`` per rule in definition order
-    and is consumed once.
+    and is consumed once. Raises the compiler's "pattern too large"
+    PatternSyntaxError once the rules' relations outgrow MAX_RELATION_WORDS.
     """
     finals = _mask(fsa.finals)
     initials = _mask(fsa.initials)
     initial_states = sorted(fsa.initials)
+    row_budget = MAX_RELATION_WORDS // (fsa.state_count // 64 + 1)
+    rows = 0
 
     rels: list[dict] = list(fsa.rows)
     infos: list[tuple] = []
@@ -123,6 +132,11 @@ def saturate(rule_pairs, fsa: Fsa) -> tuple[list, list]:
                 rel[q] = rel.get(q, 0) | row
         rels.append(rel)
         infos.append(combine(infos[first], infos[second], new_match))
+        rows += len(rel)
+        if rows > row_budget:
+            raise PatternSyntaxError(
+                f"pattern too large: over {MAX_RELATION_WORDS} relation words", 0
+            )
     return infos, rels
 
 
@@ -189,17 +203,9 @@ def run_count(rule_pairs, read_axiom, fsa: Fsa) -> int:
     return matching_lines(info)
 
 
-def checked_rule_pairs(slp: Slp):
-    """Validate the grammar, then return its ``(first, second)`` rule pairs."""
-    violations = validate_slp(slp)
-    if violations:
-        raise InvalidGrammarError("; ".join(violations))
-    return ((rule.first, rule.second) for rule in slp.rules)
-
-
 def count_matching_lines(slp: Slp, fsa: Fsa) -> int:
     """Number of lines of the expansion containing a match, without expanding."""
-    return run_count(checked_rule_pairs(slp), lambda: slp.axiom, fsa)
+    return run_count(slp.rules, lambda: slp.axiom, fsa)
 
 
 def contains_match(slp: Slp, fsa: Fsa) -> bool:
@@ -208,10 +214,9 @@ def contains_match(slp: Slp, fsa: Fsa) -> bool:
     Every rule is still read (later rules may define axiom symbols), but the
     axiom fold stops as soon as a match is certain.
     """
-    pairs = checked_rule_pairs(slp)
     if fsa.matches_empty:
         return True
-    infos, rels = saturate(pairs, fsa)
+    infos, rels = saturate(slp.rules, fsa)
     _, reached = fold(slp.axiom, infos, rels, fsa, early_exit=True)
     return reached & _mask(fsa.finals) != 0
 
@@ -258,17 +263,17 @@ def nearest_rank_percentiles(values, points=PERCENTILE_POINTS) -> dict:
 
 def collect_stats(slp: Slp, fsa: Fsa) -> SearchStats:
     """Saturate the grammar and report its per-rule and per-axiom-symbol costs."""
-    infos, rels = saturate(checked_rule_pairs(slp), fsa)
+    infos, rels = saturate(slp.rules, fsa)
     s = fsa.state_count
     middle = ~_mask(fsa.finals)
     per_initial = 1 + len(fsa.initials)
     pairs = [sum(row.bit_count() for row in rel.values()) for rel in rels]
     per_rule = []
     measured = 0
-    for rule in slp.rules:
-        rel_b = rels[rule.second]
-        ops = pairs[rule.second] + s
-        for m in rels[rule.first].values():
+    for first, second in slp.rules:
+        rel_b = rels[second]
+        ops = pairs[second] + s
+        for m in rels[first].values():
             ops += sum(1 + rel_b.get(q, 0).bit_count() for q in iter_bits(m))
             measured += 1 + (m & middle).bit_count()
         per_rule.append(ops)

@@ -183,4 +183,4 @@ def compress(text: bytes, _trace: list | None = None) -> Slp:
                     heap, (-new_count, seq.first_position(new_key), new_key)
                 )
 
-    return Slp.from_pairs(rules, seq.to_list())
+    return Slp(rules, seq.to_list())

@@ -24,7 +24,7 @@ uncompressed one. Disabling pruning never changes the output.
 from __future__ import annotations
 
 from .automaton import NEWLINE, Fsa
-from .engine import checked_rule_pairs, saturate, union_rows
+from .engine import saturate, union_rows
 from .slp import FIRST_VARIABLE, Slp, expand_symbols, iter_expand
 
 # Counting tuple of a subtree that spans a newline and matches nowhere.
@@ -60,12 +60,12 @@ def _tail_after_last_newline(slp: Slp, infos, sym: int) -> bytes:
     parts = []  # right to left
     cur = sym
     while cur >= FIRST_VARIABLE:
-        rule = slp.rules[cur - FIRST_VARIABLE]
-        if infos[rule.second][0]:
-            cur = rule.second
+        first, second = slp.rules[cur - FIRST_VARIABLE]
+        if infos[second][0]:
+            cur = second
         else:
-            parts.append(rule.second)
-            cur = rule.first
+            parts.append(second)
+            cur = first
     if cur != NEWLINE:
         parts.append(cur)
     return expand_symbols(slp, parts[::-1])
@@ -78,11 +78,10 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     The final line gains a terminating newline even if the source text lacks
     one.
     """
-    pairs = checked_rule_pairs(slp)
     if fsa.matches_empty:
         return _report_every_line(slp, sink)
 
-    infos, rels = saturate(pairs, fsa)
+    infos, rels = saturate(slp.rules, fsa)
     finals = sum(1 << q for q in fsa.finals)
     initial_states = sorted(fsa.initials)
     rules = slp.rules
@@ -135,9 +134,9 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
             for q in initial_states:
                 reachable |= rel.get(q, 0)
             continue
-        rule = rules[sym - FIRST_VARIABLE]
-        stack.append(rule.second)
-        stack.append(rule.first)
+        first, second = rules[sym - FIRST_VARIABLE]
+        stack.append(second)
+        stack.append(first)
 
     if matched:
         emit_line()

@@ -1,13 +1,14 @@
 """Straight-line programs with multi-symbol axioms, plus their binary format.
 
-A grammar is an ordered list of binary rules over symbol ids. Ids 0..255
-denote the terminal bytes; id 256+i denotes the variable defined by rule i
-(dense numbering, so symbol tables can be plain arrays). Every right-hand
-symbol of a rule must be a terminal or an earlier variable, which makes the
-rule list topologically ordered by construction. The axiom is a non-empty
-symbol sequence; the text the grammar derives is the concatenation of the
-axiom symbols' expansions. A length-1 axiom is allowed so that one-byte
-inputs have a representation.
+A grammar is an ordered tuple of binary rules, each a ``(first, second)``
+pair of symbol ids. Ids 0..255 denote the terminal bytes; id 256+i denotes
+the variable defined by rule i (dense numbering, so symbol tables can be
+plain arrays). Every right-hand symbol of a rule must be a terminal or an
+earlier variable, which makes the rule list topologically ordered by
+construction. The axiom is a non-empty symbol sequence; the text the
+grammar derives is the concatenation of the axiom symbols' expansions. A
+length-1 axiom is allowed so that one-byte inputs have a representation.
+``Slp`` checks these invariants once, when it is built.
 
 The "ZSLP" binary format:
 
@@ -48,71 +49,42 @@ class InvalidGrammarError(ValueError):
     """Grammar violates a structural invariant."""
 
 
-def is_terminal(sym: int) -> bool:
-    return 0 <= sym < FIRST_VARIABLE
-
-
-@dataclass(frozen=True)
-class Rule:
-    """One binary rule: ``left -> first second``."""
-
-    left: int
-    first: int
-    second: int
-
-
 @dataclass(frozen=True)
 class Slp:
-    """An immutable grammar: binary rules plus the residual axiom sequence."""
+    """An immutable, valid grammar: ``(first, second)`` rule pairs and the axiom.
 
-    rules: tuple[Rule, ...]
+    Rule i defines symbol ``256 + i``. Building an Slp checks every
+    invariant and raises InvalidGrammarError listing the violations, so an
+    Slp that exists is valid and its consumers need not check it again.
+    """
+
+    rules: tuple[tuple[int, int], ...]
     axiom: tuple[int, ...]
 
-    @classmethod
-    def from_pairs(cls, pairs, axiom) -> "Slp":
-        """Build a grammar from (first, second) pairs with dense left ids."""
-        rules = tuple(
-            Rule(FIRST_VARIABLE + i, first, second)
-            for i, (first, second) in enumerate(pairs)
+    def __post_init__(self):
+        object.__setattr__(self, "rules", tuple(self.rules))
+        object.__setattr__(self, "axiom", tuple(self.axiom))
+        limit = FIRST_VARIABLE + len(self.rules)
+        violations = [
+            f"rule {i + 1} references undefined/later symbol {sym}"
+            for i, (first, second) in enumerate(self.rules)
+            for sym in (first, second)
+            if not 0 <= sym < FIRST_VARIABLE + i
+        ]
+        if not self.axiom:
+            violations.append("empty axiom")
+        violations += (
+            f"axiom position {pos} references undefined symbol {sym}"
+            for pos, sym in enumerate(self.axiom)
+            if not 0 <= sym < limit
         )
-        return cls(rules, tuple(axiom))
-
-    def is_defined(self, sym: int) -> bool:
-        return 0 <= sym < FIRST_VARIABLE + len(self.rules)
-
-
-def validate_slp(slp: Slp) -> list[str]:
-    """Check all grammar invariants; an empty list means the grammar is valid."""
-    violations = []
-    for i, rule in enumerate(slp.rules, start=1):
-        expected_left = FIRST_VARIABLE + i - 1
-        if rule.left != expected_left:
-            violations.append(
-                f"rule {i} has left id {rule.left}, expected {expected_left}"
-            )
-        for sym in (rule.first, rule.second):
-            if sym < 0 or sym >= rule.left:
-                violations.append(
-                    f"rule {i} references undefined/later symbol {sym}"
-                )
-    if not slp.axiom:
-        violations.append("empty axiom")
-    limit = FIRST_VARIABLE + len(slp.rules)
-    for pos, sym in enumerate(slp.axiom):
-        if sym < 0 or sym >= limit:
-            violations.append(f"axiom position {pos} references undefined symbol {sym}")
-    return violations
-
-
-def _require_valid(slp: Slp) -> None:
-    violations = validate_slp(slp)
-    if violations:
-        raise InvalidGrammarError("; ".join(violations))
+        if violations:
+            raise InvalidGrammarError("; ".join(violations))
 
 
 def expand_symbol(slp: Slp, sym: int) -> bytes:
     """Return the unique byte string the symbol derives."""
-    if not slp.is_defined(sym) or sym < 0:
+    if not 0 <= sym < FIRST_VARIABLE + len(slp.rules):
         raise InvalidGrammarError(f"undefined symbol {sym}")
     return expand_symbols(slp, (sym,))
 
@@ -127,15 +99,14 @@ def expand_symbols(slp: Slp, symbols) -> bytes:
         if t < FIRST_VARIABLE:
             out.append(t)
         else:
-            rule = rules[t - FIRST_VARIABLE]
-            stack.append(rule.second)
-            stack.append(rule.first)
+            first, second = rules[t - FIRST_VARIABLE]
+            stack.append(second)
+            stack.append(first)
     return bytes(out)
 
 
 def expand(slp: Slp) -> bytes:
     """Fully decompress: concatenated expansion of the axiom, left to right."""
-    _require_valid(slp)
     return b"".join(iter_expand(slp))
 
 
@@ -152,9 +123,9 @@ def iter_expand(slp: Slp, chunk_size: int = 65536) -> Iterator[bytes]:
                 yield bytes(out)
                 out.clear()
         else:
-            rule = rules[t - FIRST_VARIABLE]
-            stack.append(rule.second)
-            stack.append(rule.first)
+            first, second = rules[t - FIRST_VARIABLE]
+            stack.append(second)
+            stack.append(first)
     if out:
         yield bytes(out)
 
@@ -201,15 +172,14 @@ def _read_uvarints(data: bytes, pos: int, count: int) -> tuple[list, int]:
 
 
 def encode_slp(slp: Slp) -> bytes:
-    """Serialise a valid grammar to the ZSLP byte format."""
-    _require_valid(slp)
+    """Serialise a grammar to the ZSLP byte format."""
     out = bytearray()
     out += MAGIC
     out.append(VERSION)
     _write_uvarint(out, len(slp.rules))
-    for rule in slp.rules:
-        _write_uvarint(out, rule.first)
-        _write_uvarint(out, rule.second)
+    for first, second in slp.rules:
+        _write_uvarint(out, first)
+        _write_uvarint(out, second)
     _write_uvarint(out, len(slp.axiom))
     for sym in slp.axiom:
         _write_uvarint(out, sym)
@@ -276,4 +246,4 @@ def decode_slp(data: bytes) -> Slp:
     """Parse ZSLP bytes into a grammar, rejecting malformed streams."""
     reader = ZslpReader(io.BytesIO(data))
     pairs = list(reader.iter_rules())
-    return Slp.from_pairs(pairs, reader.read_axiom())
+    return Slp(pairs, reader.read_axiom())

@@ -30,7 +30,7 @@ EXAMPLE_TEXT = b"ba\nab\naba"
 
 @pytest.fixture
 def example_slp() -> Slp:
-    return Slp.from_pairs(EXAMPLE_PAIRS, EXAMPLE_AXIOM)
+    return Slp(EXAMPLE_PAIRS, EXAMPLE_AXIOM)
 
 
 @pytest.fixture
@@ -145,7 +145,7 @@ def random_grammar(
         lengths[left] = lengths[first] + lengths[second]
         symbols.append(left)
     axiom = [rng.choice(symbols) for _ in range(rng.randrange(1, 6))]
-    return Slp.from_pairs(pairs, axiom)
+    return Slp(pairs, axiom)
 
 
 def brute_anchored_pairs(fsa, expansion: bytes) -> set:

@@ -45,7 +45,6 @@ from zslp.slp import (
     encode_slp,
     expand,
     expand_symbol,
-    validate_slp,
 )
 
 PRINTABLE = bytes(range(32, 127)) + b"\n"
@@ -53,7 +52,7 @@ PRINTABLE = bytes(range(32, 127)) + b"\n"
 
 @pytest.fixture(scope="module")
 def example_grammar():
-    return Slp.from_pairs(EXAMPLE_PAIRS, EXAMPLE_AXIOM)
+    return Slp(EXAMPLE_PAIRS, EXAMPLE_AXIOM)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +81,7 @@ def saturation_instances():
     while len(instances) < 200:
         _, fsa = compiled_random_pattern(rng, max_states=10)
         slp = random_grammar(rng, max_rules=30, expansion_cap=80)
-        saturated = saturate(((r.first, r.second) for r in slp.rules), fsa)
+        saturated = saturate(slp.rules, fsa)
         instances.append((fsa, slp, saturated))
     return instances
 
@@ -91,9 +90,7 @@ def test_criterion_1_example_reproduction(example_grammar):
     """Fixture text counts 3 for ab|ba with the expected intermediate tuples."""
     assert expand(example_grammar) == EXAMPLE_TEXT
     fsa = compile_pattern("ab|ba")
-    infos, rels = saturate(
-        ((rule.first, rule.second) for rule in example_grammar.rules), fsa
-    )
+    infos, rels = saturate(example_grammar.rules, fsa)
     info, _ = fold(example_grammar.axiom, infos, rels, fsa)
     assert matching_lines(info) == 3
     # the two subtree tuples and the combined one
@@ -178,7 +175,7 @@ def test_criterion_5_complexity_instrumentation():
         assert stats.measured_ops <= 3 * stats.op_budget, pattern
         runs += 1
         if fsa.is_deterministic:
-            _, rels = saturate(((r.first, r.second) for r in slp.rules), fsa)
+            _, rels = saturate(slp.rules, fsa)
             assert max_row_width(rels, fsa) <= 1, pattern
             det_runs += 1
     assert det_runs >= 10, "expected a healthy share of deterministic automata"
@@ -199,7 +196,10 @@ def test_criterion_6_round_trips():
     ]
     for text in corpus:
         slp = compress(text)
-        assert validate_slp(slp) == []
+        # rules reference only earlier symbols; the axiom is non-empty and defined
+        for left, pair in enumerate(slp.rules, 256):
+            assert 0 <= min(pair) and max(pair) < left
+        assert slp.axiom and max(slp.axiom) < 256 + len(slp.rules)
         assert expand(slp) == text
         assert decode_slp(encode_slp(slp)) == slp
     rng = random.Random(66)

@@ -17,7 +17,7 @@ from zslp.slp import Slp, SlpFormatError, decode_slp, encode_slp, expand
 
 @pytest.fixture
 def example_file(tmp_path):
-    slp = Slp.from_pairs(EXAMPLE_PAIRS, EXAMPLE_AXIOM)
+    slp = Slp(EXAMPLE_PAIRS, EXAMPLE_AXIOM)
     path = tmp_path / "example1.zslp"
     path.write_bytes(encode_slp(slp))
     return str(path)
@@ -222,6 +222,47 @@ def test_huge_pattern_is_a_pattern_error(example_file, capsys, pattern, message)
     assert elapsed < 10
 
 
+@pytest.fixture(scope="module")
+def log_file(tmp_path_factory):
+    text = "".join(
+        f"host-{('alpha', 'beta', 'gamma', 'delta')[i % 4]} - - [10/Aug/2026:"
+        f"{i % 24:02d}:{i * 7 % 60:02d}:{i * 13 % 60:02d}] "
+        f'"GET /{("index.html", "api/v1/items", "app.js", "favicon.ico")[i % 4]} '
+        f'HTTP/1.1" {200 if i % 9 else 404} {1000 + i % 50}\n'
+        for i in range(2000)
+    )
+    packed = tmp_path_factory.mktemp("log") / "log.zslp"
+    packed.write_bytes(encode_slp(compress(text.encode())))
+    return str(packed)
+
+
+@pytest.mark.parametrize("command", ["count", "search", "stats"])
+def test_wide_automaton_over_relation_budget_is_a_pattern_error(log_file, command):
+    import resource
+    import subprocess
+
+    # (.{512}){16} compiles to 8,193 states. Saturating this log's grammar
+    # for it takes over 1 GB without the engine's relation budget.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zslp", command, "-e", "(.{512}){16}", log_file],
+        capture_output=True,
+        preexec_fn=limit_memory,
+        timeout=120,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b""
+    assert proc.stderr.count(b"\n") == 1
+    assert proc.stderr.startswith(b"zslp: pattern error:")
+    assert b"too large" in proc.stderr
+    assert cpu < 10
+
+
 @st.composite
 def damaged_zslp(draw):
     """Valid ZSLP bytes of a short text, then mutated, truncated and extended."""
@@ -270,7 +311,7 @@ def test_search_into_closed_pipe_exits_quietly(tmp_path):
         top = 256 + len(pairs) - 1
         pairs.append((top, top))
     packed = tmp_path / "many.zslp"
-    packed.write_bytes(encode_slp(Slp.from_pairs(pairs, [256 + len(pairs) - 1])))
+    packed.write_bytes(encode_slp(Slp(pairs, [256 + len(pairs) - 1])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "zslp", "search", "-e", "HTTP", str(packed)],
         stdout=subprocess.PIPE,

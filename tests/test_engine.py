@@ -22,6 +22,7 @@ from zslp.engine import (
     fold,
     matching_lines,
     nearest_rank_percentiles,
+    run_count,
     saturate,
 )
 from zslp.oracle import oracle_count
@@ -31,7 +32,7 @@ from zslp.slp import InvalidGrammarError, Slp, expand_symbol
 
 def run_engine(slp, fsa):
     """Saturate and fold a whole grammar: (infos, rels, final info, total)."""
-    infos, rels = saturate(((r.first, r.second) for r in slp.rules), fsa)
+    infos, rels = saturate(slp.rules, fsa)
     info, _ = fold(slp.axiom, infos, rels, fsa)
     return infos, rels, info, matching_lines(info)
 
@@ -103,9 +104,7 @@ def test_count_info_invariants_enforced():
     rng = random.Random(27)
     for _ in range(40):
         _, fsa = compiled_random_pattern(rng, max_states=10)
-        infos, _ = saturate(
-            ((r.first, r.second) for r in random_grammar(rng).rules), fsa
-        )
+        infos, _ = saturate(random_grammar(rng).rules, fsa)
         for nl, left, right, count in infos:
             assert nl or (left == right and count == 0)
 
@@ -140,7 +139,7 @@ def test_example_rule_infos(example_slp, ab_ba_fsa):
 
 
 def test_example_with_top_rule(ab_ba_fsa):
-    slp = Slp.from_pairs(EXAMPLE_PAIRS + [(258, 262)], [263])
+    slp = Slp(EXAMPLE_PAIRS + [(258, 262)], [263])
     infos, _, _, total = run_engine(slp, ab_ba_fsa)
     assert infos[263] == (True, True, True, 1)
     assert total == 3
@@ -156,7 +155,7 @@ def test_rule_referencing_later_symbol_rejected(ab_ba_fsa):
 
 
 def test_axiom_fold_two_terminals(ab_ba_fsa):
-    _, _, info, total = run_engine(Slp.from_pairs([], [ord("a"), ord("b")]), ab_ba_fsa)
+    _, _, info, total = run_engine(Slp([], [ord("a"), ord("b")]), ab_ba_fsa)
     assert info == (False, True, True, 0)
     assert total == 1
 
@@ -167,13 +166,13 @@ def test_axiom_fold_example(example_slp, ab_ba_fsa):
 
 
 def test_axiom_fold_newlines_only(ab_ba_fsa):
-    _, _, info, total = run_engine(Slp.from_pairs([], [0x0A, 0x0A]), ab_ba_fsa)
+    _, _, info, total = run_engine(Slp([], [0x0A, 0x0A]), ab_ba_fsa)
     assert info == (True, False, False, 0)
     assert total == 0
 
 
 def test_axiom_of_length_one(ab_ba_fsa):
-    slp = Slp.from_pairs([(ord("a"), ord("b"))], [256])
+    slp = Slp([(ord("a"), ord("b"))], [256])
     _, _, info, total = run_engine(slp, ab_ba_fsa)
     assert info == (False, True, True, 0)
     assert total == 1
@@ -188,12 +187,12 @@ def test_fold_equals_explicit_rule_chain():
             continue
         *_, total = run_engine(slp, fsa)
         # chain grammar: S1 -> (s)1 (s)2, S_i -> S_{i-1} (s)_{i+1}
-        chain_pairs = [(r.first, r.second) for r in slp.rules]
+        chain_pairs = list(slp.rules)
         prev = slp.axiom[0]
         for sym in slp.axiom[1:]:
             chain_pairs.append((prev, sym))
             prev = 256 + len(chain_pairs) - 1
-        chain = Slp.from_pairs(chain_pairs, [prev])
+        chain = Slp(chain_pairs, [prev])
         *_, chain_total = run_engine(chain, fsa)
         assert total == chain_total
 
@@ -218,8 +217,12 @@ def test_count_no_match(example_slp):
 
 
 def test_count_validates_grammar(ab_ba_fsa):
-    with pytest.raises(InvalidGrammarError):
+    # An invalid grammar is rejected when built, before any count runs; the
+    # streaming entry point checks the axiom it is handed.
+    with pytest.raises(InvalidGrammarError, match="empty axiom"):
         count_matching_lines(Slp(rules=(), axiom=()), ab_ba_fsa)
+    with pytest.raises(InvalidGrammarError, match="empty axiom"):
+        run_count([], lambda: (), ab_ba_fsa)
 
 
 def test_line_counting_bypass_semantics():
@@ -317,7 +320,7 @@ def test_collect_stats_bounds_and_budget():
 
 
 def test_collect_stats_zero_rules():
-    stats = collect_stats(Slp.from_pairs([], [97, 98]), compile_pattern("q"))
+    stats = collect_stats(Slp([], [97, 98]), compile_pattern("q"))
     assert stats.per_rule == ()
     assert stats.rule_percentiles == {50: 0, 75: 0, 95: 0, 98: 0, 100: 0}
 

@@ -43,7 +43,7 @@ def test_empty_matching_lines_emitted():
 def test_pruned_subtree_tail_is_rematerialised():
     # grammar shaped so a prunable subtree carries the head of a line that
     # only matches because of bytes arriving after the subtree
-    slp = Slp.from_pairs([(120, 10), (256, 65)], [257, 66])  # "x\nA" + "B"
+    slp = Slp([(120, 10), (256, 65)], [257, 66])  # "x\nA" + "B"
     fsa = compile_pattern("AB")
     for prune in (True, False):
         count, payload = report(slp, fsa, prune=prune)
@@ -60,7 +60,7 @@ def test_chained_pruned_subtrees():
         (114, 10),  # 258 = "r\n"
         (258, 66),  # 259 = "r\nB"
     ]
-    slp = Slp.from_pairs(pairs, [257, 259, 67])  # "q\nAr\nBC"
+    slp = Slp(pairs, [257, 259, 67])  # "q\nAr\nBC"
     fsa = compile_pattern("BC")
     for prune in (True, False):
         count, payload = report(slp, fsa, prune=prune)
@@ -115,7 +115,7 @@ def test_tail_extraction_matches_expansion():
     checked = 0
     for _ in range(40):
         slp = random_grammar(rng)
-        infos, _ = saturate(((r.first, r.second) for r in slp.rules), fsa)
+        infos, _ = saturate(slp.rules, fsa)
         for sym in range(256, 256 + len(slp.rules)):
             if not infos[sym][0]:
                 continue

@@ -10,7 +10,6 @@ from zslp.repair import compress
 from zslp.slp import (
     BadMagicError,
     InvalidGrammarError,
-    Rule,
     Slp,
     SlpFormatError,
     TruncatedStreamError,
@@ -20,34 +19,54 @@ from zslp.slp import (
     expand,
     expand_symbol,
     iter_expand,
-    validate_slp,
 )
 
 
+@pytest.mark.parametrize(
+    "rules, axiom, message",
+    [
+        (((257, 97),), (256,), "rule 1 references undefined/later symbol 257"),
+        ((), (), "empty axiom"),
+        ((), (300,), "axiom position 0 references undefined symbol 300"),
+    ],
+    ids=["forward-reference", "empty-axiom", "undefined-axiom-symbol"],
+)
+def test_invalid_grammar_rejected_when_built(rules, axiom, message):
+    with pytest.raises(InvalidGrammarError, match=message):
+        Slp(rules, axiom)
+
+
 def test_validate_accepts_simple_grammar():
-    slp = Slp.from_pairs([(97, 98)], [256, 256])
-    assert validate_slp(slp) == []
+    slp = Slp([(97, 98)], [256, 256])
+    assert slp.rules == ((97, 98),) and slp.axiom == (256, 256)
+    assert slp == Slp(((97, 98),), (256, 256))
 
 
 def test_validate_rejects_forward_reference():
-    slp = Slp(rules=(Rule(256, 257, 97),), axiom=(256,))
-    violations = validate_slp(slp)
-    assert any("rule 1 references undefined/later symbol 257" in v for v in violations)
+    # A rule may not reference itself or a negative id either.
+    with pytest.raises(InvalidGrammarError) as info:
+        Slp(((97, 98), (257, -1)), (256,))
+    assert str(info.value) == (
+        "rule 2 references undefined/later symbol 257; "
+        "rule 2 references undefined/later symbol -1"
+    )
 
 
 def test_validate_rejects_empty_axiom():
-    slp = Slp(rules=(), axiom=())
-    assert any("empty axiom" in v for v in validate_slp(slp))
+    # Every violation is reported, in one error.
+    with pytest.raises(InvalidGrammarError) as info:
+        Slp(((300, 97),), ())
+    assert str(info.value) == (
+        "rule 1 references undefined/later symbol 300; empty axiom"
+    )
 
 
 def test_validate_rejects_undefined_axiom_symbol():
-    slp = Slp(rules=(), axiom=(300,))
-    assert any("undefined symbol 300" in v for v in validate_slp(slp))
-
-
-def test_validate_rejects_sparse_left_ids():
-    slp = Slp(rules=(Rule(300, 97, 98),), axiom=(300,))
-    assert any("left id" in v for v in validate_slp(slp))
+    # One rule defines 256 only; 257 is one past the last defined id.
+    with pytest.raises(InvalidGrammarError, match="axiom position 1 .* symbol 257"):
+        Slp(((97, 98),), (256, 257))
+    with pytest.raises(InvalidGrammarError, match="undefined symbol -1"):
+        Slp((), (-1,))
 
 
 def test_expand_terminal(example_slp):
@@ -62,15 +81,15 @@ def test_expand_fixture_subtrees(example_slp):
 
 def test_expand_fixture_with_top_rule():
     pairs = EXAMPLE_PAIRS + [(258, 262)]
-    slp = Slp.from_pairs(pairs, [263])
+    slp = Slp(pairs, [263])
     assert expand_symbol(slp, 263) == b"ba\nab\naba"
 
 
 def test_expand_simple_cases():
-    slp = Slp.from_pairs([(97, 98)], [256, 256])
+    slp = Slp([(97, 98)], [256, 256])
     assert expand_symbol(slp, 256) == b"ab"
     assert expand(slp) == b"abab"
-    assert expand(Slp.from_pairs([], [97])) == b"a"
+    assert expand(Slp([], [97])) == b"a"
 
 
 def test_expand_undefined_symbol_errors(example_slp):
@@ -79,20 +98,25 @@ def test_expand_undefined_symbol_errors(example_slp):
 
 
 def test_expand_invalid_grammar_errors():
-    with pytest.raises(InvalidGrammarError):
-        expand(Slp(rules=(), axiom=()))
+    # A rule that references itself would make expansion loop forever; such
+    # a grammar is rejected when built, so expand never sees it.
+    with pytest.raises(InvalidGrammarError, match="undefined/later symbol 256"):
+        expand(Slp(((256, 97),), (256,)))
 
 
 def test_concatenation_homomorphism(example_slp):
-    for rule in example_slp.rules:
-        assert expand_symbol(example_slp, rule.left) == expand_symbol(
-            example_slp, rule.first
-        ) + expand_symbol(example_slp, rule.second)
+    for left, (first, second) in enumerate(example_slp.rules, 256):
+        assert expand_symbol(example_slp, left) == expand_symbol(
+            example_slp, first
+        ) + expand_symbol(example_slp, second)
 
 
 def test_dense_numbering(example_slp):
-    for i, rule in enumerate(example_slp.rules):
-        assert rule.left == 255 + i + 1
+    # Rule i defines symbol 256 + i, so exactly the ids below 256 + p exist.
+    top = 256 + len(example_slp.rules)
+    assert all(expand_symbol(example_slp, sym) for sym in range(top))
+    with pytest.raises(InvalidGrammarError):
+        expand_symbol(example_slp, top)
 
 
 def test_iter_expand_matches_expand(example_slp):
@@ -103,13 +127,13 @@ GOLDEN = bytes.fromhex("5a534c50010161620280028002")
 
 
 def test_encode_golden_bytes():
-    slp = Slp.from_pairs([(97, 98)], [256, 256])
+    slp = Slp([(97, 98)], [256, 256])
     assert encode_slp(slp) == GOLDEN
 
 
 def test_decode_golden_bytes():
     slp = decode_slp(GOLDEN)
-    assert slp == Slp.from_pairs([(97, 98)], [256, 256])
+    assert slp == Slp([(97, 98)], [256, 256])
 
 
 def test_roundtrip_fixture(example_slp):
@@ -183,7 +207,6 @@ def test_roundtrip_compressed_grammars(data):
 @given(st.integers(min_value=0, max_value=10**9))
 def test_roundtrip_random_grammars(seed):
     slp = random_grammar(random.Random(seed))
-    assert validate_slp(slp) == []
     assert decode_slp(encode_slp(slp)) == slp
 
 
