@@ -20,19 +20,18 @@ Compilation is Glushkov's position automaton (Glushkov 1961; Berry & Sethi
 nullable, first and last as int masks over the atom occurrences (positions)
 and a follow mask per position; ``x{m,n}`` is expanded as
 ``x^m (x(x(...)?)?)?``, so each copy is entered from the one before it only.
-State 0 is the only initial state and a fresh accept state the only final
-one; every move into a last position is also bent onto it. So no transition
-enters an initial state or leaves a final state, the shape the search
-engine's saturation relies on (otherwise composed transitions could stand
-for non-contiguous fragments and the counts would drift). Two mask sweeps
-trim the rest, and bytes that enter the same positions share one row map
-(RE2's byte classes)."""
+State 0 is the start state and a fresh accept state, numbered last, the
+only accepting one; every move into a last position is also bent onto it.
+So no transition enters state 0 or leaves the accept state, the shape the
+search engine's saturation relies on (otherwise composed transitions could
+stand for non-contiguous fragments and the counts would drift). Two mask
+sweeps trim the rest, and bytes that enter the same positions share one row
+map (RE2's byte classes)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 NEWLINE = 0x0A
 _ALL_BYTES = frozenset(range(256))
@@ -303,38 +302,29 @@ def iter_bits(mask: int):
 class Fsa:
     """Epsilon-free automaton over the newline-free byte alphabet.
 
-    ``rows[byte]`` maps a source state to the bitmask of its targets on that
-    byte; bytes that no state tells apart share one dict. Immutable after
-    construction. Initial and final state sets are disjoint;
-    ``matches_empty`` records whether the source pattern accepted the empty
-    string (the automaton itself only accepts non-empty strings). The
-    constructor rejects moves on the newline byte, moves leaving a final
-    state and moves entering an initial state.
+    State 0 is the start state and ``state_count - 1`` the accept state;
+    ``final`` is the accept state's bit (0 for the stateless automaton,
+    which accepts no non-empty string). ``rows[byte]`` maps a source state
+    to the bitmask of its targets on that byte; bytes that no state tells
+    apart share one dict. Immutable after construction. ``matches_empty``
+    records whether the source pattern accepted the empty string (the
+    automaton itself only accepts non-empty strings). The constructor
+    rejects moves on the newline byte, moves leaving the accept state and
+    moves entering state 0.
     """
 
-    def __init__(
-        self,
-        state_count: int,
-        initials: Iterable[int],
-        finals: Iterable[int],
-        rows: list,
-        matches_empty: bool,
-    ):
+    def __init__(self, state_count: int, rows: list, matches_empty: bool):
         self.state_count = state_count
-        self.initials = frozenset(initials)
-        self.finals = frozenset(finals)
         self.rows = rows
         self.matches_empty = matches_empty
-        if self.initials & self.finals:
-            raise ValueError("initial and final state sets must be disjoint")
+        self.final = 1 << state_count >> 1
         if any(rows[NEWLINE].values()):
             raise ValueError("automaton must not move on the newline byte")
-        initial_mask = sum(1 << q for q in self.initials)
         for row in {id(row): row for row in rows}.values():
             for src, targets in row.items():
-                if targets and src in self.finals:
+                if targets and src == state_count - 1:
                     raise ValueError("automaton has transitions leaving a final state")
-                if targets & initial_mask:
+                if targets & 1:
                     raise ValueError("automaton has transitions entering an initial state")
 
     def successors(self, state: int, byte: int) -> frozenset:
@@ -352,10 +342,7 @@ class Fsa:
         return all(m & (m - 1) == 0 for row in self.rows for m in row.values())
 
     def __repr__(self) -> str:
-        return (
-            f"Fsa(states={self.state_count}, initials={sorted(self.initials)}, "
-            f"finals={sorted(self.finals)}, matches_empty={self.matches_empty})"
-        )
+        return f"Fsa(states={self.state_count}, matches_empty={self.matches_empty})"
 
 
 def _sweep(start: int, step: list) -> int:
@@ -446,7 +433,7 @@ def _glushkov(ast) -> Fsa:
             pred[t] |= 1 << q
     keep = _sweep(1, succ) & _sweep(1 << accept, pred)
     if not keep >> accept & 1:
-        return Fsa(0, (), (), [{}] * 256, matches_empty)
+        return Fsa(0, [{}] * 256, matches_empty)
     number = {q: i for i, q in enumerate(iter_bits(keep))}
     final = 1 << number[accept]
 
@@ -465,7 +452,7 @@ def _glushkov(ast) -> Fsa:
             if targets:
                 row[number[q]] = targets
     rows_by_byte = [rows[sig] for sig in signature]
-    return Fsa(len(number), (0,), (number[accept],), rows_by_byte, matches_empty)
+    return Fsa(len(number), rows_by_byte, matches_empty)
 
 
 def compile_pattern(pattern: str) -> Fsa:
@@ -494,10 +481,11 @@ def nfa_accepts(fsa: Fsa, data: bytes) -> bool:
         raise ValueError("input contains a newline byte")
     if not data:
         return fsa.matches_empty
-    current = fsa.initials
+    current = 1
     for byte in data:
-        moved: set[int] = set()
-        for q in current:
-            moved |= fsa.successors(q, byte)
+        row = fsa.rows[byte]
+        moved = 0
+        for q in iter_bits(current):
+            moved |= row.get(q, 0)
         current = moved
-    return bool(current & fsa.finals)
+    return current & fsa.final != 0

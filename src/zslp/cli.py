@@ -39,10 +39,7 @@ def _open_output(path):
 def _load_slp(path) -> Slp:
     """Read a whole ZSLP stream into a grammar."""
     with _open_input(path) as stream:
-        reader = ZslpReader(stream)
-        pairs = list(reader.iter_rules())
-        axiom = reader.read_axiom()
-    return Slp(pairs, axiom)
+        return ZslpReader(stream).read_slp()
 
 
 def _cmd_compress(args) -> int:
@@ -174,10 +171,7 @@ def run_cli(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except PatternSyntaxError as exc:
-        print(f"zslp: pattern error: {exc}", file=sys.stderr)
-        return 2
-    except NewlinePatternError as exc:
+    except (PatternSyntaxError, NewlinePatternError) as exc:
         print(f"zslp: pattern error: {exc}", file=sys.stderr)
         return 2
     except SlpFormatError as exc:

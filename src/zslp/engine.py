@@ -7,26 +7,27 @@ Automaton states are bits of a Python int. Every symbol gets two values:
   and how many closed lines (newline on both sides) of u match; and
 * a relation ``{source: target-bitmask}``. Target q2 is in the row of q1
   exactly when the automaton can move from q1 to q2 reading a factor of u
-  that is a prefix (unless q2 is final), a suffix (unless q1 is initial),
-  the whole of u, or any inner factor when q1 is initial and q2 is final.
+  that is a prefix (unless q2 is the accept state), a suffix (unless q1 is
+  state 0), the whole of u, or any inner factor when q1 is state 0 and q2
+  the accept state.
 
 ``saturate`` builds both for the 256 terminals straight from the automaton
 and then for every rule ``X -> A B`` in definition order, one pass: each row
-``(q1, m)`` of A keeps ``m & FINALS`` and ORs in B's row of every other bit
-of m; B's rows from initial states are ORed in as they are (the match may
-start inside B). An initial q1 that reaches a final state through a middle
-state marks a match across the seam of A and B. This is bit-parallel NFA
-simulation (Baeza-Yates & Gonnet's Shift-Or; Navarro & Raffinot, *Flexible
-Pattern Matching in Strings*) lifted from bytes to grammar symbols.
+``(q1, m)`` of A keeps ``m & final`` and ORs in B's row of every other bit
+of m; B's row from state 0 is ORed in as it is (the match may start inside
+B). State 0 reaching the accept state through a middle state marks a match
+across the seam of A and B. This is bit-parallel NFA simulation
+(Baeza-Yates & Gonnet's Shift-Or; Navarro & Raffinot, *Flexible Pattern
+Matching in Strings*) lifted from bytes to grammar symbols.
 
 ``fold`` runs the axiom left to right carrying one int: the states reachable
-from an initial state by reading some suffix of the prefix expanded so far
-(final states, once entered, are kept). Counting, the match decision and
+from state 0 by reading some suffix of the prefix expanded so far (the
+accept state, once entered, is kept). Counting, the match decision and
 the statistics use this one saturate/fold path; the reporter walks the
 grammar over the same saturated tables.
 
-The engine requires automata with no transitions entering an initial state
-or leaving a final state, the shape the pattern compiler produces and
+The engine requires automata with no transitions entering state 0 or
+leaving the accept state, the shape the pattern compiler produces and
 ``Fsa`` enforces; the terminals' relations are the automaton's rows. Without
 it, saturated rows could stand for non-contiguous fragments of the
 expansion and boundary matches would be over-reported.
@@ -50,10 +51,6 @@ PERCENTILE_POINTS = (50, 75, 95, 98, 100)
 
 # Counting tuple of the empty string; the neutral element of ``combine``.
 EMPTY_INFO = (False, False, False, 0)
-
-
-def _mask(states) -> int:
-    return sum(1 << q for q in states)
 
 
 def union_rows(mask: int, rel: dict) -> int:
@@ -98,16 +95,14 @@ def saturate(rule_pairs, fsa: Fsa) -> tuple[list, list]:
     and is consumed once. Raises the compiler's "pattern too large"
     PatternSyntaxError once the rules' relations outgrow MAX_RELATION_WORDS.
     """
-    finals = _mask(fsa.finals)
-    initials = _mask(fsa.initials)
-    initial_states = sorted(fsa.initials)
+    final = fsa.final
     row_budget = MAX_RELATION_WORDS // (fsa.state_count // 64 + 1)
     rows = 0
 
     rels: list[dict] = list(fsa.rows)
     infos: list[tuple] = []
     for byte, rel in enumerate(rels):
-        hit = any(rel.get(q, 0) & finals for q in initial_states)
+        hit = rel.get(0, 0) & final != 0
         infos.append((byte == NEWLINE, hit, hit, 0))
 
     for first, second in rule_pairs:
@@ -120,16 +115,15 @@ def saturate(rule_pairs, fsa: Fsa) -> tuple[list, list]:
         rel = {}
         new_match = False
         for q1, m in rels[first].items():
-            through = union_rows(m & ~finals, rel_b)
-            out = through | m & finals
+            through = union_rows(m & ~final, rel_b)
+            out = through | m & final
             if out:
                 rel[q1] = out
-                if through & finals and initials >> q1 & 1:
+                if through & final and q1 == 0:
                     new_match = True
-        for q in initial_states:
-            row = rel_b.get(q)
-            if row:
-                rel[q] = rel.get(q, 0) | row
+        row = rel_b.get(0)
+        if row:
+            rel[0] = rel.get(0, 0) | row
         rels.append(rel)
         infos.append(combine(infos[first], infos[second], new_match))
         rows += len(rel)
@@ -150,24 +144,21 @@ def fold(
 ):
     """Left fold over the axiom; returns ``(counting tuple, reached mask)``.
 
-    ``reached`` holds the states an initial state can reach by reading a
-    suffix of the expansion so far, final states included once entered.
-    With ``early_exit`` the fold stops as soon as a final state is reached.
+    ``reached`` holds the states state 0 can reach by reading a suffix of
+    the expansion so far, the accept state included once entered. With
+    ``early_exit`` the fold stops as soon as the accept state is reached.
     ``start`` is the result of folding the symbols before ``axiom``.
     """
     if not axiom:
         raise InvalidGrammarError("empty axiom")
-    finals = _mask(fsa.finals)
-    initial_states = sorted(fsa.initials)
+    final = fsa.final
     info, reached = start
     for sym in axiom:
         rel = rels[sym]
-        through = union_rows(reached & ~finals, rel)
-        info = combine(info, infos[sym], through & finals != 0)
-        reached = through | reached & finals
-        for q in initial_states:
-            reached |= rel.get(q, 0)
-        if early_exit and reached & finals:
+        through = union_rows(reached & ~final, rel)
+        info = combine(info, infos[sym], through & final != 0)
+        reached = through | reached & final | rel.get(0, 0)
+        if early_exit and reached & final:
             break
     return info, reached
 
@@ -218,7 +209,7 @@ def contains_match(slp: Slp, fsa: Fsa) -> bool:
         return True
     infos, rels = saturate(slp.rules, fsa)
     _, reached = fold(slp.axiom, infos, rels, fsa, early_exit=True)
-    return reached & _mask(fsa.finals) != 0
+    return reached & fsa.final != 0
 
 
 @dataclass(frozen=True)
@@ -229,9 +220,9 @@ class SearchStats:
     transition pairs: for ``X -> A B``, B's pairs, plus s, plus one per pair
     (q1, q) of A and one per pair leaving q in B; for an axiom symbol, its
     pairs. ``measured_ops`` counts the word operations the engine performs:
-    one per tuple combination and per initial-state row, plus one per row of
-    A and per middle bit of it for a rule, and one per middle state reached
-    before an axiom symbol.
+    one per tuple combination and one for the row of state 0 (when the
+    automaton has states), plus one per row of A and per middle bit of it
+    for a rule, and one per middle state reached before an axiom symbol.
     """
 
     s: int
@@ -265,8 +256,8 @@ def collect_stats(slp: Slp, fsa: Fsa) -> SearchStats:
     """Saturate the grammar and report its per-rule and per-axiom-symbol costs."""
     infos, rels = saturate(slp.rules, fsa)
     s = fsa.state_count
-    middle = ~_mask(fsa.finals)
-    per_initial = 1 + len(fsa.initials)
+    middle = ~fsa.final
+    per_symbol = 2 if s else 1
     pairs = [sum(row.bit_count() for row in rel.values()) for rel in rels]
     per_rule = []
     measured = 0
@@ -277,10 +268,10 @@ def collect_stats(slp: Slp, fsa: Fsa) -> SearchStats:
             ops += sum(1 + rel_b.get(q, 0).bit_count() for q in iter_bits(m))
             measured += 1 + (m & middle).bit_count()
         per_rule.append(ops)
-        measured += per_initial
+        measured += per_symbol
     state = (EMPTY_INFO, 0)
     for sym in slp.axiom:
-        measured += per_initial + (state[1] & middle).bit_count()
+        measured += per_symbol + (state[1] & middle).bit_count()
         state = fold((sym,), infos, rels, fsa, start=state)
     per_axiom_symbol = [pairs[sym] for sym in slp.axiom]
     return SearchStats(

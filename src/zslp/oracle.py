@@ -3,6 +3,8 @@
 Deliberately shares nothing with the engine's counting path. Line matching
 here is a plain subset simulation restarted at every position (wrapped form)
 or a quadratic sweep over all factors; the two agree and the tests check it.
+Runs start in state 0 and match on reaching the accept state,
+``state_count - 1``, each read through ``Fsa.successors``.
 Also hosts a small backtracking matcher over the pattern AST, used to
 cross-check the compiled automata.
 """
@@ -37,16 +39,13 @@ def line_matches(fsa: Fsa, line: bytes) -> bool:
 
 def factor_match(fsa: Fsa, line: bytes) -> bool:
     """True when some non-empty factor of the line is in the automaton's language."""
+    accept = fsa.state_count - 1
     current: set[int] = set()
-    initials = fsa.initials
-    finals = fsa.finals
     for byte in line:
-        moved: set[int] = set()
+        moved = set(fsa.successors(0, byte))
         for q in current:
             moved |= fsa.successors(q, byte)
-        for q in initials:
-            moved |= fsa.successors(q, byte)
-        if moved & finals:
+        if accept in moved:
             return True
         current = moved
     return False
@@ -56,16 +55,16 @@ def line_matches_quadratic(fsa: Fsa, line: bytes) -> bool:
     """Factor test by trying every start position independently."""
     if fsa.matches_empty:
         return True
-    finals = fsa.finals
+    accept = fsa.state_count - 1
     for start in range(len(line)):
-        current = set(fsa.initials)
+        current = {0}
         for byte in line[start:]:
             moved: set[int] = set()
             for q in current:
                 moved |= fsa.successors(q, byte)
             if not moved:
                 break
-            if moved & finals:
+            if accept in moved:
                 return True
             current = moved
     return False

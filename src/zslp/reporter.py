@@ -3,8 +3,8 @@
 The engine's saturation pass runs first, so that every symbol carries its
 counting tuple and its relation of state bitmasks. The grammar is then
 walked top-down, keeping one line of state: the symbols of the current line
-so far, the mask of automaton states reachable from an initial state by
-reading some suffix of it, and whether the line already matched. A symbol
+so far, the mask of automaton states reachable from state 0 by reading
+some suffix of it, and whether the line already matched. A symbol
 without a newline joins the line whole, in one mask step through its
 relation; its bytes are expanded only if the line turns out to match.
 
@@ -14,7 +14,7 @@ it), contain no matching closed line, have non-matching first and last
 lines, the current line must not have matched already, and no automaton run
 through the pending suffix states may complete a match inside the subtree's
 head. Skipping discards the current line (it provably cannot match) and
-re-seeds the suffix states from the subtree's initial-state rows. The
+re-seeds the suffix states from the subtree's row of state 0. The
 skipped subtree's trailing line fragment is remembered by symbol id: if a
 later symbol completes a match on that same line, exactly that fragment is
 expanded after the fact so the emitted line is byte-identical to the
@@ -34,23 +34,11 @@ _SILENT = (True, False, False, 0)
 def _report_every_line(slp: Slp, sink) -> int:
     """Full decompression path for patterns that match the empty string."""
     emitted = 0
-    buffer = bytearray()
-    for chunk in iter_expand(slp):
-        start = 0
-        while True:
-            cut = chunk.find(b"\n", start)
-            if cut == -1:
-                buffer += chunk[start:]
-                break
-            buffer += chunk[start:cut]
-            buffer += b"\n"
-            sink.write(bytes(buffer))
-            emitted += 1
-            buffer.clear()
-            start = cut + 1
-    if buffer:
-        buffer += b"\n"
-        sink.write(bytes(buffer))
+    for chunk in iter_expand(slp):  # at least one: the axiom is non-empty
+        sink.write(chunk)
+        emitted += chunk.count(b"\n")
+    if not chunk.endswith(b"\n"):
+        sink.write(b"\n")
         emitted += 1
     return emitted
 
@@ -82,8 +70,7 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
         return _report_every_line(slp, sink)
 
     infos, rels = saturate(slp.rules, fsa)
-    finals = sum(1 << q for q in fsa.finals)
-    initial_states = sorted(fsa.initials)
+    final = fsa.final
     rules = slp.rules
 
     emitted = 0
@@ -115,24 +102,19 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
             # A newline-free symbol joins the line whole: one mask step.
             parts.append(sym)
             if not matched:
-                moved = union_rows(reachable, rel)
-                for q in initial_states:
-                    moved |= rel.get(q, 0)
-                reachable = moved
-                matched = moved & finals != 0
+                reachable = union_rows(reachable, rel) | rel.get(0, 0)
+                matched = reachable & final != 0
             continue
         if (
             prune
             and not matched
             and info == _SILENT
-            and not union_rows(reachable, rel) & finals
+            and not union_rows(reachable, rel) & final
         ):
             # Nothing of this subtree can sit in a matching line; skip it.
             parts.clear()
             pending = sym
-            reachable = 0
-            for q in initial_states:
-                reachable |= rel.get(q, 0)
+            reachable = rel.get(0, 0)
             continue
         first, second = rules[sym - FIRST_VARIABLE]
         stack.append(second)

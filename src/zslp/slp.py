@@ -241,9 +241,12 @@ class ZslpReader:
             raise SlpFormatError("trailing data after axiom")
         return tuple(axiom)
 
+    def read_slp(self) -> Slp:
+        """Drain ``iter_rules``, read the axiom and return the grammar."""
+        pairs = list(self.iter_rules())
+        return Slp(pairs, self.read_axiom())
+
 
 def decode_slp(data: bytes) -> Slp:
     """Parse ZSLP bytes into a grammar, rejecting malformed streams."""
-    reader = ZslpReader(io.BytesIO(data))
-    pairs = list(reader.iter_rules())
-    return Slp(pairs, reader.read_axiom())
+    return ZslpReader(io.BytesIO(data)).read_slp()

@@ -152,13 +152,14 @@ def brute_anchored_pairs(fsa, expansion: bytes) -> set:
     """Transitions a symbol with this expansion u must carry after saturation.
 
     (q1, q2) is included exactly when the automaton reads some factor
-    u[i:j] from q1 to q2 with (i == 0 or q1 initial) and (j == len(u) or
-    q2 final). The whole expansion, initial-rooted suffixes, final-ended
-    prefixes, and initial-to-final inner factors are the four shapes this
-    covers.
+    u[i:j] from q1 to q2 with (i == 0 or q1 == 0) and (j == len(u) or q2 is
+    the accept state). The whole expansion, suffixes read from state 0,
+    prefixes ending in the accept state, and inner factors from state 0 to
+    the accept state are the four shapes this covers.
     """
     pairs = set()
     n = len(expansion)
+    accept = fsa.state_count - 1
     # prefix relation sweep: left end anchored at position 0
     rel = {(q, q) for q in range(fsa.state_count)}
     for j in range(1, n + 1):
@@ -167,29 +168,28 @@ def brute_anchored_pairs(fsa, expansion: bytes) -> set:
         if j == n:
             pairs |= rel
         else:
-            pairs |= {(q1, q2) for (q1, q2) in rel if q2 in fsa.finals}
-    # runs rooted at an initial state, any start position
-    for q0 in fsa.initials:
-        reach = set()
-        for j in range(1, n + 1):
-            byte = expansion[j - 1]
-            sources = reach | {q0}
-            reach = {t for q in sources for t in fsa.successors(q, byte)}
-            if j == n:
-                pairs |= {(q0, t) for t in reach}
-            else:
-                pairs |= {(q0, t) for t in reach if t in fsa.finals}
+            pairs |= {(q1, q2) for (q1, q2) in rel if q2 == accept}
+    # runs rooted at state 0, any start position
+    reach = set()
+    for j in range(1, n + 1):
+        byte = expansion[j - 1]
+        sources = reach | {0}
+        reach = {t for q in sources for t in fsa.successors(q, byte)}
+        if j == n:
+            pairs |= {(0, t) for t in reach}
+        else:
+            pairs |= {(0, t) for t in reach if t == accept}
     return pairs
 
 
-def fsa_from_cells(state_count, initials, finals, cells, matches_empty=False):
+def fsa_from_cells(state_count, cells, matches_empty=False):
     """An ``Fsa`` from ``{(source, byte): targets}`` cells, one row map per byte."""
     from zslp.automaton import Fsa
 
     rows = [{} for _ in range(256)]
     for (source, byte), targets in cells.items():
         rows[byte][source] = sum(1 << q for q in targets)
-    return Fsa(state_count, initials, finals, rows, matches_empty)
+    return Fsa(state_count, rows, matches_empty)
 
 
 def relation_pairs(rel: dict) -> set:
@@ -203,14 +203,9 @@ def relation_pairs(rel: dict) -> set:
 
 
 def max_row_width(rels, fsa) -> int:
-    """Widest row leaving a non-initial state, over all symbols' relations."""
+    """Widest row leaving a state other than 0, over all symbols' relations."""
     return max(
-        (
-            mask.bit_count()
-            for rel in rels
-            for q, mask in rel.items()
-            if q not in fsa.initials
-        ),
+        (mask.bit_count() for rel in rels for q, mask in rel.items() if q != 0),
         default=0,
     )
 

@@ -43,7 +43,7 @@ def test_compile_dot_excludes_newline():
     accepted = [b for b in range(256) if b != 0x0A and nfa_accepts(fsa, bytes([b]))]
     assert len(accepted) == 255
     # the newline byte is outside the automaton's alphabet entirely
-    assert fsa.successors(next(iter(fsa.initials)), 0x0A) == frozenset()
+    assert fsa.successors(0, 0x0A) == frozenset()
 
 
 def test_classes_and_negation():
@@ -129,13 +129,20 @@ def test_nfa_accepts_rejects_newline_input(ab_ba_fsa):
 
 
 def test_compiled_shape_supports_saturation():
+    # state 0 starts and the last state accepts: ``final`` is its bit, no
+    # move leaves it and none enters state 0; a pattern compiles to no
+    # states only when it matches the empty string
     rng = random.Random(5)
-    for _ in range(60):
-        _, fsa = compiled_random_pattern(rng)
-        assert not fsa.initials & fsa.finals
+    stateless = [compile_pattern(p) for p in ("()", "x{0}", "(a{0})*")]
+    randoms = [compiled_random_pattern(rng)[1] for _ in range(60)]
+    for fsa in stateless + randoms:
+        if fsa.state_count == 0:
+            assert fsa.matches_empty and fsa.final == 0
+            continue
+        assert fsa.final == 1 << fsa.state_count - 1
         for src, _, targets in fsa.iter_transitions():
-            assert src not in fsa.finals
-            assert not targets & fsa.initials
+            assert src != fsa.state_count - 1
+            assert 0 not in targets
 
 
 @settings(max_examples=200, deadline=None)

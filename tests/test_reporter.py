@@ -7,7 +7,7 @@ from zslp.engine import count_matching_lines
 from zslp.oracle import oracle_lines
 from zslp.repair import compress
 from zslp.reporter import report_matching_lines
-from zslp.slp import Slp
+from zslp.slp import Slp, expand
 
 
 def report(slp, fsa, prune=True):
@@ -38,6 +38,19 @@ def test_empty_matching_lines_emitted():
     count, payload = report(compress(b"a\n\nb"), compile_pattern("x*"))
     assert payload == b"a\n\nb\n"
     assert count == 3
+    # texts longer than one expansion chunk (65,536 bytes), with a line
+    # across the chunk seam, ending with and without a newline
+    pairs = [(97, 98), (256, 10)]  # 257 = "ab\n"
+    for _ in range(15):
+        top = 255 + len(pairs)
+        pairs.append((top, top))
+    top = 255 + len(pairs)
+    for axiom in ([top], [top, 97]):
+        slp = Slp(pairs, axiom)
+        lines = oracle_lines(expand(slp), "x*")
+        count, payload = report(slp, compile_pattern("x*"))
+        assert payload == b"".join(line + b"\n" for line in lines)
+        assert count == len(lines) > 65536 // 3
 
 
 def test_pruned_subtree_tail_is_rematerialised():
