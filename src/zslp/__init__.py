@@ -5,16 +5,13 @@ from .automaton import (
     NewlinePatternError,
     PatternSyntaxError,
     compile_pattern,
-    nfa_accepts,
 )
 from .engine import (
     SearchStats,
     collect_stats,
     contains_match,
     count_matching_lines,
-    run_count,
 )
-from .oracle import oracle_count, oracle_lines
 from .repair import CompressionReport, compress, compression_report
 from .reporter import report_matching_lines
 from .slp import (
@@ -26,7 +23,6 @@ from .slp import (
     decode_slp,
     encode_slp,
     expand,
-    expand_symbol,
 )
 
 __all__ = [
@@ -49,12 +45,7 @@ __all__ = [
     "decode_slp",
     "encode_slp",
     "expand",
-    "expand_symbol",
-    "nfa_accepts",
-    "oracle_count",
-    "oracle_lines",
     "report_matching_lines",
-    "run_count",
 ]
 
 __version__ = "0.1.0"

@@ -83,9 +83,7 @@ def _cmd_count(args) -> int:
 def _cmd_search(args) -> int:
     fsa = compile_pattern(args.pattern)
     slp = _load_slp(args.input)
-    emitted = report_matching_lines(
-        slp, fsa, sys.stdout.buffer, prune=not args.no_prune
-    )
+    emitted = report_matching_lines(slp, fsa, sys.stdout.buffer)
     sys.stdout.buffer.flush()
     return 0 if emitted > 0 else 1
 
@@ -149,9 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="print the matching lines")
     p_search.add_argument("-e", "--pattern", required=True)
     p_search.add_argument("input", nargs="?", default=None)
-    p_search.add_argument(
-        "--no-prune", action="store_true", help=argparse.SUPPRESS
-    )
     p_search.set_defaults(func=_cmd_search)
 
     p_stats = sub.add_parser("stats", help="operation-count percentiles")

@@ -92,16 +92,15 @@ class _Sequence:
     def _add(self, key: int, pos: int) -> None:
         self.occ.setdefault(key, set()).add(pos)
 
-    def replace_all(self, key: int, new_sym: int) -> tuple[int, set[int]]:
+    def replace_all(self, key: int, new_sym: int) -> set[int]:
         """Replace every live occurrence of the pair, left to right.
 
-        Returns the number of replacements and the set of pair keys that
-        gained occurrences (all involve ``new_sym``).
+        Returns the set of pair keys that gained occurrences (all involve
+        ``new_sym``).
         """
         first, second = divmod(key, _KEY_BASE)
         sym, nxt, prv, alive = self.sym, self.nxt, self.prv, self.alive
         touched: set[int] = set()
-        replaced = 0
         for i in sorted(self.occ.get(key, ())):
             if not alive[i] or sym[i] != first:
                 continue
@@ -128,9 +127,8 @@ class _Sequence:
                 right_key = new_sym * _KEY_BASE + sym[q]
                 self._add(right_key, i)
                 touched.add(right_key)
-            replaced += 1
         self.occ.pop(key, None)
-        return replaced, touched
+        return touched
 
     def to_list(self) -> list[int]:
         out = []
@@ -142,12 +140,8 @@ class _Sequence:
         return out
 
 
-def compress(text: bytes, _trace: list | None = None) -> Slp:
-    """Compress a non-empty byte string into a grammar.
-
-    ``_trace`` collects (pair, replacement_count) tuples for tests that
-    verify the sequence shrinks by exactly the counted amount.
-    """
+def compress(text: bytes) -> Slp:
+    """Compress a non-empty byte string into a grammar."""
     if not text:
         raise ValueError("cannot compress empty input")
     seq = _Sequence(text)
@@ -171,12 +165,8 @@ def compress(text: bytes, _trace: list | None = None) -> Slp:
             heapq.heappush(heap, (-count, first_pos, key))
             continue
         new_sym = FIRST_VARIABLE + len(rules)
-        first, second = divmod(key, _KEY_BASE)
-        rules.append((first, second))
-        replaced, touched = seq.replace_all(key, new_sym)
-        if _trace is not None:
-            _trace.append(((first, second), replaced))
-        for new_key in touched:
+        rules.append(divmod(key, _KEY_BASE))
+        for new_key in seq.replace_all(key, new_sym):
             new_count = seq.nonoverlap_count(new_key)
             if new_count >= 2:
                 heapq.heappush(

@@ -19,32 +19,30 @@ skipped subtree's trailing line fragment is remembered by symbol id: if a
 later symbol completes a match on that same line, exactly that fragment is
 expanded after the fact so the emitted line is byte-identical to the
 uncompressed one. Disabling pruning never changes the output.
+
+The reporter builds no bytes: a matching line is recorded as symbols (the
+skipped fragment, the line's symbols, a newline) that ``iter_expand`` writes
+in batches. A pattern matching the empty string matches every line; its walk
+runs over the stateless automaton, which saturates to newline flags and no
+rows. Every line then starts matched; the last fragment counts if non-empty.
 """
 
 from __future__ import annotations
 
 from .automaton import NEWLINE, Fsa
 from .engine import saturate, union_rows
-from .slp import FIRST_VARIABLE, Slp, expand_symbols, iter_expand
+from .slp import FIRST_VARIABLE, Slp, iter_expand
 
 # Counting tuple of a subtree that spans a newline and matches nowhere.
 _SILENT = (True, False, False, 0)
+# Stands in for a pattern that matches the empty string, and so every line.
+_EVERY_LINE = Fsa(0, [{}] * 256, True)
+# Symbols of emitted lines gathered before one iter_expand pass writes them.
+_BATCH = 4096
 
 
-def _report_every_line(slp: Slp, sink) -> int:
-    """Full decompression path for patterns that match the empty string."""
-    emitted = 0
-    for chunk in iter_expand(slp):  # at least one: the axiom is non-empty
-        sink.write(chunk)
-        emitted += chunk.count(b"\n")
-    if not chunk.endswith(b"\n"):
-        sink.write(b"\n")
-        emitted += 1
-    return emitted
-
-
-def _tail_after_last_newline(slp: Slp, infos, sym: int) -> bytes:
-    """Expansion of the symbol after its last newline (possibly empty)."""
+def _tail_after_last_newline(slp: Slp, infos, sym: int) -> list[int]:
+    """Symbols that derive the symbol's expansion after its last newline."""
     parts = []  # right to left
     cur = sym
     while cur >= FIRST_VARIABLE:
@@ -56,7 +54,7 @@ def _tail_after_last_newline(slp: Slp, infos, sym: int) -> bytes:
             cur = first
     if cur != NEWLINE:
         parts.append(cur)
-    return expand_symbols(slp, parts[::-1])
+    return parts[::-1]
 
 
 def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
@@ -64,26 +62,35 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
 
     Returns the number of emitted lines, which equals the counting result.
     The final line gains a terminating newline even if the source text lacks
-    one.
+    one. No single write to the sink exceeds ``iter_expand``'s chunk size.
     """
     if fsa.matches_empty:
-        return _report_every_line(slp, sink)
-
+        fsa = _EVERY_LINE
     infos, rels = saturate(slp.rules, fsa)
     final = fsa.final
     rules = slp.rules
 
     emitted = 0
+    out: list[int] = []  # symbols of emitted lines not yet written
     pending: int | None = None  # symbol whose trailing line fragment we skipped
     parts: list[int] = []  # newline-free symbols of the current line, in order
     reachable = 0
-    matched = False
+    matched = fsa.matches_empty
+
+    def write() -> None:
+        for chunk in iter_expand(slp, out):
+            sink.write(chunk)
+        out.clear()
 
     def emit_line() -> None:
         nonlocal emitted
-        head = b"" if pending is None else _tail_after_last_newline(slp, infos, pending)
-        sink.write(head + expand_symbols(slp, parts) + b"\n")
+        if pending is not None:
+            out.extend(_tail_after_last_newline(slp, infos, pending))
+        out.extend(parts)
+        out.append(NEWLINE)
         emitted += 1
+        if len(out) >= _BATCH:
+            write()
 
     stack = list(reversed(slp.axiom))
     while stack:
@@ -94,7 +101,7 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
             parts.clear()
             pending = None
             reachable = 0
-            matched = False
+            matched = fsa.matches_empty
             continue
         info = infos[sym]
         rel = rels[sym]
@@ -120,6 +127,7 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
         stack.append(second)
         stack.append(first)
 
-    if matched:
+    if matched and parts:
         emit_line()
+    write()
     return emitted

@@ -31,6 +31,8 @@ from typing import BinaryIO, Iterator
 FIRST_VARIABLE = 256
 MAGIC = b"ZSLP"
 VERSION = 1
+# Bytes per chunk that ``iter_expand`` yields (all chunks but the last).
+CHUNK_SIZE = 65536
 
 
 class SlpFormatError(ValueError):
@@ -86,40 +88,29 @@ def expand_symbol(slp: Slp, sym: int) -> bytes:
     """Return the unique byte string the symbol derives."""
     if not 0 <= sym < FIRST_VARIABLE + len(slp.rules):
         raise InvalidGrammarError(f"undefined symbol {sym}")
-    return expand_symbols(slp, (sym,))
+    return expand(slp, (sym,))
 
 
-def expand_symbols(slp: Slp, symbols) -> bytes:
-    """Concatenated expansion of a sequence of defined symbols."""
+def expand(slp: Slp, symbols=None) -> bytes:
+    """Concatenated expansion of ``symbols``, by default the axiom."""
+    return b"".join(iter_expand(slp, symbols))
+
+
+def iter_expand(slp: Slp, symbols=None) -> Iterator[bytes]:
+    """Yield the expansion of ``symbols`` (default: the axiom) in chunks.
+
+    The only walk that turns symbols into bytes: ``expand``, ``decompress``
+    and the reporter all go through it. Every chunk but the last holds
+    exactly CHUNK_SIZE bytes; an empty sequence yields nothing.
+    """
     out = bytearray()
-    stack = list(reversed(symbols))
     rules = slp.rules
+    stack = list(reversed(slp.axiom if symbols is None else symbols))
     while stack:
         t = stack.pop()
         if t < FIRST_VARIABLE:
             out.append(t)
-        else:
-            first, second = rules[t - FIRST_VARIABLE]
-            stack.append(second)
-            stack.append(first)
-    return bytes(out)
-
-
-def expand(slp: Slp) -> bytes:
-    """Fully decompress: concatenated expansion of the axiom, left to right."""
-    return b"".join(iter_expand(slp))
-
-
-def iter_expand(slp: Slp, chunk_size: int = 65536) -> Iterator[bytes]:
-    """Yield the expansion in chunks without materialising it all at once."""
-    out = bytearray()
-    rules = slp.rules
-    stack = list(reversed(slp.axiom))
-    while stack:
-        t = stack.pop()
-        if t < FIRST_VARIABLE:
-            out.append(t)
-            if len(out) >= chunk_size:
+            if len(out) == CHUNK_SIZE:
                 yield bytes(out)
                 out.clear()
         else:

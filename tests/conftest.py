@@ -27,6 +27,11 @@ EXAMPLE_PAIRS = [
 EXAMPLE_AXIOM = [258, 262]
 EXAMPLE_TEXT = b"ba\nab\naba"
 
+# Symbol 257 + i derives "ab\n" * 2**i; DOUBLING_TOP derives 98,304 bytes,
+# more than one 65,536-byte expansion chunk.
+DOUBLING_PAIRS = [(97, 98), (256, 10)] + [(257 + i, 257 + i) for i in range(15)]
+DOUBLING_TOP = 256 + len(DOUBLING_PAIRS) - 1
+
 
 @pytest.fixture
 def example_slp() -> Slp:

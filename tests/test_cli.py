@@ -100,12 +100,6 @@ def test_search_no_match_exit_one(example_file, capsysbinary):
     assert code == 1
 
 
-def test_search_no_prune_flag(example_file, capsysbinary):
-    code = run_cli(["search", "-e", "ab|ba", "--no-prune", example_file])
-    assert capsysbinary.readouterr().out == b"ba\nab\naba\n"
-    assert code == 0
-
-
 def test_stats_text_output(example_file, capsys):
     assert run_cli(["stats", "-e", "ab|ba", example_file]) == 0
     out = capsys.readouterr().out
@@ -234,6 +228,21 @@ def log_file(tmp_path_factory):
     packed = tmp_path_factory.mktemp("log") / "log.zslp"
     packed.write_bytes(encode_slp(compress(text.encode())))
     return str(packed)
+
+
+def test_wide_pattern_matching_empty_prints_every_line(log_file, capsysbinary):
+    # Every line matches, since the pattern matches "". Its 8,193 states
+    # take no relation rows then; saturating them would overrun the budget
+    # (as the next test shows for the same pattern without "?").
+    pattern = "((.{512}){16})?"
+    assert run_cli(["decompress", log_file]) == 0
+    text = capsysbinary.readouterr().out
+    assert run_cli(["search", "-e", pattern, log_file]) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.out == text and captured.err == b""
+    assert run_cli(["count", "-e", pattern, log_file]) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.out == b"%d\n" % text.count(b"\n") and captured.err == b""
 
 
 @pytest.mark.parametrize("command", ["count", "search", "stats"])

@@ -72,12 +72,19 @@ def test_final_axiom_has_no_frequent_pair():
 
 
 def test_replacement_shrinks_by_count():
-    trace = []
-    slp = compress(b"banana bandana banana bandana band", _trace=trace)
-    assert trace, "expected at least one replacement"
-    total_replaced = sum(count for _, count in trace)
-    assert all(count >= 2 for _, count in trace)
-    assert len(slp.axiom) == 34 - total_replaced
+    # A rule's uses in the derivation tree are the occurrences it replaced,
+    # and each replacement shortens the sequence by one symbol.
+    for text in (b"banana bandana banana bandana band", b"a" * 10, b"ab\n" * 40):
+        slp = compress(text)
+        assert slp.rules, "expected at least one replacement"
+        uses = [0] * (256 + len(slp.rules))
+        for sym in slp.axiom:
+            uses[sym] += 1
+        for left in range(255 + len(slp.rules), 255, -1):
+            for child in slp.rules[left - 256]:
+                uses[child] += uses[left]
+        assert all(count >= 2 for count in uses[256:])
+        assert len(slp.axiom) == len(text) - sum(uses[256:])
 
 
 def test_rules_in_creation_order():

@@ -1,7 +1,13 @@
 import io
 import random
 
-from conftest import compiled_random_pattern, random_text, sample_from_pattern
+from conftest import (
+    DOUBLING_PAIRS,
+    DOUBLING_TOP,
+    compiled_random_pattern,
+    random_text,
+    sample_from_pattern,
+)
 from zslp.automaton import compile_pattern
 from zslp.engine import count_matching_lines
 from zslp.oracle import oracle_lines
@@ -40,17 +46,28 @@ def test_empty_matching_lines_emitted():
     assert count == 3
     # texts longer than one expansion chunk (65,536 bytes), with a line
     # across the chunk seam, ending with and without a newline
-    pairs = [(97, 98), (256, 10)]  # 257 = "ab\n"
-    for _ in range(15):
-        top = 255 + len(pairs)
-        pairs.append((top, top))
-    top = 255 + len(pairs)
-    for axiom in ([top], [top, 97]):
-        slp = Slp(pairs, axiom)
+    for axiom in ([DOUBLING_TOP], [DOUBLING_TOP, 97]):
+        slp = Slp(DOUBLING_PAIRS, axiom)
         lines = oracle_lines(expand(slp), "x*")
         count, payload = report(slp, compile_pattern("x*"))
         assert payload == b"".join(line + b"\n" for line in lines)
         assert count == len(lines) > 65536 // 3
+
+
+def test_writes_stay_within_one_chunk():
+    class RecordingSink:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(bytes(data))
+
+    slp = Slp(DOUBLING_PAIRS, [DOUBLING_TOP])  # every line is "ab"
+    for pattern in ("ab", "x*"):
+        sink = RecordingSink()
+        assert report_matching_lines(slp, compile_pattern(pattern), sink) == 2**15
+        assert b"".join(sink.writes) == expand(slp)
+        assert max(len(data) for data in sink.writes) <= 65536
 
 
 def test_pruned_subtree_tail_is_rematerialised():
@@ -134,7 +151,7 @@ def test_tail_extraction_matches_expansion():
                 continue
             expansion = expand_symbol(slp, sym)
             expected = expansion.rsplit(b"\n", 1)[-1]
-            assert _tail_after_last_newline(slp, infos, sym) == expected
+            assert expand(slp, _tail_after_last_newline(slp, infos, sym)) == expected
             checked += 1
     assert checked > 50
 

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE_PAIRS, EXAMPLE_TEXT, random_grammar
+from conftest import (
+    DOUBLING_PAIRS,
+    DOUBLING_TOP,
+    EXAMPLE_PAIRS,
+    EXAMPLE_TEXT,
+    random_grammar,
+)
 from zslp.repair import compress
 from zslp.slp import (
     BadMagicError,
@@ -119,8 +125,12 @@ def test_dense_numbering(example_slp):
         expand_symbol(example_slp, top)
 
 
-def test_iter_expand_matches_expand(example_slp):
-    assert b"".join(iter_expand(example_slp, chunk_size=2)) == expand(example_slp)
+def test_iter_expand_matches_expand():
+    slp = Slp(DOUBLING_PAIRS, [DOUBLING_TOP, 97])  # 98,305 bytes
+    chunks = list(iter_expand(slp))
+    assert b"".join(chunks) == expand(slp) == b"ab\n" * 2**15 + b"a"
+    assert [len(chunk) for chunk in chunks] == [65536, 98305 - 65536]
+    assert list(iter_expand(slp, ())) == [] and expand(slp, (257, 97)) == b"ab\na"
 
 
 GOLDEN = bytes.fromhex("5a534c50010161620280028002")
