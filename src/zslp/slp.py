@@ -20,12 +20,23 @@ Varints are unsigned LEB128 (7 bits per byte, little-endian, high bit =
 continuation). Rules are stored before the axiom and in definition order, so
 a consumer can process them one at a time without building the whole
 grammar. Nothing may follow the axiom.
+
+``iter_expand`` copies short expansions instead of walking them. On its
+first expansion that is not empty, an ``Slp`` builds a table of them in one
+bottom-up pass over its rules: every terminal's byte, and the bytes of every
+rule whose expansion is at most SHORT_LIMIT (1,024) bytes, made as the
+concatenation of its two parts' stored bytes. At most SHORT_BUDGET (4 MiB)
+bytes are stored per grammar; rules after the one that would pass it are
+not stored. The walk copies a stored symbol's bytes in one step and pushes
+only the symbols above them through its stack. Counting, statistics and a
+search that writes nothing never build the table.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from typing import BinaryIO, Iterator
 
 FIRST_VARIABLE = 256
@@ -33,6 +44,10 @@ MAGIC = b"ZSLP"
 VERSION = 1
 # Bytes per chunk that ``iter_expand`` yields (all chunks but the last).
 CHUNK_SIZE = 65536
+# Longest expansion stored per symbol, and the most bytes stored per grammar.
+SHORT_LIMIT = 1024
+SHORT_BUDGET = 4 << 20
+_TERMINAL_BYTES = [bytes((byte,)) for byte in range(FIRST_VARIABLE)]
 
 
 class SlpFormatError(ValueError):
@@ -58,6 +73,7 @@ class Slp:
     Rule i defines symbol ``256 + i``. Building an Slp checks every
     invariant and raises InvalidGrammarError listing the violations, so an
     Slp that exists is valid and its consumers need not check it again.
+    Expansion caches ``short_expansions`` on it, a table fixed by the rules.
     """
 
     rules: tuple[tuple[int, int], ...]
@@ -83,11 +99,34 @@ class Slp:
         if violations:
             raise InvalidGrammarError("; ".join(violations))
 
+    @cached_property
+    def short_expansions(self) -> tuple:
+        """Per symbol id, its expansion if stored (see the module docstring), else None.
+
+        Built on first use and cached on the instance. Concurrent first
+        uses may each build it; every build has the same content.
+        """
+        short = list(_TERMINAL_BYTES)
+        append = short.append
+        room = SHORT_BUDGET
+        for first, second in self.rules:
+            a = short[first]
+            b = short[second]
+            if a and b:
+                piece = a + b
+                if len(piece) <= SHORT_LIMIT:
+                    room -= len(piece)
+                    if room < 0:
+                        break
+                    append(piece)
+                    continue
+            append(None)
+        short += [None] * (FIRST_VARIABLE + len(self.rules) - len(short))
+        return tuple(short)
+
 
 def expand_symbol(slp: Slp, sym: int) -> bytes:
     """Return the unique byte string the symbol derives."""
-    if not 0 <= sym < FIRST_VARIABLE + len(slp.rules):
-        raise InvalidGrammarError(f"undefined symbol {sym}")
     return expand(slp, (sym,))
 
 
@@ -100,23 +139,35 @@ def iter_expand(slp: Slp, symbols=None) -> Iterator[bytes]:
     """Yield the expansion of ``symbols`` (default: the axiom) in chunks.
 
     The only walk that turns symbols into bytes: ``expand``, ``decompress``
-    and the reporter all go through it. Every chunk but the last holds
-    exactly CHUNK_SIZE bytes; an empty sequence yields nothing.
+    and the reporter all go through it. A symbol with a stored expansion
+    (``Slp.short_expansions``, built here on the first non-empty call) is
+    copied whole; any other is replaced on the stack by its two parts.
+    Every chunk but the last holds exactly CHUNK_SIZE bytes, so a copied
+    piece that crosses a chunk boundary is split there; an empty sequence
+    yields nothing; an undefined symbol raises InvalidGrammarError.
     """
-    out = bytearray()
-    rules = slp.rules
     stack = list(reversed(slp.axiom if symbols is None else symbols))
+    if not stack:
+        return
+    limit = FIRST_VARIABLE + len(slp.rules)
+    if symbols is not None and not (0 <= min(stack) and max(stack) < limit):
+        bad = next(sym for sym in symbols if not 0 <= sym < limit)
+        raise InvalidGrammarError(f"undefined symbol {bad}")
+    short = slp.short_expansions
+    rules = slp.rules
+    out = bytearray()
     while stack:
-        t = stack.pop()
-        if t < FIRST_VARIABLE:
-            out.append(t)
-            if len(out) == CHUNK_SIZE:
-                yield bytes(out)
-                out.clear()
-        else:
-            first, second = rules[t - FIRST_VARIABLE]
+        sym = stack.pop()
+        piece = short[sym]
+        if piece is None:
+            first, second = rules[sym - FIRST_VARIABLE]
             stack.append(second)
             stack.append(first)
+            continue
+        out += piece
+        if len(out) >= CHUNK_SIZE:
+            yield bytes(out[:CHUNK_SIZE])
+            del out[:CHUNK_SIZE]
     if out:
         yield bytes(out)
 

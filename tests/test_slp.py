@@ -1,5 +1,7 @@
 import io
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,14 @@ from conftest import (
     EXAMPLE_TEXT,
     random_grammar,
 )
+from zslp.automaton import compile_pattern
+from zslp.engine import collect_stats, contains_match, count_matching_lines
 from zslp.repair import compress
+from zslp.reporter import report_matching_lines
 from zslp.slp import (
+    CHUNK_SIZE,
+    SHORT_BUDGET,
+    SHORT_LIMIT,
     BadMagicError,
     InvalidGrammarError,
     Slp,
@@ -101,6 +109,9 @@ def test_expand_simple_cases():
 def test_expand_undefined_symbol_errors(example_slp):
     with pytest.raises(InvalidGrammarError):
         expand_symbol(example_slp, 5000)
+    for symbols in ([97, 263], [-1], [256, -300]):
+        with pytest.raises(InvalidGrammarError, match="undefined symbol"):
+            expand(example_slp, symbols)
 
 
 def test_expand_invalid_grammar_errors():
@@ -226,3 +237,128 @@ def test_expand_deterministic(seed):
     slp = random_grammar(random.Random(seed))
     assert expand(slp) == expand(slp)
     assert len(expand(slp)) >= 1
+
+
+def naive_expansion(slp, symbols) -> bytes:
+    """Reference expansion by recursion over the rule pairs."""
+    memo = {}
+
+    def derive(sym):
+        if sym < 256:
+            return bytes((sym,))
+        if sym not in memo:
+            first, second = slp.rules[sym - 256]
+            memo[sym] = derive(first) + derive(second)
+        return memo[sym]
+
+    return b"".join(derive(sym) for sym in symbols)
+
+
+def check_expansion(slp, symbols):
+    chunks = list(iter_expand(slp, symbols))
+    assert b"".join(chunks) == naive_expansion(slp, symbols)
+    assert all(len(chunk) == CHUNK_SIZE for chunk in chunks[:-1])
+    assert all(0 < len(chunk) <= CHUNK_SIZE for chunk in chunks[-1:])
+    return chunks
+
+
+def grammar_with_long_rules(rng) -> Slp:
+    """A random grammar topped by rules that derive more than SHORT_LIMIT bytes."""
+    pairs = list(random_grammar(rng).rules)
+    symbols = [97, 98, 10] + [256 + i for i in range(len(pairs))]
+    length = dict.fromkeys(symbols[:3], 1)
+    for sym, (first, second) in enumerate(pairs, 256):
+        length[sym] = length[first] + length[second]
+    while length[symbols[-1]] <= 4 * SHORT_LIMIT:
+        first, second = rng.choice(symbols[-3:]), rng.choice(symbols)
+        if rng.random() < 0.5:
+            first, second = second, first
+        pairs.append((first, second))
+        symbols.append(256 + len(pairs) - 1)
+        length[symbols[-1]] = length[first] + length[second]
+    axiom = [rng.choice(symbols) for _ in range(rng.randrange(0, 4))] + [symbols[-1]]
+    return Slp(pairs, axiom)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.booleans())
+def test_iter_expand_matches_naive_expansion(seed, long_rules):
+    # Rules over SHORT_LIMIT bytes are walked, the ones below them copied.
+    rng = random.Random(seed)
+    slp = grammar_with_long_rules(rng) if long_rules else random_grammar(rng)
+    check_expansion(slp, slp.axiom)
+    if long_rules:
+        assert None in slp.short_expansions
+    top = 256 + len(slp.rules)
+    check_expansion(slp, [rng.randrange(top) for _ in range(rng.randrange(0, 12))])
+    stored = [piece for piece in slp.short_expansions[256:] if piece]
+    assert all(len(piece) <= SHORT_LIMIT for piece in stored)
+
+
+def test_stored_pieces_split_at_chunk_boundary():
+    # Symbol 257 + 8 derives 768 stored bytes; after a 1-byte prefix the
+    # 86th such piece straddles the 65,536-byte boundary.
+    slp = Slp(DOUBLING_PAIRS, [98, DOUBLING_TOP])
+    assert slp.short_expansions[257 + 8] and not slp.short_expansions[257 + 9]
+    chunks = check_expansion(slp, slp.axiom)
+    assert [len(chunk) for chunk in chunks] == [65536, 98305 - 65536]
+
+
+def test_stored_bytes_stay_within_budget():
+    # 72 distinct 512-byte runs, then every ordered pair of them: 5,184 rules
+    # of SHORT_LIMIT bytes each, more than SHORT_BUDGET in total.
+    pairs, runs = [], []
+    for byte in range(33, 33 + 72):
+        sym = byte
+        for _ in range(9):
+            pairs.append((sym, sym))
+            sym = 256 + len(pairs) - 1
+        runs.append(sym)
+    tops = []
+    for a in runs:
+        for b in runs:
+            pairs.append((a, b))
+            tops.append(256 + len(pairs) - 1)
+    assert len(tops) * SHORT_LIMIT > SHORT_BUDGET
+    slp = Slp(pairs, tops)
+    stored = [piece for piece in slp.short_expansions[256:] if piece]
+    assert sum(map(len, stored)) <= SHORT_BUDGET
+    assert max(map(len, stored)) == SHORT_LIMIT
+    assert len(stored) < len(pairs)
+    check_expansion(slp, slp.axiom)
+
+
+def test_counting_and_silent_search_build_no_table():
+    slp = compress(b"alpha beta\ngamma delta\n" * 50)
+    fsa = compile_pattern("zebra")
+    assert count_matching_lines(slp, fsa) == 0
+    assert not contains_match(slp, fsa)
+    collect_stats(slp, fsa)
+    assert report_matching_lines(slp, fsa, io.BytesIO()) == 0
+    assert "short_expansions" not in vars(slp)
+    assert report_matching_lines(slp, compile_pattern("gamma"), io.BytesIO()) == 50
+    assert "short_expansions" in vars(slp)
+
+
+def test_concurrent_first_expansions_agree():
+    # Four threads make the first expansions of one fresh Slp together.
+    slp = Slp(DOUBLING_PAIRS, [98, DOUBLING_TOP])
+    start = threading.Barrier(4, timeout=10)
+    results = []
+
+    def expand_after_start():
+        start.wait()
+        results.append(expand(slp))
+
+    threads = [threading.Thread(target=expand_after_start) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [naive_expansion(slp, slp.axiom)] * 4
