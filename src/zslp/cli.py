@@ -16,7 +16,7 @@ from contextlib import nullcontext
 
 from .automaton import NewlinePatternError, PatternSyntaxError, compile_pattern
 from .engine import collect_stats, run_count
-from .repair import compress, compression_report
+from .repair import MAX_INPUT_BYTES, compress
 from .reporter import report_matching_lines
 from .slp import (
     InvalidGrammarError,
@@ -44,18 +44,24 @@ def _load_slp(path) -> Slp:
 
 def _cmd_compress(args) -> int:
     with _open_input(args.input) as stream:
-        data = stream.read()
+        data = stream.read(MAX_INPUT_BYTES + 1)
     if not data:
         print("zslp: input error: refusing to compress empty input", file=sys.stderr)
+        return 2
+    if len(data) > MAX_INPUT_BYTES:
+        print(
+            f"zslp: input error: input is over compress's {MAX_INPUT_BYTES}-byte limit",
+            file=sys.stderr,
+        )
         return 2
     slp = compress(data)
     payload = encode_slp(slp)
     with _open_output(args.output) as out:
         out.write(payload)
         out.flush()
-    report = compression_report(slp, len(data))
     print(
-        f"rules={report.rules} axiom_len={report.axiom_len} ratio={report.ratio:.3f}",
+        f"rules={len(slp.rules)} axiom_len={len(slp.axiom)} "
+        f"ratio={len(data) / len(payload):.3f}",
         file=sys.stderr,
     )
     return 0

@@ -88,11 +88,18 @@ def matching_lines(info: tuple) -> int:
     return count + ((left + right) if nl else left)
 
 
+def _undefined_symbol(left_id: int) -> InvalidGrammarError:
+    return InvalidGrammarError(
+        f"rule for symbol {left_id} references undefined/later symbol"
+    )
+
+
 def saturate(rule_pairs, fsa: Fsa) -> tuple[list, list]:
     """Counting tuples and relations of every symbol, indexed by symbol id.
 
     ``rule_pairs`` yields ``(first, second)`` per rule in definition order
-    and is consumed once. Raises the compiler's "pattern too large"
+    and is consumed once; a rule naming an undefined or later symbol raises
+    InvalidGrammarError. Raises the compiler's "pattern too large"
     PatternSyntaxError once the rules' relations outgrow MAX_RELATION_WORDS.
     """
     final = fsa.final
@@ -108,9 +115,7 @@ def saturate(rule_pairs, fsa: Fsa) -> tuple[list, list]:
     for first, second in rule_pairs:
         left_id = len(rels)
         if not 0 <= first < left_id or not 0 <= second < left_id:
-            raise InvalidGrammarError(
-                f"rule for symbol {left_id} references undefined/later symbol"
-            )
+            raise _undefined_symbol(left_id)
         rel_b = rels[second]
         rel = {}
         new_match = False
@@ -172,6 +177,9 @@ def _line_count_arithmetic(rule_pairs, read_axiom) -> int:
     newline_counts = [1 if byte == NEWLINE else 0 for byte in range(256)]
     ends_with_newline = [byte == NEWLINE for byte in range(256)]
     for first, second in rule_pairs:
+        left_id = len(newline_counts)
+        if not 0 <= first < left_id or not 0 <= second < left_id:
+            raise _undefined_symbol(left_id)
         newline_counts.append(newline_counts[first] + newline_counts[second])
         ends_with_newline.append(ends_with_newline[second])
     axiom = read_axiom()

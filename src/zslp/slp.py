@@ -91,11 +91,12 @@ class Slp:
         ]
         if not self.axiom:
             violations.append("empty axiom")
-        violations += (
-            f"axiom position {pos} references undefined symbol {sym}"
-            for pos, sym in enumerate(self.axiom)
-            if not 0 <= sym < limit
-        )
+        elif min(self.axiom) < 0 or max(self.axiom) >= limit:
+            violations += (
+                f"axiom position {pos} references undefined symbol {sym}"
+                for pos, sym in enumerate(self.axiom)
+                if not 0 <= sym < limit
+            )
         if violations:
             raise InvalidGrammarError("; ".join(violations))
 
@@ -233,9 +234,11 @@ class ZslpReader:
 
     The stream is read once, and the header and the rules' symbol ids are
     decoded from that buffer on construction. ``iter_rules`` must be
-    exhausted before ``read_axiom`` is called; both validate the structural
-    invariants as they go, so a consumer never sees an out-of-order or
-    undefined symbol, and ``read_axiom`` rejects bytes after the axiom.
+    exhausted before ``read_axiom`` is called. ``iter_rules`` yields the
+    pairs as stored, and its consumer (``saturate``, the engine's line
+    count) checks each rule as it takes it; ``read_axiom`` checks the
+    axiom's symbols and rejects bytes after the axiom; ``read_slp`` leaves
+    both checks to ``Slp``.
     """
 
     def __init__(self, stream: BinaryIO):
@@ -254,39 +257,38 @@ class ZslpReader:
         self._rules_read = 0
 
     def iter_rules(self) -> Iterator[tuple[int, int]]:
-        """Yield (first, second) for each rule, in definition order."""
-        symbols = self._rule_symbols
-        while self._rules_read < self.rule_count:
-            left = FIRST_VARIABLE + self._rules_read
-            first = symbols[2 * self._rules_read]
-            second = symbols[2 * self._rules_read + 1]
-            if first >= left or second >= left:
-                raise SlpFormatError(
-                    f"rule {self._rules_read + 1} references undefined/later "
-                    f"symbol {max(first, second)}"
-                )
+        """Yield (first, second) for each rule, in definition order, unchecked."""
+        symbols = iter(self._rule_symbols)
+        for pair in zip(symbols, symbols):
             self._rules_read += 1
-            yield first, second
+            yield pair
 
-    def read_axiom(self) -> tuple[int, ...]:
-        if self._rules_read < self.rule_count:
-            raise SlpFormatError("axiom read before all rules were consumed")
+    def _axiom_symbols(self) -> list:
         (length,), pos = _read_uvarints(self._data, self._pos, 1)
         if length == 0:
             raise SlpFormatError("empty axiom")
         axiom, pos = _read_uvarints(self._data, pos, length)
+        if pos != len(self._data):
+            raise SlpFormatError("trailing data after axiom")
+        return axiom
+
+    def read_axiom(self) -> tuple[int, ...]:
+        if self._rules_read < self.rule_count:
+            raise SlpFormatError("axiom read before all rules were consumed")
+        axiom = self._axiom_symbols()
         limit = FIRST_VARIABLE + self.rule_count
         if max(axiom) >= limit:
             bad = next(sym for sym in axiom if sym >= limit)
             raise SlpFormatError(f"axiom references undefined symbol {bad}")
-        if pos != len(self._data):
-            raise SlpFormatError("trailing data after axiom")
         return tuple(axiom)
 
     def read_slp(self) -> Slp:
-        """Drain ``iter_rules``, read the axiom and return the grammar."""
-        pairs = list(self.iter_rules())
-        return Slp(pairs, self.read_axiom())
+        """Read every rule and the axiom and return the grammar."""
+        symbols = iter(self._rule_symbols)
+        try:
+            return Slp(list(zip(symbols, symbols)), self._axiom_symbols())
+        except InvalidGrammarError as exc:
+            raise SlpFormatError(str(exc)) from None
 
 
 def decode_slp(data: bytes) -> Slp:

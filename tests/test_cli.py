@@ -9,6 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_AXIOM, EXAMPLE_PAIRS
+import zslp.cli
+import zslp.repair
 from zslp.cli import run_cli
 from zslp.oracle import oracle_count
 from zslp.repair import compress
@@ -73,6 +75,44 @@ def test_compress_decompress_roundtrip(tmp_path, capsys):
     assert "rules=" in err and "ratio=" in err
     assert run_cli(["decompress", str(packed), "-o", str(out)]) == 0
     assert out.read_bytes() == data
+
+
+def test_compress_encodes_the_grammar_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real_encode = zslp.cli.encode_slp
+
+    def counted_encode(slp):
+        calls.append(slp)
+        return real_encode(slp)
+
+    monkeypatch.setattr(zslp.cli, "encode_slp", counted_encode)
+    monkeypatch.setattr(zslp.repair, "encode_slp", counted_encode)
+    data = b"one two three two one\n" * 30
+    src = tmp_path / "input.txt"
+    src.write_bytes(data)
+    packed = tmp_path / "packed.zslp"
+    assert run_cli(["compress", str(src), "-o", str(packed)]) == 0
+    assert len(calls) == 1
+    slp = decode_slp(packed.read_bytes())
+    assert capsys.readouterr().err == (
+        f"rules={len(slp.rules)} axiom_len={len(slp.axiom)} "
+        f"ratio={len(data) / packed.stat().st_size:.3f}\n"
+    )
+
+
+def test_compress_input_over_the_limit_is_an_input_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(zslp.cli, "MAX_INPUT_BYTES", 16)
+    src = tmp_path / "input.txt"
+    packed = tmp_path / "packed.zslp"
+    src.write_bytes(b"ab\n" * 5 + b"ab")  # 17 bytes
+    assert run_cli(["compress", str(src), "-o", str(packed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("zslp: input error: ")
+    assert captured.err.count("\n") == 1 and "16-byte limit" in captured.err
+    assert not packed.exists()
+    src.write_bytes(b"ab\n" * 5 + b"a")  # 16 bytes: at the limit
+    assert run_cli(["compress", str(src), "-o", str(packed)]) == 0
+    assert expand(decode_slp(packed.read_bytes())) == src.read_bytes()
 
 
 def test_compress_stdin_stdout(tmp_path, monkeypatch, capsysbinary):
@@ -181,6 +221,46 @@ def test_trailing_data_after_axiom_is_a_format_error(tmp_path, capsysbinary, arg
     assert code == 2
     assert captured.err.count(b"\n") == 1
     assert b"format error" in captured.err and b"trailing data" in captured.err
+
+
+def _raw_zslp(pairs, axiom) -> bytes:
+    """ZSLP bytes for the rules and axiom as given, valid or not."""
+    values = [len(pairs)] + [sym for pair in pairs for sym in pair]
+    values += [len(axiom)] + list(axiom)
+    out = bytearray(b"ZSLP\x01")
+    for value in values:
+        while value >= 0x80:
+            out.append(value & 0x7F | 0x80)
+            value >>= 7
+        out.append(value)
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "pairs, axiom",
+    [([(97, 98), (256, 300)], [257]), ([(97, 257)], [256]), ([(97, 98)], [97, 258])],
+    ids=["undefined-rule-symbol", "self-reference", "undefined-axiom-symbol"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "-e", "ab"],
+        ["count", "-e", "x*"],  # every line matches: counted without the automaton
+        ["search", "-e", "ab"],
+        ["stats", "-e", "ab"],
+        ["decompress"],
+    ],
+    ids=["count", "count-every-line", "search", "stats", "decompress"],
+)
+def test_undefined_symbols_are_one_line_errors(tmp_path, capsysbinary, argv, pairs, axiom):
+    packed = tmp_path / "bad.zslp"
+    packed.write_bytes(_raw_zslp(pairs, axiom))
+    assert run_cli(argv + [str(packed)]) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err.count(b"\n") == 1
+    assert captured.err.startswith((b"zslp: format error: ", b"zslp: grammar error: "))
+    assert b"undefined" in captured.err
 
 
 def test_wide_bounded_repeat_counts_like_the_oracle(tmp_path, capsys):

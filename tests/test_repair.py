@@ -1,7 +1,12 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_acceptance import _english_like, _log_like
 
+import zslp.repair
 from zslp.repair import compress, compression_report
 from zslp.slp import encode_slp, expand
 
@@ -46,6 +51,13 @@ def test_compress_empty_rejected():
         compress(b"")
 
 
+def test_compress_rejects_input_over_the_limit(monkeypatch):
+    monkeypatch.setattr(zslp.repair, "MAX_INPUT_BYTES", 8)
+    assert expand(compress(b"abababab")) == b"abababab"
+    with pytest.raises(ValueError, match="exceeds 8 bytes"):
+        compress(b"ababababa")
+
+
 def test_compress_is_deterministic():
     data = b"the cat sat on the mat; the cat sat on the hat\n" * 7
     assert compress(data) == compress(data)
@@ -62,6 +74,75 @@ def nonoverlap_pair_counts(symbols):
         counts[pair] = counts.get(pair, 0) + 1
         last_counted_at[pair] = i
     return counts
+
+
+def reference_repair(data: bytes) -> tuple[list, list]:
+    """RePair by brute force: recount every pair after every replacement.
+
+    The winner is the pair with the most non-overlapping occurrences, ties
+    going to the pair whose first occurrence is leftmost; its occurrences
+    are then replaced greedily from the left.
+    """
+    seq = list(data)
+    rules = []
+    while True:
+        counts = nonoverlap_pair_counts(seq)
+        first_at = {}
+        for i in range(len(seq) - 1):
+            first_at.setdefault((seq[i], seq[i + 1]), i)
+        frequent = [pair for pair, count in counts.items() if count >= 2]
+        if not frequent:
+            return rules, seq
+        best = max(frequent, key=lambda pair: (counts[pair], -first_at[pair]))
+        new_sym = 256 + len(rules)
+        rules.append(best)
+        out = []
+        i = 0
+        while i < len(seq):
+            if i + 1 < len(seq) and (seq[i], seq[i + 1]) == best:
+                out.append(new_sym)
+                i += 2
+            else:
+                out.append(seq[i])
+                i += 1
+        seq = out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(alphabet="ab\n", min_size=1, max_size=300),
+        st.text(alphabet="a", min_size=1, max_size=64),
+        st.text(alphabet="abc", min_size=1, max_size=300),
+    )
+)
+@example("abcabc")
+@example("aaaaaaa")
+@example("ab\nab\nab\nab")
+def test_compress_matches_reference_repair(text):
+    data = text.encode()
+    rules, axiom = reference_repair(data)
+    slp = compress(data)
+    assert slp.rules == tuple(rules)
+    assert slp.axiom == tuple(axiom)
+
+
+# SHA-256 of encode_slp(compress(corpus)) for ~64 KB seeded corpora. The
+# tie-break fixes the output, so no change to RePair's bookkeeping may move it.
+PINNED_DIGESTS = {
+    "log": "ef6e9cc23f23ef3dacc6dd30b017fa03d5e25a98b7dd8f56471a0adc0e4b953f",
+    "english": "b3c9e1282d31201d4ca80b24578ed7e3c20f00cdda96a1e74d9e7c220e7d31e1",
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(PINNED_DIGESTS))
+def test_compress_output_is_pinned(corpus):
+    if corpus == "log":
+        text = _log_like(65536)
+    else:
+        text = _english_like(65536, random.Random(20260809))
+    digest = hashlib.sha256(encode_slp(compress(text))).hexdigest()
+    assert digest == PINNED_DIGESTS[corpus]
 
 
 def test_final_axiom_has_no_frequent_pair():
