@@ -26,7 +26,18 @@ So no transition enters state 0 or leaves the accept state, the shape the
 search engine's saturation relies on (otherwise composed transitions could
 stand for non-contiguous fragments and the counts would drift). Two mask
 sweeps trim the rest, and bytes that enter the same positions share one row
-map (RE2's byte classes)."""
+map (RE2's byte classes).
+
+``compile_pattern`` compiles the pattern's whole-string language, which
+``nfa_accepts`` and the oracle use. Line matching asks only whether some
+factor of a line is in that language, so ``compile_line_pattern``, which
+the CLI's count, search and stats use, first rewrites the pattern's edges
+(``_reduce_line_edges``): at the leading (trailing) edge a part E becomes
+E' when L(E') is a subset of L(E) and every word of E has a suffix (prefix)
+in L(E'). Nullable edge parts go, an edge repeat with minimum m >= 1
+becomes m copies of its item, so ``.{0,512}z`` compiles like ``z`` (2
+states, not 514) and ``stats`` reports the reduced automaton's states.
+Inner parts stay: ``t.{0,200}g`` keeps its 203 states."""
 
 from __future__ import annotations
 
@@ -455,20 +466,90 @@ def _glushkov(ast) -> Fsa:
     return Fsa(len(number), rows_by_byte, matches_empty)
 
 
+def _nullable(node) -> bool:
+    if isinstance(node, ByteSet):
+        return False
+    if isinstance(node, Seq):
+        return all(map(_nullable, node.parts))
+    if isinstance(node, Branch):
+        return any(map(_nullable, node.options))
+    return node.low == 0 or _nullable(node.item)
+
+
+def _reduce_edge(node, leading: bool):
+    """A non-nullable node with its leading (else trailing) edge reduced.
+
+    The result's language is a subset of the node's, and every word of the
+    node has a suffix (else a prefix) in it, so a pattern with this node at
+    that edge matches within the same lines.
+    """
+    # The parts in order, the edge part last: reversed for the leading edge.
+    parts = [node]
+    while True:
+        part = parts.pop()
+        if _nullable(part):
+            continue
+        if isinstance(part, Seq):
+            parts += reversed(part.parts) if leading else part.parts
+        elif isinstance(part, Repeat):  # low >= 1, since it is not nullable
+            parts += [part.item] * part.low
+        else:
+            if isinstance(part, Branch):
+                part = Branch(tuple(_reduce_edge(o, leading) for o in part.options))
+            parts.append(part)
+            break
+    if leading:
+        parts.reverse()
+    return parts[0] if len(parts) == 1 else Seq(tuple(parts))
+
+
+def _reduce_line_edges(ast):
+    """The AST reduced to the part that decides which lines it matches in.
+
+    A line matches when some factor of it is in the pattern's language, so
+    at the leading (trailing) edge a part E may become E' when L(E') is a
+    subset of L(E) and every word of E has a suffix (prefix) in L(E'). A
+    nullable pattern becomes the empty sequence, since every line matches
+    it. Otherwise, at each edge, a nullable part is dropped, a repeat with
+    minimum m becomes m copies of its item, a nested sequence is flattened
+    and each option of a branch is reduced at the same edge, until the edge
+    part is none of these.
+    """
+    if _nullable(ast):
+        return Seq(())
+    return _reduce_edge(_reduce_edge(ast, True), False)
+
+
+def _compile(ast) -> Fsa:
+    fsa = _glushkov(ast)
+    if fsa.state_count == 0 and not fsa.matches_empty:
+        raise NewlinePatternError(
+            "newline in pattern: it cannot match any newline-free string"
+        )
+    return fsa
+
+
 def compile_pattern(pattern: str) -> Fsa:
-    """Compile a pattern into an epsilon-free Fsa.
+    """Compile a pattern into an epsilon-free Fsa of its whole-string language.
 
     Raises PatternSyntaxError for dialect violations and for patterns over
     the size budgets, and NewlinePatternError when every string the pattern
     could match contains a newline (such patterns cannot match within a
     line).
     """
-    fsa = _glushkov(parse_pattern(pattern))
-    if fsa.state_count == 0 and not fsa.matches_empty:
-        raise NewlinePatternError(
-            "newline in pattern: it cannot match any newline-free string"
-        )
-    return fsa
+    return _compile(parse_pattern(pattern))
+
+
+def compile_line_pattern(pattern: str) -> Fsa:
+    """Compile a pattern for line matching, its edges reduced first.
+
+    The automaton matches within the same lines as ``compile_pattern``'s
+    and has the same ``matches_empty``, but its whole-string language may
+    be smaller (``.{0,9}z`` compiles like ``z``; see ``_reduce_line_edges``).
+    Raises as ``compile_pattern`` does, with the size budgets applied to the
+    reduced pattern.
+    """
+    return _compile(_reduce_line_edges(parse_pattern(pattern)))
 
 
 def nfa_accepts(fsa: Fsa, data: bytes) -> bool:

@@ -88,18 +88,12 @@ def matching_lines(info: tuple) -> int:
     return count + ((left + right) if nl else left)
 
 
-def _undefined_symbol(left_id: int) -> InvalidGrammarError:
-    return InvalidGrammarError(
-        f"rule for symbol {left_id} references undefined/later symbol"
-    )
-
-
 def saturate(rule_pairs, fsa: Fsa) -> tuple[list, list]:
     """Counting tuples and relations of every symbol, indexed by symbol id.
 
-    ``rule_pairs`` yields ``(first, second)`` per rule in definition order
-    and is consumed once; a rule naming an undefined or later symbol raises
-    InvalidGrammarError. Raises the compiler's "pattern too large"
+    ``rule_pairs`` yields valid ``(first, second)`` pairs in definition
+    order (an ``Slp``'s rules or ``ZslpReader.iter_rules``, which check
+    them) and is consumed once. Raises the compiler's "pattern too large"
     PatternSyntaxError once the rules' relations outgrow MAX_RELATION_WORDS.
     """
     final = fsa.final
@@ -113,9 +107,6 @@ def saturate(rule_pairs, fsa: Fsa) -> tuple[list, list]:
         infos.append((byte == NEWLINE, hit, hit, 0))
 
     for first, second in rule_pairs:
-        left_id = len(rels)
-        if not 0 <= first < left_id or not 0 <= second < left_id:
-            raise _undefined_symbol(left_id)
         rel_b = rels[second]
         rel = {}
         new_match = False
@@ -177,9 +168,6 @@ def _line_count_arithmetic(rule_pairs, read_axiom) -> int:
     newline_counts = [1 if byte == NEWLINE else 0 for byte in range(256)]
     ends_with_newline = [byte == NEWLINE for byte in range(256)]
     for first, second in rule_pairs:
-        left_id = len(newline_counts)
-        if not 0 <= first < left_id or not 0 <= second < left_id:
-            raise _undefined_symbol(left_id)
         newline_counts.append(newline_counts[first] + newline_counts[second])
         ends_with_newline.append(ends_with_newline[second])
     axiom = read_axiom()
@@ -190,9 +178,10 @@ def _line_count_arithmetic(rule_pairs, read_axiom) -> int:
 def run_count(rule_pairs, read_axiom, fsa: Fsa) -> int:
     """Streaming form of ``count_matching_lines``.
 
-    ``rule_pairs`` is consumed one rule at a time; ``read_axiom`` is a
-    zero-argument callable invoked only after the last rule, so a caller can
-    hand over a decoder that produces both from a single pass over a stream.
+    ``rule_pairs`` yields valid pairs, as for ``saturate``, and is consumed
+    one rule at a time; ``read_axiom`` is a zero-argument callable invoked
+    only after the last rule, so a caller can hand over a decoder that
+    produces both from a single pass over a stream.
     """
     if fsa.matches_empty:
         # Every line matches; count lines without touching the automaton.

@@ -234,11 +234,11 @@ class ZslpReader:
 
     The stream is read once, and the header and the rules' symbol ids are
     decoded from that buffer on construction. ``iter_rules`` must be
-    exhausted before ``read_axiom`` is called. ``iter_rules`` yields the
-    pairs as stored, and its consumer (``saturate``, the engine's line
-    count) checks each rule as it takes it; ``read_axiom`` checks the
-    axiom's symbols and rejects bytes after the axiom; ``read_slp`` leaves
-    both checks to ``Slp``.
+    exhausted before ``read_axiom`` is called. ``iter_rules`` checks each
+    rule before it yields it, so its consumers (``saturate``, the engine's
+    line count) take valid pairs; ``read_axiom`` checks the axiom's symbols
+    and rejects bytes after the axiom; ``read_slp`` leaves both checks to
+    ``Slp``.
     """
 
     def __init__(self, stream: BinaryIO):
@@ -257,11 +257,20 @@ class ZslpReader:
         self._rules_read = 0
 
     def iter_rules(self) -> Iterator[tuple[int, int]]:
-        """Yield (first, second) for each rule, in definition order, unchecked."""
+        """Yield (first, second) for each rule, in definition order.
+
+        Raises InvalidGrammarError at the first rule that names its own or
+        a later symbol (varints are never negative).
+        """
         symbols = iter(self._rule_symbols)
-        for pair in zip(symbols, symbols):
+        for first, second in zip(symbols, symbols):
+            left_id = FIRST_VARIABLE + self._rules_read
+            if first >= left_id or second >= left_id:
+                raise InvalidGrammarError(
+                    f"rule for symbol {left_id} references undefined/later symbol"
+                )
             self._rules_read += 1
-            yield pair
+            yield first, second
 
     def _axiom_symbols(self) -> list:
         (length,), pos = _read_uvarints(self._data, self._pos, 1)

@@ -10,10 +10,11 @@ from conftest import compiled_random_pattern, random_pattern
 from zslp.automaton import (
     NewlinePatternError,
     PatternSyntaxError,
+    compile_line_pattern,
     compile_pattern,
     nfa_accepts,
 )
-from zslp.oracle import backtrack_match
+from zslp.oracle import backtrack_match, line_matches
 
 
 def language_upto(fsa, alphabet: bytes, max_len: int):
@@ -228,3 +229,83 @@ def test_bytes_pattern_accepted():
 def test_wide_characters_rejected():
     with pytest.raises(PatternSyntaxError):
         compile_pattern("aΔ")
+
+
+# ---------------------------------------------------------------------------
+# Line-edge reduction
+
+
+def automaton_shape(fsa):
+    return fsa.state_count, fsa.matches_empty, sorted(fsa.iter_transitions())
+
+
+@pytest.mark.parametrize(
+    "pattern, states, reduced_like",
+    [
+        (".{0,512}z", 2, "z"),
+        ("[a-z]{2,20}\\.ico", 7, "[a-z]{2}\\.ico"),
+        ("(x*a|b)c", 4, "(a|b)c"),
+        ("(.{0,5}ab)+c", 4, "abc"),
+        ("(a{2,3}){2,}", 5, "aaaa"),
+        ("a|b*", 0, ""),
+        ("\n*a", 2, "a"),
+    ],
+)
+def test_line_edges_are_reduced(pattern, states, reduced_like):
+    fsa = compile_line_pattern(pattern)
+    assert fsa.state_count == states
+    assert automaton_shape(fsa) == automaton_shape(compile_pattern(reduced_like))
+    assert fsa.matches_empty == compile_pattern(pattern).matches_empty
+
+
+def test_line_edge_reduction_keeps_the_newline_check():
+    with pytest.raises(NewlinePatternError):
+        compile_line_pattern("a\n{1,3}")
+    with pytest.raises(NewlinePatternError):
+        compile_line_pattern("\n+(b|a*)")
+
+
+def test_compile_pattern_keeps_the_whole_string_language():
+    assert nfa_accepts(compile_pattern("a*b"), b"aab")
+    assert not nfa_accepts(compile_line_pattern("a*b"), b"aab")
+    assert nfa_accepts(compile_line_pattern("a*b"), b"b")
+
+
+def _repeat_operator():
+    return st.one_of(
+        st.sampled_from(["*", "+", "?"]),
+        st.integers(0, 3).map("{{{}}}".format),
+        st.integers(0, 3).map("{{{},}}".format),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)).map(
+            lambda t: "{%d,%d}" % (t[0], t[0] + t[1])
+        ),
+    )
+
+
+def _compound(inner):
+    return st.one_of(
+        st.lists(inner, min_size=2, max_size=3).map("".join),
+        st.lists(inner, min_size=2, max_size=3).map(lambda o: "(" + "|".join(o) + ")"),
+        st.tuples(inner, _repeat_operator()).map(lambda t: "(" + t[0] + ")" + t[1]),
+    )
+
+
+ATOMS = st.sampled_from(["a", "b", ".", "[ab]", "[^a]", "\n", "()"])
+PATTERNS = st.recursive(ATOMS, _compound, max_leaves=8)
+LINES = st.lists(st.sampled_from(b"abc"), max_size=8).map(bytes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PATTERNS, st.lists(LINES, min_size=1, max_size=8))
+def test_line_edge_reduction_keeps_the_matching_lines(pattern, lines):
+    try:
+        fsa = compile_pattern(pattern)
+    except NewlinePatternError:
+        with pytest.raises(NewlinePatternError):
+            compile_line_pattern(pattern)
+        return
+    reduced = compile_line_pattern(pattern)
+    assert reduced.matches_empty == fsa.matches_empty
+    assert reduced.state_count <= fsa.state_count
+    for line in lines:
+        assert line_matches(reduced, line) == line_matches(fsa, line), (pattern, line)

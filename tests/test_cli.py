@@ -12,7 +12,7 @@ from conftest import EXAMPLE_AXIOM, EXAMPLE_PAIRS
 import zslp.cli
 import zslp.repair
 from zslp.cli import run_cli
-from zslp.oracle import oracle_count
+from zslp.oracle import oracle_count, oracle_lines
 from zslp.repair import compress
 from zslp.slp import Slp, SlpFormatError, decode_slp, encode_slp, expand
 
@@ -278,7 +278,7 @@ def test_wide_bounded_repeat_counts_like_the_oracle(tmp_path, capsys):
 @pytest.mark.parametrize(
     "pattern, message",
     [
-        ("((.?){512}){4}z", "too large"),
+        ("a((.?){512}){4}z", "too large"),
         ("((" + "()" * 500 + "a){512}){39}", "too large"),
         ("(((\n{512}){512}){512}){512}", "newline"),
     ],
@@ -294,6 +294,24 @@ def test_huge_pattern_is_a_pattern_error(example_file, capsys, pattern, message)
     assert captured.err.count("\n") == 1
     assert "pattern error" in captured.err and message in captured.err
     assert elapsed < 10
+
+
+def test_edge_blow_up_reduces_to_its_core(tmp_path, capsysbinary):
+    # Only "z" decides which lines match; the blow-up at the leading edge
+    # is not compiled (with "a" in front, the pattern above is too large).
+    text = b"z\n" + b"a" * 600 + b"z\n" + b"b" * 300 + b"\nzz\ny\n"
+    src = tmp_path / "edge.txt"
+    src.write_bytes(text)
+    packed = str(tmp_path / "edge.zslp")
+    assert run_cli(["compress", str(src), "-o", packed]) == 0
+    capsysbinary.readouterr()
+    pattern = "((.?){512}){4}z"
+    assert run_cli(["count", "-e", pattern, packed]) == 0
+    assert capsysbinary.readouterr().out == b"%d\n" % oracle_count(text, "z")
+    assert run_cli(["search", "-e", pattern, packed]) == 0
+    assert capsysbinary.readouterr().out == b"".join(
+        line + b"\n" for line in oracle_lines(text, "z")
+    )
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +341,20 @@ def test_wide_pattern_matching_empty_prints_every_line(log_file, capsysbinary):
     assert run_cli(["count", "-e", pattern, log_file]) == 0
     captured = capsysbinary.readouterr()
     assert captured.out == b"%d\n" % text.count(b"\n") and captured.err == b""
+
+
+@pytest.mark.parametrize(
+    "pattern", [".{0,32}z", "[a-z]{2,20}\\.ico", '1\\.1" [0-9]{3} 10[0-9]{1,8}']
+)
+def test_edge_reduced_patterns_agree_with_the_oracle(log_file, capsysbinary, pattern):
+    with open(log_file, "rb") as stream:
+        text = expand(decode_slp(stream.read()))
+    lines = oracle_lines(text, pattern)
+    code = 0 if lines else 1
+    assert run_cli(["count", "-e", pattern, log_file]) == code
+    assert capsysbinary.readouterr().out == b"%d\n" % len(lines)
+    assert run_cli(["search", "-e", pattern, log_file]) == code
+    assert capsysbinary.readouterr().out == b"".join(line + b"\n" for line in lines)
 
 
 @pytest.mark.parametrize("command", ["count", "search", "stats"])

@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 
@@ -27,7 +28,7 @@ from zslp.engine import (
 )
 from zslp.oracle import oracle_count
 from zslp.repair import compress
-from zslp.slp import InvalidGrammarError, Slp, expand_symbol
+from zslp.slp import InvalidGrammarError, Slp, ZslpReader, expand_symbol
 
 
 def run_engine(slp, fsa):
@@ -145,8 +146,12 @@ def test_example_with_top_rule(ab_ba_fsa):
 
 
 def test_rule_referencing_later_symbol_rejected(ab_ba_fsa):
-    with pytest.raises(InvalidGrammarError):
-        saturate([(300, 97)], ab_ba_fsa)
+    # The streamed path's one rule check is ZslpReader.iter_rules. The
+    # stream holds one rule, (300, 97), and the axiom 256.
+    reader = ZslpReader(io.BytesIO(b"ZSLP\x01\x01\xac\x02\x61\x01\x80\x02"))
+    match = "rule for symbol 256 references undefined/later symbol"
+    with pytest.raises(InvalidGrammarError, match=match):
+        run_count(reader.iter_rules(), reader.read_axiom, ab_ba_fsa)
 
 
 # ---------------------------------------------------------------------------
