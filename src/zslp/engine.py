@@ -20,11 +20,12 @@ across the seam of A and B. This is bit-parallel NFA simulation
 (Baeza-Yates & Gonnet's Shift-Or; Navarro & Raffinot, *Flexible Pattern
 Matching in Strings*) lifted from bytes to grammar symbols.
 
-``fold`` runs the axiom left to right carrying one int: the states reachable
-from state 0 by reading some suffix of the prefix expanded so far (the
-accept state, once entered, is kept). Counting, the match decision and
-the statistics use this one saturate/fold path; the reporter walks the
-grammar over the same saturated tables.
+``fold`` runs the axiom left to right carrying the reached states as one
+int (the states reachable from state 0 by reading some suffix of the prefix
+expanded so far; the accept state, once entered, is kept) and the counting
+tuple's fields as plain scalars, building the tuple once at the end.
+Counting, the match decision and the statistics use this one saturate/fold
+path; the reporter walks the grammar over the same saturated tables.
 
 The engine requires automata with no transitions entering state 0 or
 leaving the accept state, the shape the pattern compiler produces and
@@ -144,19 +145,45 @@ def fold(
     the expansion so far, the accept state included once entered. With
     ``early_exit`` the fold stops as soon as the accept state is reached.
     ``start`` is the result of folding the symbols before ``axiom``.
+
+    The loop carries scalars, not a counting tuple: ``nl`` (a newline has
+    been read), ``left`` (the first line matched), ``line`` (the current
+    line matched so far), ``count`` (closed lines matched) and ``reached``.
+    Rows are looked up only for the middle states of ``reached``. The
+    counting tuple is built once, at the end; without a newline the first
+    line is the current one.
     """
     if not axiom:
         raise InvalidGrammarError("empty axiom")
     final = fsa.final
-    info, reached = start
+    middle = ~final
+    (nl, left, line, count), reached = start
     for sym in axiom:
         rel = rels[sym]
-        through = union_rows(reached & ~final, rel)
-        info = combine(info, infos[sym], through & final != 0)
-        reached = through | reached & final | rel.get(0, 0)
+        if reached & middle:
+            through = union_rows(reached & middle, rel)
+            hit = through & final != 0
+            reached = through | reached & final | rel.get(0, 0)
+        else:
+            hit = False
+            reached = reached & final | rel.get(0, 0)
+        sym_nl, sym_left, sym_right, sym_count = infos[sym]
+        if sym_nl:
+            # The current line closes inside this symbol.
+            if nl:
+                count += line or sym_left or hit
+            else:
+                nl = True
+                left = line or sym_left or hit
+            line = sym_right
+            count += sym_count
+        elif not line:
+            line = sym_left or hit
         if early_exit and reached & final:
             break
-    return info, reached
+    if not nl:
+        left = line
+    return (nl, left, line, count), reached
 
 
 def _line_count_arithmetic(rule_pairs, read_axiom) -> int:
@@ -217,7 +244,8 @@ class SearchStats:
     transition pairs: for ``X -> A B``, B's pairs, plus s, plus one per pair
     (q1, q) of A and one per pair leaving q in B; for an axiom symbol, its
     pairs. ``measured_ops`` counts the word operations the engine performs:
-    one per tuple combination and one for the row of state 0 (when the
+    one per counting update (a tuple combination for a rule, the line flags
+    and count for an axiom symbol) and one for the row of state 0 (when the
     automaton has states), plus one per row of A and per middle bit of it
     for a rule, and one per middle state reached before an axiom symbol.
     """

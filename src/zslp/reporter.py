@@ -109,14 +109,16 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
             # A newline-free symbol joins the line whole: one mask step.
             parts.append(sym)
             if not matched:
-                reachable = union_rows(reachable, rel) | rel.get(0, 0)
+                if reachable:
+                    reachable = union_rows(reachable, rel)
+                reachable |= rel.get(0, 0)
                 matched = reachable & final != 0
             continue
         if (
             prune
             and not matched
             and info == _SILENT
-            and not union_rows(reachable, rel) & final
+            and not (reachable and union_rows(reachable, rel) & final)
         ):
             # Nothing of this subtree can sit in a matching line; skip it.
             parts.clear()

@@ -16,6 +16,7 @@ from conftest import (
 )
 from zslp.automaton import compile_pattern
 from zslp.engine import (
+    EMPTY_INFO,
     combine,
     collect_stats,
     contains_match,
@@ -25,6 +26,7 @@ from zslp.engine import (
     nearest_rank_percentiles,
     run_count,
     saturate,
+    union_rows,
 )
 from zslp.oracle import oracle_count
 from zslp.repair import compress
@@ -173,6 +175,71 @@ def test_axiom_fold_newlines_only(ab_ba_fsa):
     _, _, info, total = run_engine(Slp([], [0x0A, 0x0A]), ab_ba_fsa)
     assert info == (True, False, False, 0)
     assert total == 0
+    # a rule deriving newlines, then a newline: "\n\n\n", no line matches
+    _, _, info, total = run_engine(Slp([(0x0A, 0x0A)], [256, 0x0A]), ab_ba_fsa)
+    assert info == (True, False, False, 0)
+    assert total == 0
+
+
+def reference_fold(axiom, infos, rels, fsa, early_exit=False, start=(EMPTY_INFO, 0)):
+    """The fold as one ``combine`` per axiom symbol, for comparison."""
+    final = fsa.final
+    info, reached = start
+    for sym in axiom:
+        rel = rels[sym]
+        through = union_rows(reached & ~final, rel)
+        info = combine(info, infos[sym], through & final != 0)
+        reached = through | reached & final | rel.get(0, 0)
+        if early_exit and reached & final:
+            break
+    return info, reached
+
+
+@pytest.mark.parametrize(
+    "rules, axiom, expected",
+    [
+        # "ab\na": "ab" crosses the seam between a and "b\na" in the first line
+        ([(98, 10), (256, 97)], [97, 257], (True, True, False, 0)),
+        # "b\nab\nba": no trailing newline, the last line matches and stays open
+        ([(97, 98), (10, 256), (98, 97)], [98, 257, 10, 258], (True, False, True, 1)),
+    ],
+)
+def test_fold_directed_cases(ab_ba_fsa, rules, axiom, expected):
+    slp = Slp(rules, axiom)
+    infos, rels = saturate(slp.rules, ab_ba_fsa)
+    assert fold(slp.axiom, infos, rels, ab_ba_fsa)[0] == expected
+
+
+def test_fold_early_exit_stops_mid_axiom(ab_ba_fsa):
+    # "b\nab\nab": the fold stops on the b that completes the first match
+    axiom = [98, 10, 97, 98, 10, 97, 98]
+    infos, rels = saturate([], ab_ba_fsa)
+    info, reached = fold(axiom, infos, rels, ab_ba_fsa, early_exit=True)
+    assert info == (True, False, True, 0)
+    assert reached & ab_ba_fsa.final
+    assert fold(axiom, infos, rels, ab_ba_fsa)[0] == (True, False, True, 1)
+
+
+def test_fold_matches_reference_fold():
+    rng = random.Random(1010)
+    for _ in range(1200):
+        _, fsa = compiled_random_pattern(rng, max_states=12)
+        slp = random_grammar(rng)
+        symbols = [97, 98, 10] + list(range(256, 256 + len(slp.rules)))
+        axiom = list(slp.axiom) + [rng.choice(symbols) for _ in range(rng.randrange(0, 20))]
+        infos, rels = saturate(slp.rules, fsa)
+        args = (infos, rels, fsa)
+        assert fold(axiom, *args) == reference_fold(axiom, *args)
+        assert fold(axiom, *args, early_exit=True) == reference_fold(
+            axiom, *args, early_exit=True
+        )
+        if len(axiom) > 1:
+            cut = rng.randrange(1, len(axiom))
+            head = fold(axiom[:cut], *args)
+            assert head == reference_fold(axiom[:cut], *args)
+            assert fold(axiom[cut:], *args, start=head) == reference_fold(
+                axiom[cut:], *args, start=head
+            )
 
 
 def test_axiom_of_length_one(ab_ba_fsa):
