@@ -10,16 +10,19 @@ grammar derives is the concatenation of the axiom symbols' expansions. A
 length-1 axiom is allowed so that one-byte inputs have a representation.
 ``Slp`` checks these invariants once, when it is built.
 
-The "ZSLP" binary format:
+The "ZSLP" binary format (version 2):
 
-    magic "ZSLP" | version byte (1) | varint rule count p
-    | p * (varint first, varint second)      -- left ids are implicit/dense
-    | varint axiom length | varints axiom symbols
+    magic "ZSLP" | version byte (2) | varint rule count p | varint axiom length n
+    | id width byte w | 2p rule ids (first, second per rule) | n axiom ids
 
-Varints are unsigned LEB128 (7 bits per byte, little-endian, high bit =
-continuation). Rules are stored before the axiom and in definition order, so
-a consumer can process them one at a time without building the whole
-grammar. Nothing may follow the axiom.
+Left ids are implicit (dense numbering). The two counts are unsigned LEB128
+varints (7 bits per byte, little-endian, high bit = continuation). Every
+symbol id is w bytes, little-endian: w is 2 when all ids fit (256 + p <=
+65,536), otherwise 4. The ids form one fixed-width array, so a reader
+decodes them with ``array.frombytes`` and checks the stream's length by
+arithmetic before it allocates anything. Rules are stored before the axiom
+and in definition order; nothing may follow the axiom. Version 1, which
+wrote every id as a varint, is no longer read.
 
 ``iter_expand`` copies short expansions instead of walking them. On its
 first expansion that is not empty, an ``Slp`` builds a table of them in one
@@ -35,13 +38,20 @@ search that writes nothing never build the table.
 from __future__ import annotations
 
 import io
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import ge
 from typing import BinaryIO, Iterator
 
 FIRST_VARIABLE = 256
 MAGIC = b"ZSLP"
-VERSION = 1
+VERSION = 2
+# Array typecode per id width in bytes; ids are stored little-endian.
+_ID_TYPECODES = {array(code).itemsize: code for code in "LIH"}
+_BIG_ENDIAN = sys.byteorder == "big"
 # Bytes per chunk that ``iter_expand`` yields (all chunks but the last).
 CHUNK_SIZE = 65536
 # Longest expansion stored per symbol, and the most bytes stored per grammar.
@@ -83,12 +93,16 @@ class Slp:
         object.__setattr__(self, "rules", tuple(self.rules))
         object.__setattr__(self, "axiom", tuple(self.axiom))
         limit = FIRST_VARIABLE + len(self.rules)
-        violations = [
-            f"rule {i + 1} references undefined/later symbol {sym}"
-            for i, (first, second) in enumerate(self.rules)
-            for sym in (first, second)
-            if not 0 <= sym < FIRST_VARIABLE + i
-        ]
+        violations = []
+        if self.rules:
+            firsts, seconds = zip(*self.rules)
+            if min(firsts) < 0 or min(seconds) < 0 or _forward_reference(firsts, seconds):
+                violations = [
+                    f"rule {i + 1} references undefined/later symbol {sym}"
+                    for i, (first, second) in enumerate(self.rules)
+                    for sym in (first, second)
+                    if not 0 <= sym < FIRST_VARIABLE + i
+                ]
         if not self.axiom:
             violations.append("empty axiom")
         elif min(self.axiom) < 0 or max(self.axiom) >= limit:
@@ -124,6 +138,12 @@ class Slp:
             append(None)
         short += [None] * (FIRST_VARIABLE + len(self.rules) - len(short))
         return tuple(short)
+
+
+def _forward_reference(firsts, seconds) -> bool:
+    """Whether some rule i names symbol 256 + i or a later one."""
+    lefts = range(FIRST_VARIABLE, FIRST_VARIABLE + len(firsts))
+    return any(map(ge, firsts, lefts)) or any(map(ge, seconds, lefts))
 
 
 def expand_symbol(slp: Slp, sym: int) -> bytes:
@@ -174,8 +194,6 @@ def iter_expand(slp: Slp, symbols=None) -> Iterator[bytes]:
 
 
 def _write_uvarint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"varint value must be non-negative, got {value}")
     while True:
         byte = value & 0x7F
         value >>= 7
@@ -186,63 +204,52 @@ def _write_uvarint(out: bytearray, value: int) -> None:
             return
 
 
-def _read_uvarints(data: bytes, pos: int, count: int) -> tuple[list, int]:
-    """Decode ``count`` varints from ``pos``; returns them and the end position."""
-    values = []
-    append = values.append
-    try:
-        for _ in range(count):
-            byte = data[pos]
-            pos += 1
-            if byte < 0x80:
-                append(byte)
-                continue
-            value = byte & 0x7F
-            shift = 7
-            while True:
-                byte = data[pos]
-                pos += 1
-                value |= (byte & 0x7F) << shift
-                if byte < 0x80:
-                    break
-                shift += 7
-                if shift > 63:
-                    raise SlpFormatError("varint too long")
-            append(value)
-    except IndexError:
-        raise TruncatedStreamError("stream ended inside a varint") from None
-    return values, pos
+def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
+    """Decode one header varint at ``pos``; returns it and the end position."""
+    value = shift = 0
+    while True:
+        if pos == len(data):
+            raise TruncatedStreamError("stream ended inside a varint")
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, pos
+        shift += 7
+        if shift > 63:
+            raise SlpFormatError("varint too long")
 
 
 def encode_slp(slp: Slp) -> bytes:
     """Serialise a grammar to the ZSLP byte format."""
-    out = bytearray()
-    out += MAGIC
+    width = 2 if FIRST_VARIABLE + len(slp.rules) <= 1 << 16 else 4
+    ids = array(_ID_TYPECODES[width], chain.from_iterable(slp.rules))
+    ids.extend(slp.axiom)
+    if _BIG_ENDIAN:
+        ids.byteswap()
+    out = bytearray(MAGIC)
     out.append(VERSION)
     _write_uvarint(out, len(slp.rules))
-    for first, second in slp.rules:
-        _write_uvarint(out, first)
-        _write_uvarint(out, second)
     _write_uvarint(out, len(slp.axiom))
-    for sym in slp.axiom:
-        _write_uvarint(out, sym)
+    out.append(width)
+    out += ids.tobytes()
     return bytes(out)
 
 
 class ZslpReader:
-    """ZSLP reader: rules come one at a time, then the axiom.
+    """ZSLP reader: rules come first, then the axiom.
 
-    The stream is read once, and the header and the rules' symbol ids are
-    decoded from that buffer on construction. ``iter_rules`` must be
-    exhausted before ``read_axiom`` is called. ``iter_rules`` checks each
-    rule before it yields it, so its consumers (``saturate``, the engine's
-    line count) take valid pairs; ``read_axiom`` checks the axiom's symbols
-    and rejects bytes after the axiom; ``read_slp`` leaves both checks to
-    ``Slp``.
+    The stream is read once on construction, which checks the header and
+    the stream's length and decodes every symbol id into one array.
+    ``iter_rules`` must be exhausted before ``read_axiom`` is called. It
+    checks all the rules before it yields the first, so its
+    consumers (``saturate``, the engine's line count) take valid pairs;
+    ``read_axiom`` checks the axiom's symbols; ``read_slp`` leaves both
+    checks to ``Slp``.
     """
 
     def __init__(self, stream: BinaryIO):
-        data = self._data = stream.read()
+        data = stream.read()
         magic = data[: len(MAGIC)]
         if len(magic) < len(MAGIC):
             raise TruncatedStreamError("stream ended inside the magic")
@@ -252,50 +259,64 @@ class ZslpReader:
             raise TruncatedStreamError("stream ended before the version byte")
         if data[len(MAGIC)] != VERSION:
             raise SlpFormatError(f"unsupported version {data[len(MAGIC)]}")
-        (self.rule_count,), pos = _read_uvarints(data, len(MAGIC) + 1, 1)
-        self._rule_symbols, self._pos = _read_uvarints(data, pos, 2 * self.rule_count)
-        self._rules_read = 0
+        self.rule_count, pos = _read_uvarint(data, len(MAGIC) + 1)
+        axiom_len, pos = _read_uvarint(data, pos)
+        if pos == len(data):
+            raise TruncatedStreamError("stream ended before the id width byte")
+        width = data[pos]
+        if width not in (2, 4):
+            raise SlpFormatError(f"unsupported id width {width}")
+        pos += 1
+        end = pos + width * (2 * self.rule_count + axiom_len)
+        if len(data) < end:
+            raise TruncatedStreamError("stream ended inside the symbol ids")
+        if len(data) > end:
+            raise SlpFormatError("trailing data after axiom")
+        if axiom_len == 0:
+            raise SlpFormatError("empty axiom")
+        ids = self._ids = array(_ID_TYPECODES[width])
+        ids.frombytes(memoryview(data)[pos:])
+        if _BIG_ENDIAN:
+            ids.byteswap()
+        self._rules_pending = self.rule_count > 0
 
     def iter_rules(self) -> Iterator[tuple[int, int]]:
         """Yield (first, second) for each rule, in definition order.
 
-        Raises InvalidGrammarError at the first rule that names its own or
-        a later symbol (varints are never negative).
+        Before the first rule, raises InvalidGrammarError naming the first
+        rule that refers to its own or a later symbol (ids are unsigned).
         """
-        symbols = iter(self._rule_symbols)
-        for first, second in zip(symbols, symbols):
-            left_id = FIRST_VARIABLE + self._rules_read
-            if first >= left_id or second >= left_id:
-                raise InvalidGrammarError(
-                    f"rule for symbol {left_id} references undefined/later symbol"
-                )
-            self._rules_read += 1
-            yield first, second
-
-    def _axiom_symbols(self) -> list:
-        (length,), pos = _read_uvarints(self._data, self._pos, 1)
-        if length == 0:
-            raise SlpFormatError("empty axiom")
-        axiom, pos = _read_uvarints(self._data, pos, length)
-        if pos != len(self._data):
-            raise SlpFormatError("trailing data after axiom")
-        return axiom
+        end = 2 * self.rule_count
+        firsts = self._ids[0:end:2]
+        seconds = self._ids[1:end:2]
+        if _forward_reference(firsts, seconds):
+            left_id = next(
+                left
+                for left, (first, second) in enumerate(zip(firsts, seconds), FIRST_VARIABLE)
+                if first >= left or second >= left
+            )
+            raise InvalidGrammarError(
+                f"rule for symbol {left_id} references undefined/later symbol"
+            )
+        yield from zip(firsts, seconds)
+        self._rules_pending = False
 
     def read_axiom(self) -> tuple[int, ...]:
-        if self._rules_read < self.rule_count:
+        if self._rules_pending:
             raise SlpFormatError("axiom read before all rules were consumed")
-        axiom = self._axiom_symbols()
+        axiom = tuple(self._ids[2 * self.rule_count :])
         limit = FIRST_VARIABLE + self.rule_count
         if max(axiom) >= limit:
             bad = next(sym for sym in axiom if sym >= limit)
             raise SlpFormatError(f"axiom references undefined symbol {bad}")
-        return tuple(axiom)
+        return axiom
 
     def read_slp(self) -> Slp:
         """Read every rule and the axiom and return the grammar."""
-        symbols = iter(self._rule_symbols)
+        end = 2 * self.rule_count
+        rules = tuple(zip(self._ids[0:end:2], self._ids[1:end:2]))
         try:
-            return Slp(list(zip(symbols, symbols)), self._axiom_symbols())
+            return Slp(rules, self._ids[end:])
         except InvalidGrammarError as exc:
             raise SlpFormatError(str(exc)) from None
 

@@ -224,16 +224,34 @@ def test_trailing_data_after_axiom_is_a_format_error(tmp_path, capsysbinary, arg
 
 
 def _raw_zslp(pairs, axiom) -> bytes:
-    """ZSLP bytes for the rules and axiom as given, valid or not."""
-    values = [len(pairs)] + [sym for pair in pairs for sym in pair]
-    values += [len(axiom)] + list(axiom)
-    out = bytearray(b"ZSLP\x01")
-    for value in values:
-        while value >= 0x80:
-            out.append(value & 0x7F | 0x80)
-            value >>= 7
-        out.append(value)
+    """ZSLP bytes for the rules and axiom as given, valid or not.
+
+    Both counts must be below 128 (one-byte varints); ids are 2 bytes wide.
+    """
+    ids = [sym for pair in pairs for sym in pair] + list(axiom)
+    out = bytearray(b"ZSLP\x02")
+    out += bytes((len(pairs), len(axiom), 2))
+    for sym in ids:
+        out += sym.to_bytes(2, "little")
     return bytes(out)
+
+
+# The version-1 stream of rule (97, 98) and axiom 256 256: every id a varint.
+VERSION_1_ZSLP = bytes.fromhex("5a534c50010161620280028002")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "-e", "ab"], ["search", "-e", "ab"], ["stats", "-e", "ab"], ["decompress"]],
+    ids=["count", "search", "stats", "decompress"],
+)
+def test_version_1_stream_is_a_format_error(tmp_path, capsysbinary, argv):
+    packed = tmp_path / "old.zslp"
+    packed.write_bytes(VERSION_1_ZSLP)
+    assert run_cli(argv + [str(packed)]) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err == b"zslp: format error: unsupported version 1\n"
 
 
 @pytest.mark.parametrize(

@@ -150,7 +150,7 @@ def test_example_with_top_rule(ab_ba_fsa):
 def test_rule_referencing_later_symbol_rejected(ab_ba_fsa):
     # The streamed path's one rule check is ZslpReader.iter_rules. The
     # stream holds one rule, (300, 97), and the axiom 256.
-    reader = ZslpReader(io.BytesIO(b"ZSLP\x01\x01\xac\x02\x61\x01\x80\x02"))
+    reader = ZslpReader(io.BytesIO(b"ZSLP\x02\x01\x01\x02\x2c\x01\x61\x00\x00\x01"))
     match = "rule for symbol 256 references undefined/later symbol"
     with pytest.raises(InvalidGrammarError, match=match):
         run_count(reader.iter_rules(), reader.read_axiom, ab_ba_fsa)

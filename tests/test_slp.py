@@ -2,6 +2,7 @@ import io
 import random
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,8 @@ from conftest import (
     random_grammar,
 )
 from zslp.automaton import compile_pattern
-from zslp.engine import collect_stats, contains_match, count_matching_lines
+from zslp.engine import collect_stats, contains_match, count_matching_lines, run_count
+from zslp.oracle import oracle_count
 from zslp.repair import compress
 from zslp.reporter import report_matching_lines
 from zslp.slp import (
@@ -144,12 +146,16 @@ def test_iter_expand_matches_expand():
     assert list(iter_expand(slp, ())) == [] and expand(slp, (257, 97)) == b"ab\na"
 
 
-GOLDEN = bytes.fromhex("5a534c50010161620280028002")
+# Rule (97, 98), axiom 256 256: magic, version 2, p = 1, n = 2, width 2,
+# then the ids 97 98 256 256 as little-endian 16-bit words.
+GOLDEN = bytes.fromhex("5a534c50" "02" "01" "02" "02" "6100" "6200" "0001" "0001")
 
 
 def test_encode_golden_bytes():
     slp = Slp([(97, 98)], [256, 256])
     assert encode_slp(slp) == GOLDEN
+    # Little-endian on every host: 256 is stored low byte first.
+    assert GOLDEN[-2:] == (256).to_bytes(2, "little") == b"\x00\x01"
 
 
 def test_decode_golden_bytes():
@@ -180,17 +186,14 @@ def test_decode_bad_version():
 
 
 def test_decode_rejects_forward_reference():
-    # one rule referencing symbol 300
-    bad = bytearray(b"ZSLP\x01\x01")
-    bad += bytes([0xAC, 0x02])  # varint 300
-    bad += b"\x61"
-    bad += b"\x01" + bytes([0x80, 0x02])
+    # one rule, (300, 97), and the axiom 256
+    bad = b"ZSLP\x02\x01\x01\x02" + bytes([0x2C, 0x01, 0x61, 0x00, 0x00, 0x01])
     with pytest.raises(SlpFormatError, match="undefined/later"):
-        decode_slp(bytes(bad))
+        decode_slp(bad)
 
 
 def test_decode_rejects_empty_axiom():
-    bad = b"ZSLP\x01\x00\x00"
+    bad = b"ZSLP\x02\x00\x00\x02"
     with pytest.raises(SlpFormatError, match="empty axiom"):
         decode_slp(bad)
 
@@ -202,7 +205,57 @@ def test_decode_rejects_trailing_data():
 
 def test_decode_rejects_overlong_varint():
     with pytest.raises(SlpFormatError, match="varint too long"):
-        decode_slp(b"ZSLP\x01" + b"\x80" * 12)
+        decode_slp(b"ZSLP\x02" + b"\x80" * 12)
+
+
+def test_decode_rejects_version_1():
+    with pytest.raises(SlpFormatError, match="unsupported version 1"):
+        decode_slp(bytes.fromhex("5a534c50010161620280028002"))
+
+
+@pytest.mark.parametrize("width", [0, 1, 3, 8, 255])
+def test_decode_rejects_other_id_widths(width):
+    data = bytearray(GOLDEN)
+    data[7] = width
+    with pytest.raises(SlpFormatError, match=f"^unsupported id width {width}$"):
+        decode_slp(bytes(data))
+
+
+def test_huge_declared_length_fails_before_allocating():
+    # The header declares 2**40 rules; the stream holds 20 bytes in all.
+    header = b"ZSLP\x02" + bytes([0x80] * 5 + [0x20]) + b"\x01\x02"
+    data = header + b"\x61" * (20 - len(header))
+    assert len(data) == 20
+    start = time.process_time()
+    with pytest.raises(TruncatedStreamError, match="inside the symbol ids"):
+        ZslpReader(io.BytesIO(data))
+    assert time.process_time() - start < 1
+
+
+def _wide_grammar(rule_count: int) -> Slp:
+    """Rule i joins an earlier rule (or "a") with a letter or a newline."""
+    rules = [
+        (256 + i // 2 - 1 if i >= 2 else 97, 10 if i % 5 == 0 else 97 + i % 26)
+        for i in range(rule_count)
+    ]
+    return Slp(rules, [256 + rule_count - 1, 256, 256 + rule_count // 2])
+
+
+@pytest.mark.parametrize("rule_count, width", [(65280, 2), (65281, 4)])
+def test_id_width_follows_the_largest_id(rule_count, width):
+    # 65,280 rules end at id 65,535, the last that fits 16 bits.
+    slp = _wide_grammar(rule_count)
+    data = encode_slp(slp)
+    # magic, version, 3-byte varint p, 1-byte varint n, then the width byte
+    assert data[9] == width
+    assert len(data) == 10 + width * (2 * rule_count + 3)
+    assert data[10 : 10 + width] == (97).to_bytes(width, "little")
+    assert decode_slp(data) == slp
+    fsa = compile_pattern("ab")
+    reader = ZslpReader(io.BytesIO(data))
+    total = run_count(reader.iter_rules(), reader.read_axiom, fsa)
+    assert total == count_matching_lines(slp, fsa) == oracle_count(expand(slp), "ab")
+    assert total > 0
 
 
 def test_reader_streams_rules_in_order():
