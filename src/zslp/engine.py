@@ -93,8 +93,8 @@ def saturate(rule_pairs, fsa: Fsa) -> tuple[list, list]:
     """Counting tuples and relations of every symbol, indexed by symbol id.
 
     ``rule_pairs`` yields valid ``(first, second)`` pairs in definition
-    order (an ``Slp``'s rules or ``ZslpReader.iter_rules``, which check
-    them) and is consumed once. Raises the compiler's "pattern too large"
+    order (an ``Slp``'s rules or ``ZslpReader.iter_rules``, checked when
+    the ``Slp`` or the reader was built) and is consumed once. Raises the compiler's "pattern too large"
     PatternSyntaxError once the rules' relations outgrow MAX_RELATION_WORDS.
     """
     final = fsa.final
@@ -206,9 +206,9 @@ def run_count(rule_pairs, read_axiom, fsa: Fsa) -> int:
     """Streaming form of ``count_matching_lines``.
 
     ``rule_pairs`` yields valid pairs, as for ``saturate``, and is consumed
-    one rule at a time; ``read_axiom`` is a zero-argument callable invoked
-    only after the last rule, so a caller can hand over a decoder that
-    produces both from a single pass over a stream.
+    one rule at a time; ``read_axiom`` is a zero-argument callable that
+    returns a valid axiom and is invoked only after the last rule, so a
+    caller can hand over a decoder that produces both from a single pass.
     """
     if fsa.matches_empty:
         # Every line matches; count lines without touching the automaton.

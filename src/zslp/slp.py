@@ -8,7 +8,9 @@ earlier variable, which makes the rule list topologically ordered by
 construction. The axiom is a non-empty symbol sequence; the text the
 grammar derives is the concatenation of the axiom symbols' expansions. A
 length-1 axiom is allowed so that one-byte inputs have a representation.
-``Slp`` checks these invariants once, when it is built.
+``Slp`` checks these invariants once, when it is built, and ``ZslpReader``
+once, when it decodes a stream; both name a fault with the same text, at
+most FAULTS_SHOWN (3) violations and then how many more.
 
 The "ZSLP" binary format (version 2):
 
@@ -42,7 +44,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import ge
 from typing import BinaryIO, Iterator
 
@@ -57,6 +59,8 @@ CHUNK_SIZE = 65536
 # Longest expansion stored per symbol, and the most bytes stored per grammar.
 SHORT_LIMIT = 1024
 SHORT_BUDGET = 4 << 20
+# Violations named in a grammar fault message before "and N more".
+FAULTS_SHOWN = 3
 _TERMINAL_BYTES = [bytes((byte,)) for byte in range(FIRST_VARIABLE)]
 
 
@@ -81,8 +85,9 @@ class Slp:
     """An immutable, valid grammar: ``(first, second)`` rule pairs and the axiom.
 
     Rule i defines symbol ``256 + i``. Building an Slp checks every
-    invariant and raises InvalidGrammarError listing the violations, so an
-    Slp that exists is valid and its consumers need not check it again.
+    invariant and raises InvalidGrammarError naming the violations, so an
+    Slp that exists is valid and its consumers need not check it again;
+    ``ZslpReader.read_slp`` builds one from parts it has already checked.
     Expansion caches ``short_expansions`` on it, a table fixed by the rules.
     """
 
@@ -90,29 +95,13 @@ class Slp:
     axiom: tuple[int, ...]
 
     def __post_init__(self):
+        axiom = tuple(self.axiom)
         object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "axiom", tuple(self.axiom))
-        limit = FIRST_VARIABLE + len(self.rules)
-        violations = []
-        if self.rules:
-            firsts, seconds = zip(*self.rules)
-            if min(firsts) < 0 or min(seconds) < 0 or _forward_reference(firsts, seconds):
-                violations = [
-                    f"rule {i + 1} references undefined/later symbol {sym}"
-                    for i, (first, second) in enumerate(self.rules)
-                    for sym in (first, second)
-                    if not 0 <= sym < FIRST_VARIABLE + i
-                ]
-        if not self.axiom:
-            violations.append("empty axiom")
-        elif min(self.axiom) < 0 or max(self.axiom) >= limit:
-            violations += (
-                f"axiom position {pos} references undefined symbol {sym}"
-                for pos, sym in enumerate(self.axiom)
-                if not 0 <= sym < limit
-            )
-        if violations:
-            raise InvalidGrammarError("; ".join(violations))
+        object.__setattr__(self, "axiom", axiom)
+        firsts, seconds = tuple(zip(*self.rules)) or ((), ())
+        negative = min(chain(firsts, seconds, axiom), default=0) < 0
+        if negative or _malformed(firsts, seconds, axiom):
+            raise InvalidGrammarError(_fault_message(firsts, seconds, axiom))
 
     @cached_property
     def short_expansions(self) -> tuple:
@@ -140,10 +129,35 @@ class Slp:
         return tuple(short)
 
 
-def _forward_reference(firsts, seconds) -> bool:
-    """Whether some rule i names symbol 256 + i or a later one."""
+def _malformed(firsts, seconds, axiom) -> bool:
+    """Whether rule i names symbol 256 + i or a later one, or the axiom is
+    empty or names an undefined symbol. Ids are taken to be >= 0."""
     lefts = range(FIRST_VARIABLE, FIRST_VARIABLE + len(firsts))
+    if not axiom or max(axiom) >= lefts.stop:
+        return True
     return any(map(ge, firsts, lefts)) or any(map(ge, seconds, lefts))
+
+
+def _fault_message(firsts, seconds, axiom) -> str:
+    """The first FAULTS_SHOWN violations of a grammar, then how many more."""
+    limit = FIRST_VARIABLE + len(firsts)
+    faults = chain(
+        (
+            f"rule {i + 1} references undefined/later symbol {sym}"
+            for i, pair in enumerate(zip(firsts, seconds))
+            for sym in pair
+            if not 0 <= sym < FIRST_VARIABLE + i
+        ),
+        () if axiom else ("empty axiom",),
+        (
+            f"axiom position {pos} references undefined symbol {sym}"
+            for pos, sym in enumerate(axiom)
+            if not 0 <= sym < limit
+        ),
+    )
+    shown = "; ".join(islice(faults, FAULTS_SHOWN))
+    more = sum(1 for _ in faults)
+    return f"{shown}; and {more} more" if more else shown
 
 
 def expand_symbol(slp: Slp, sym: int) -> bytes:
@@ -237,15 +251,14 @@ def encode_slp(slp: Slp) -> bytes:
 
 
 class ZslpReader:
-    """ZSLP reader: rules come first, then the axiom.
+    """ZSLP reader: the whole stream is decoded and checked on construction.
 
-    The stream is read once on construction, which checks the header and
-    the stream's length and decodes every symbol id into one array.
-    ``iter_rules`` must be exhausted before ``read_axiom`` is called. It
-    checks all the rules before it yields the first, so its
-    consumers (``saturate``, the engine's line count) take valid pairs;
-    ``read_axiom`` checks the axiom's symbols; ``read_slp`` leaves both
-    checks to ``Slp``.
+    The constructor checks the header and the stream's length, decodes
+    every symbol id with one ``array.frombytes``, and checks the grammar's
+    invariants, raising SlpFormatError with the text ``Slp`` would give.
+    ``iter_rules``, ``read_axiom`` and ``read_slp`` are views of the checked
+    data, in any order and without a second check, so the consumers of the
+    rules (``saturate``, the engine's line count) take valid pairs.
     """
 
     def __init__(self, stream: BinaryIO):
@@ -267,58 +280,41 @@ class ZslpReader:
         if width not in (2, 4):
             raise SlpFormatError(f"unsupported id width {width}")
         pos += 1
-        end = pos + width * (2 * self.rule_count + axiom_len)
-        if len(data) < end:
+        stop = pos + width * (2 * self.rule_count + axiom_len)
+        if len(data) < stop:
             raise TruncatedStreamError("stream ended inside the symbol ids")
-        if len(data) > end:
+        if len(data) > stop:
             raise SlpFormatError("trailing data after axiom")
-        if axiom_len == 0:
-            raise SlpFormatError("empty axiom")
-        ids = self._ids = array(_ID_TYPECODES[width])
+        ids = array(_ID_TYPECODES[width])
         ids.frombytes(memoryview(data)[pos:])
         if _BIG_ENDIAN:
             ids.byteswap()
-        self._rules_pending = self.rule_count > 0
+        end = 2 * self.rule_count
+        self._firsts = ids[0:end:2]
+        self._seconds = ids[1:end:2]
+        # A tuple, not an array: max over it is faster.
+        self._axiom = tuple(ids[end:])
+        if _malformed(self._firsts, self._seconds, self._axiom):
+            raise SlpFormatError(_fault_message(self._firsts, self._seconds, self._axiom))
 
     def iter_rules(self) -> Iterator[tuple[int, int]]:
-        """Yield (first, second) for each rule, in definition order.
-
-        Before the first rule, raises InvalidGrammarError naming the first
-        rule that refers to its own or a later symbol (ids are unsigned).
-        """
-        end = 2 * self.rule_count
-        firsts = self._ids[0:end:2]
-        seconds = self._ids[1:end:2]
-        if _forward_reference(firsts, seconds):
-            left_id = next(
-                left
-                for left, (first, second) in enumerate(zip(firsts, seconds), FIRST_VARIABLE)
-                if first >= left or second >= left
-            )
-            raise InvalidGrammarError(
-                f"rule for symbol {left_id} references undefined/later symbol"
-            )
-        yield from zip(firsts, seconds)
-        self._rules_pending = False
+        """Yield (first, second) for each rule, in definition order."""
+        return zip(self._firsts, self._seconds)
 
     def read_axiom(self) -> tuple[int, ...]:
-        if self._rules_pending:
-            raise SlpFormatError("axiom read before all rules were consumed")
-        axiom = tuple(self._ids[2 * self.rule_count :])
-        limit = FIRST_VARIABLE + self.rule_count
-        if max(axiom) >= limit:
-            bad = next(sym for sym in axiom if sym >= limit)
-            raise SlpFormatError(f"axiom references undefined symbol {bad}")
-        return axiom
+        return self._axiom
 
     def read_slp(self) -> Slp:
-        """Read every rule and the axiom and return the grammar."""
-        end = 2 * self.rule_count
-        rules = tuple(zip(self._ids[0:end:2], self._ids[1:end:2]))
-        try:
-            return Slp(rules, self._ids[end:])
-        except InvalidGrammarError as exc:
-            raise SlpFormatError(str(exc)) from None
+        """The grammar: every rule and the axiom."""
+        return _checked_slp(tuple(zip(self._firsts, self._seconds)), self._axiom)
+
+
+def _checked_slp(rules: tuple, axiom: tuple) -> Slp:
+    """An Slp of parts ``ZslpReader`` has checked, built without a second check."""
+    slp = object.__new__(Slp)
+    object.__setattr__(slp, "rules", rules)
+    object.__setattr__(slp, "axiom", axiom)
+    return slp
 
 
 def decode_slp(data: bytes) -> Slp:

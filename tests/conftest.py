@@ -1,5 +1,6 @@
 """Shared fixtures and randomised-input helpers for the test suite."""
 
+import itertools
 import random
 import re
 
@@ -31,6 +32,23 @@ EXAMPLE_TEXT = b"ba\nab\naba"
 # more than one 65,536-byte expansion chunk.
 DOUBLING_PAIRS = [(97, 98), (256, 10)] + [(257 + i, 257 + i) for i in range(15)]
 DOUBLING_TOP = 256 + len(DOUBLING_PAIRS) - 1
+
+
+def raw_zslp(pairs, axiom) -> bytes:
+    """ZSLP bytes for the rules and axiom as given, valid or not.
+
+    Ids must be in 0..65,535; they are written 2 bytes wide.
+    """
+    out = bytearray(b"ZSLP\x02")
+    for count in (len(pairs), len(axiom)):
+        while count >= 0x80:
+            out.append(count & 0x7F | 0x80)
+            count >>= 7
+        out.append(count)
+    out.append(2)
+    for sym in [*itertools.chain.from_iterable(pairs), *axiom]:
+        out += sym.to_bytes(2, "little")
+    return bytes(out)
 
 
 @pytest.fixture

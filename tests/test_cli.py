@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE_AXIOM, EXAMPLE_PAIRS
+from conftest import EXAMPLE_AXIOM, EXAMPLE_PAIRS, raw_zslp
 import zslp.cli
 import zslp.repair
 from zslp.cli import run_cli
@@ -223,19 +223,6 @@ def test_trailing_data_after_axiom_is_a_format_error(tmp_path, capsysbinary, arg
     assert b"format error" in captured.err and b"trailing data" in captured.err
 
 
-def _raw_zslp(pairs, axiom) -> bytes:
-    """ZSLP bytes for the rules and axiom as given, valid or not.
-
-    Both counts must be below 128 (one-byte varints); ids are 2 bytes wide.
-    """
-    ids = [sym for pair in pairs for sym in pair] + list(axiom)
-    out = bytearray(b"ZSLP\x02")
-    out += bytes((len(pairs), len(axiom), 2))
-    for sym in ids:
-        out += sym.to_bytes(2, "little")
-    return bytes(out)
-
-
 # The version-1 stream of rule (97, 98) and axiom 256 256: every id a varint.
 VERSION_1_ZSLP = bytes.fromhex("5a534c50010161620280028002")
 
@@ -255,8 +242,12 @@ def test_version_1_stream_is_a_format_error(tmp_path, capsysbinary, argv):
 
 
 @pytest.mark.parametrize(
-    "pairs, axiom",
-    [([(97, 98), (256, 300)], [257]), ([(97, 257)], [256]), ([(97, 98)], [97, 258])],
+    "pairs, axiom, message",
+    [
+        ([(97, 98), (256, 300)], [257], "rule 2 references undefined/later symbol 300"),
+        ([(97, 257)], [256], "rule 1 references undefined/later symbol 257"),
+        ([(97, 98)], [97, 258], "axiom position 1 references undefined symbol 258"),
+    ],
     ids=["undefined-rule-symbol", "self-reference", "undefined-axiom-symbol"],
 )
 @pytest.mark.parametrize(
@@ -270,15 +261,38 @@ def test_version_1_stream_is_a_format_error(tmp_path, capsysbinary, argv):
     ],
     ids=["count", "count-every-line", "search", "stats", "decompress"],
 )
-def test_undefined_symbols_are_one_line_errors(tmp_path, capsysbinary, argv, pairs, axiom):
+def test_undefined_symbols_are_one_line_errors(
+    tmp_path, capsysbinary, argv, pairs, axiom, message
+):
+    # Every command reads the stream through the same check, so each prints
+    # the same line for the same fault.
     packed = tmp_path / "bad.zslp"
-    packed.write_bytes(_raw_zslp(pairs, axiom))
+    packed.write_bytes(raw_zslp(pairs, axiom))
     assert run_cli(argv + [str(packed)]) == 2
     captured = capsysbinary.readouterr()
     assert captured.out == b""
-    assert captured.err.count(b"\n") == 1
-    assert captured.err.startswith((b"zslp: format error: ", b"zslp: grammar error: "))
-    assert b"undefined" in captured.err
+    assert captured.err == f"zslp: format error: {message}\n".encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "-e", "ab"], ["search", "-e", "ab"], ["stats", "-e", "ab"], ["decompress"]],
+    ids=["count", "search", "stats", "decompress"],
+)
+def test_many_undefined_symbols_give_a_short_line(tmp_path, capsysbinary, argv):
+    # No rules, and a 50,000-symbol axiom of undefined ids: the message names
+    # the first three and counts the rest.
+    packed = tmp_path / "bad.zslp"
+    packed.write_bytes(raw_zslp([], range(256, 256 + 50_000)))
+    assert run_cli(argv + [str(packed)]) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert len(captured.err) < 1024
+    assert captured.err == (
+        b"zslp: format error: axiom position 0 references undefined symbol 256; "
+        b"axiom position 1 references undefined symbol 257; "
+        b"axiom position 2 references undefined symbol 258; and 49997 more\n"
+    )
 
 
 def test_wide_bounded_repeat_counts_like_the_oracle(tmp_path, capsys):

@@ -30,7 +30,7 @@ from zslp.engine import (
 )
 from zslp.oracle import oracle_count
 from zslp.repair import compress
-from zslp.slp import InvalidGrammarError, Slp, ZslpReader, expand_symbol
+from zslp.slp import InvalidGrammarError, Slp, SlpFormatError, ZslpReader, expand_symbol
 
 
 def run_engine(slp, fsa):
@@ -147,13 +147,14 @@ def test_example_with_top_rule(ab_ba_fsa):
     assert total == 3
 
 
-def test_rule_referencing_later_symbol_rejected(ab_ba_fsa):
-    # The streamed path's one rule check is ZslpReader.iter_rules. The
-    # stream holds one rule, (300, 97), and the axiom 256.
-    reader = ZslpReader(io.BytesIO(b"ZSLP\x02\x01\x01\x02\x2c\x01\x61\x00\x00\x01"))
-    match = "rule for symbol 256 references undefined/later symbol"
-    with pytest.raises(InvalidGrammarError, match=match):
-        run_count(reader.iter_rules(), reader.read_axiom, ab_ba_fsa)
+def test_rule_referencing_later_symbol_rejected():
+    # The streamed path's one rule check is ZslpReader's constructor, so the
+    # engine never sees the rule. The stream holds one rule, (300, 97), and
+    # the axiom 256.
+    stream = io.BytesIO(b"ZSLP\x02\x01\x01\x02\x2c\x01\x61\x00\x00\x01")
+    match = "^rule 1 references undefined/later symbol 300$"
+    with pytest.raises(SlpFormatError, match=match):
+        ZslpReader(stream)
 
 
 # ---------------------------------------------------------------------------

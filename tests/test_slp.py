@@ -14,6 +14,7 @@ from conftest import (
     EXAMPLE_PAIRS,
     EXAMPLE_TEXT,
     random_grammar,
+    raw_zslp,
 )
 from zslp.automaton import compile_pattern
 from zslp.engine import collect_stats, contains_match, count_matching_lines, run_count
@@ -83,6 +84,38 @@ def test_validate_rejects_undefined_axiom_symbol():
         Slp(((97, 98),), (256, 257))
     with pytest.raises(InvalidGrammarError, match="undefined symbol -1"):
         Slp((), (-1,))
+
+
+def test_fault_message_names_three_violations_then_counts():
+    with pytest.raises(InvalidGrammarError) as info:
+        Slp(((300, 301), (97, 98)), (-1, 999))
+    assert str(info.value) == (
+        "rule 1 references undefined/later symbol 300; "
+        "rule 1 references undefined/later symbol 301; "
+        "axiom position 0 references undefined symbol -1; and 1 more"
+    )
+
+
+# Terminals and the first few variable ids, so that some grammars are valid
+# and others name their own, a later or an undefined symbol.
+SYMBOL_IDS = st.integers(0, 263)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(SYMBOL_IDS, SYMBOL_IDS), max_size=6), st.lists(SYMBOL_IDS, max_size=6))
+def test_reader_and_constructor_agree(pairs, axiom):
+    data = raw_zslp(pairs, axiom)
+    try:
+        built = Slp(pairs, axiom)
+    except InvalidGrammarError as exc:
+        with pytest.raises(SlpFormatError) as info:
+            decode_slp(data)
+        assert str(info.value) == str(exc)
+        return
+    decoded = decode_slp(data)
+    assert decoded == built and hash(decoded) == hash(built)
+    assert expand(decoded) == expand(built)
+    assert decoded.short_expansions == built.short_expansions
 
 
 def test_expand_terminal(example_slp):
@@ -256,15 +289,12 @@ def test_id_width_follows_the_largest_id(rule_count, width):
 
 
 def test_reader_streams_rules_in_order():
+    # The reader's views are of data checked at construction: any order works.
     reader = ZslpReader(io.BytesIO(GOLDEN))
+    assert reader.read_axiom() == (256, 256)
     assert list(reader.iter_rules()) == [(97, 98)]
     assert reader.read_axiom() == (256, 256)
-
-
-def test_reader_axiom_before_rules_errors():
-    reader = ZslpReader(io.BytesIO(GOLDEN))
-    with pytest.raises(SlpFormatError, match="before all rules"):
-        reader.read_axiom()
+    assert reader.read_slp() == Slp([(97, 98)], [256, 256])
 
 
 @settings(max_examples=150, deadline=None)
