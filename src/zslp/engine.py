@@ -94,8 +94,9 @@ def saturate(rule_pairs, fsa: Fsa) -> tuple[list, list]:
 
     ``rule_pairs`` yields valid ``(first, second)`` pairs in definition
     order (an ``Slp``'s rules or ``ZslpReader.iter_rules``, checked when
-    the ``Slp`` or the reader was built) and is consumed once. Raises the compiler's "pattern too large"
-    PatternSyntaxError once the rules' relations outgrow MAX_RELATION_WORDS.
+    the ``Slp`` or the reader was built) and is consumed once. Raises the
+    compiler's "pattern too large" PatternSyntaxError once the rules'
+    relations outgrow MAX_RELATION_WORDS.
     """
     final = fsa.final
     row_budget = MAX_RELATION_WORDS // (fsa.state_count // 64 + 1)
