@@ -55,7 +55,8 @@ _MAX_PAIRS = 1_000_000  # (position, following position) pairs
 _MAX_VISITS = 200_000  # AST nodes visited, each copy of a repeat counted
 _MAX_NESTING = 100  # groups plus stacked repeat operators, on any path
 # The search engine's saturated relations: rows summed over all rules, times
-# the automaton's width in 64-bit words (state_count // 64 + 1).
+# the automaton's width in 64-bit words (state_count // 64 + 1). Every rule's
+# rows count, also when its relation is shared with an earlier rule's.
 MAX_RELATION_WORDS = 50_000_000
 
 

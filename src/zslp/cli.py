@@ -23,7 +23,6 @@ from .engine import collect_stats, run_count
 from .repair import MAX_INPUT_BYTES, compress
 from .reporter import report_matching_lines
 from .slp import (
-    InvalidGrammarError,
     Slp,
     SlpFormatError,
     ZslpReader,
@@ -181,9 +180,6 @@ def run_cli(argv=None) -> int:
         return 2
     except SlpFormatError as exc:
         print(f"zslp: format error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidGrammarError as exc:
-        print(f"zslp: grammar error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # Like grep when its reader goes away: no message, and the status a

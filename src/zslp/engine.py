@@ -20,6 +20,14 @@ across the seam of A and B. This is bit-parallel NFA simulation
 (Baeza-Yates & Gonnet's Shift-Or; Navarro & Raffinot, *Flexible Pattern
 Matching in Strings*) lifted from bytes to grammar symbols.
 
+A grammar's rules carry few distinct relations, so relations are
+hash-consed (Filliatre & Conchon, *Type-Safe Modular Hash-Consing*): equal
+relations are one shared dict with a small id, and the composition of a
+pair of ids is computed once, for the first rule with that pair; later
+rules look it up. This is how per-nonterminal transition functions of an
+automaton over an SLP are usually computed (Lohrey, *Algorithmics on
+SLP-compressed strings: a survey*). The shared dicts are read-only.
+
 ``fold`` runs the axiom left to right carrying the reached states as one
 int (the states reachable from state 0 by reading some suffix of the prefix
 expanded so far; the accept state, once entered, is kept) and the counting
@@ -94,37 +102,65 @@ def saturate(rule_pairs, fsa: Fsa) -> tuple[list, list]:
 
     ``rule_pairs`` yields valid ``(first, second)`` pairs in definition
     order (an ``Slp``'s rules or ``ZslpReader.iter_rules``, checked when
-    the ``Slp`` or the reader was built) and is consumed once. Raises the
-    compiler's "pattern too large" PatternSyntaxError once the rules'
-    relations outgrow MAX_RELATION_WORDS.
+    the ``Slp`` or the reader was built) and is consumed once.
+
+    Relations are hash-consed: symbols whose relations have equal contents
+    share one dict, so callers must treat ``rels`` as read-only. Each
+    distinct pair of (first, second) relations is composed once, and every
+    later rule with that pair reuses the result. The row budget still
+    counts every rule's rows, shared or not: the compiler's "pattern too
+    large" PatternSyntaxError is raised once they outgrow
+    MAX_RELATION_WORDS.
     """
     final = fsa.final
     row_budget = MAX_RELATION_WORDS // (fsa.state_count // 64 + 1)
     rows = 0
 
-    rels: list[dict] = list(fsa.rows)
+    canonical: dict = {}  # sorted rows -> relation id
+    distinct: list[dict] = []  # relation id -> the one dict with those rows
+
+    def intern(rel: dict) -> int:
+        rel_id = canonical.setdefault(tuple(sorted(rel.items())), len(distinct))
+        if rel_id == len(distinct):
+            distinct.append(rel)
+        return rel_id
+
+    # The compiler shares one row map per byte class; intern each map once.
+    maps = {id(rel): rel for rel in fsa.rows}
+    terminal_ids = {key: intern(rel) for key, rel in maps.items()}
+    ids = [terminal_ids[id(rel)] for rel in fsa.rows]  # symbol -> relation id
+    rels: list[dict] = [distinct[rel_id] for rel_id in ids]
     infos: list[tuple] = []
     for byte, rel in enumerate(rels):
         hit = rel.get(0, 0) & final != 0
         infos.append((byte == NEWLINE, hit, hit, 0))
 
+    # (relation id of A, relation id of B) -> (id, relation, new_match, rows)
+    composed: dict = {}
     for first, second in rule_pairs:
-        rel_b = rels[second]
-        rel = {}
-        new_match = False
-        for q1, m in rels[first].items():
-            through = union_rows(m & ~final, rel_b)
-            out = through | m & final
-            if out:
-                rel[q1] = out
-                if through & final and q1 == 0:
-                    new_match = True
-        row = rel_b.get(0)
-        if row:
-            rel[0] = rel.get(0, 0) | row
+        pair = (ids[first], ids[second])
+        known = composed.get(pair)
+        if known is None:
+            rel_b = rels[second]
+            rel = {}
+            new_match = False
+            for q1, m in rels[first].items():
+                through = union_rows(m & ~final, rel_b)
+                out = through | m & final
+                if out:
+                    rel[q1] = out
+                    if through & final and q1 == 0:
+                        new_match = True
+            row = rel_b.get(0)
+            if row:
+                rel[0] = rel.get(0, 0) | row
+            rel_id = intern(rel)
+            known = composed[pair] = (rel_id, distinct[rel_id], new_match, len(rel))
+        rel_id, rel, new_match, size = known
+        ids.append(rel_id)
         rels.append(rel)
         infos.append(combine(infos[first], infos[second], new_match))
-        rows += len(rel)
+        rows += size
         if rows > row_budget:
             raise PatternSyntaxError(
                 f"pattern too large: over {MAX_RELATION_WORDS} relation words", 0
@@ -249,6 +285,9 @@ class SearchStats:
     and count for an axiom symbol) and one for the row of state 0 (when the
     automaton has states), plus one per row of A and per middle bit of it
     for a rule, and one per middle state reached before an axiom symbol.
+    Those are the operations of a pass that composes every rule on its own;
+    ``saturate`` composes each distinct pair of relations once, so
+    ``measured_ops`` is an upper bound on the operations it performs.
     """
 
     s: int

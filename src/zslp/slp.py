@@ -44,8 +44,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
-from operator import ge
+from itertools import chain, islice, repeat
+from operator import ge, lt
 from typing import BinaryIO, Iterator
 
 FIRST_VARIABLE = 256
@@ -140,7 +140,7 @@ def _malformed(firsts, seconds, axiom) -> bool:
 
 def _fault_message(firsts, seconds, axiom) -> str:
     """The first FAULTS_SHOWN violations of a grammar, then how many more."""
-    limit = FIRST_VARIABLE + len(firsts)
+    lefts = range(FIRST_VARIABLE, FIRST_VARIABLE + len(firsts))
     faults = chain(
         (
             f"rule {i + 1} references undefined/later symbol {sym}"
@@ -152,12 +152,28 @@ def _fault_message(firsts, seconds, axiom) -> str:
         (
             f"axiom position {pos} references undefined symbol {sym}"
             for pos, sym in enumerate(axiom)
-            if not 0 <= sym < limit
+            if not 0 <= sym < lefts.stop
         ),
     )
-    shown = "; ".join(islice(faults, FAULTS_SHOWN))
-    more = sum(1 for _ in faults)
-    return f"{shown}; and {more} more" if more else shown
+    shown = list(islice(faults, FAULTS_SHOWN))
+    message = "; ".join(shown)
+    if len(shown) < FAULTS_SHOWN:
+        return message
+    # Count the rest without formatting them: C-level passes over the ids.
+    more = (
+        _outside(firsts, lefts)
+        + _outside(seconds, lefts)
+        + (not axiom)
+        + _outside(axiom, repeat(lefts.stop))
+        - len(shown)
+    )
+    return f"{message}; and {more} more" if more else message
+
+
+def _outside(ids, stops) -> int:
+    """How many ids are negative or at least the stop paired with them."""
+    negative = sum(map(lt, ids, repeat(0))) if min(ids, default=0) < 0 else 0
+    return sum(map(ge, ids, stops)) + negative
 
 
 def expand_symbol(slp: Slp, sym: int) -> bytes:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import sys
 import time
 
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_AXIOM, EXAMPLE_PAIRS, raw_zslp
+from test_acceptance import _english_like
 import zslp.cli
 import zslp.repair
 from zslp.cli import run_cli
@@ -305,6 +307,27 @@ def test_wide_bounded_repeat_counts_like_the_oracle(tmp_path, capsys):
     for pattern in (".{0,512}z", "a.{0,512}z", "y{512}"):
         assert run_cli(["count", "-e", pattern, str(packed)]) == 0
         assert int(capsys.readouterr().out) == oracle_count(text, pattern), pattern
+
+
+@pytest.fixture(scope="module")
+def prose_file(tmp_path_factory):
+    text = _english_like(65536, random.Random(20260809))
+    packed = tmp_path_factory.mktemp("prose") / "prose.zslp"
+    packed.write_bytes(encode_slp(compress(text)))
+    return text, str(packed)
+
+
+@pytest.mark.parametrize("pattern", ["t.{0,200}g", "a.{0,64}b"])
+def test_inner_wide_repeat_agrees_with_the_oracle(prose_file, capsysbinary, pattern):
+    # An inner repeat keeps its states (203 for t.{0,200}g), so each rule's
+    # relation holds a row for most of them.
+    text, packed = prose_file
+    lines = oracle_lines(text, pattern)
+    assert lines
+    assert run_cli(["count", "-e", pattern, packed]) == 0
+    assert capsysbinary.readouterr().out == b"%d\n" % len(lines)
+    assert run_cli(["search", "-e", pattern, packed]) == 0
+    assert capsysbinary.readouterr().out == b"".join(line + b"\n" for line in lines)
 
 
 @pytest.mark.parametrize(

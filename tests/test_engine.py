@@ -3,7 +3,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import zslp.engine
 from conftest import (
     EXAMPLE_PAIRS,
     brute_anchored_pairs,
@@ -14,7 +17,7 @@ from conftest import (
     random_grammar,
     relation_pairs,
 )
-from zslp.automaton import compile_pattern
+from zslp.automaton import NEWLINE, PatternSyntaxError, compile_pattern
 from zslp.engine import (
     EMPTY_INFO,
     combine,
@@ -359,6 +362,87 @@ def test_saturation_matches_brute_force_bulk():
             ), (pattern, sym, expansion)
             symbols_checked += 1
     assert symbols_checked > 200
+
+
+# ---------------------------------------------------------------------------
+# shared relations
+
+
+def reference_saturate(rule_pairs, fsa):
+    """Saturation with one composition per rule and no sharing, for comparison.
+
+    Also returns each rule's row count, which the relation budget adds up.
+    """
+    final = fsa.final
+    rels = list(fsa.rows)
+    infos = []
+    for byte, rel in enumerate(rels):
+        hit = rel.get(0, 0) & final != 0
+        infos.append((byte == NEWLINE, hit, hit, 0))
+    rule_rows = []
+    for first, second in rule_pairs:
+        rel_b = rels[second]
+        rel = {}
+        new_match = False
+        for q1, m in rels[first].items():
+            through = union_rows(m & ~final, rel_b)
+            out = through | m & final
+            if out:
+                rel[q1] = out
+                if through & final and q1 == 0:
+                    new_match = True
+        row = rel_b.get(0)
+        if row:
+            rel[0] = rel.get(0, 0) | row
+        rels.append(rel)
+        infos.append(combine(infos[first], infos[second], new_match))
+        rule_rows.append(len(rel))
+    return infos, rels, rule_rows
+
+
+SHARING_PATTERNS = ("ab|ba", "a.*b", "b(a|b)a", "a[^b]*\n?b", "a.{0,6}b", "(ab){1,3}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.sampled_from(SHARING_PATTERNS))
+def test_saturate_shares_equal_relations(seed, pattern):
+    # One composition per distinct pair of relations gives what one per
+    # rule gives, and relations with equal contents are one object.
+    fsa = compile_pattern(pattern)
+    slp = random_grammar(random.Random(seed), max_rules=40)
+    infos, rels = saturate(slp.rules, fsa)
+    ref_infos, ref_rels, _ = reference_saturate(slp.rules, fsa)
+    assert infos == ref_infos
+    assert rels == ref_rels
+    by_contents = {}
+    for rel in rels:
+        assert by_contents.setdefault(tuple(sorted(rel.items())), rel) is rel
+
+
+@pytest.mark.parametrize("shape", ["one-shared-relation", "random"])
+def test_relation_budget_counts_every_rule(monkeypatch, shape):
+    # The budget adds each rule's rows, shared or not, so it raises at the
+    # same rule as a saturation that composes every rule on its own.
+    fsa = compile_pattern("a.{0,6}b")
+    if shape == "random":
+        rules = random_grammar(random.Random(77), max_rules=60).rules
+    else:
+        rules = [(97, 98)] + [(97, 98), (256, 256)] * 30
+    rule_rows = reference_saturate(rules, fsa)[2]
+    budget = sum(rule_rows) // 2  # rows as words: the automaton is under 64 states
+    totals = itertools.accumulate(rule_rows)
+    expected = next(i for i, total in enumerate(totals) if total > budget)
+    monkeypatch.setattr(zslp.engine, "MAX_RELATION_WORDS", budget)
+    consumed = []
+
+    def feed():
+        for i, pair in enumerate(rules):
+            consumed.append(i)
+            yield pair
+
+    with pytest.raises(PatternSyntaxError, match=f"pattern too large: over {budget} "):
+        saturate(feed(), fsa)
+    assert consumed[-1] == expected
 
 
 # ---------------------------------------------------------------------------
