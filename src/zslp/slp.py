@@ -157,8 +157,6 @@ def _fault_message(firsts, seconds, axiom) -> str:
     )
     shown = list(islice(faults, FAULTS_SHOWN))
     message = "; ".join(shown)
-    if len(shown) < FAULTS_SHOWN:
-        return message
     # Count the rest without formatting them: C-level passes over the ids.
     more = (
         _outside(firsts, lefts)
