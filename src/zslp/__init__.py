@@ -12,7 +12,7 @@ from .engine import (
     contains_match,
     count_matching_lines,
 )
-from .repair import CompressionReport, compress, compression_report
+from .repair import compress
 from .reporter import report_matching_lines
 from .slp import (
     BadMagicError,
@@ -27,7 +27,6 @@ from .slp import (
 
 __all__ = [
     "BadMagicError",
-    "CompressionReport",
     "Fsa",
     "InvalidGrammarError",
     "NewlinePatternError",
@@ -39,7 +38,6 @@ __all__ = [
     "collect_stats",
     "compile_pattern",
     "compress",
-    "compression_report",
     "contains_match",
     "count_matching_lines",
     "decode_slp",

@@ -311,6 +311,16 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+def union_rows(mask: int, rel: dict) -> int:
+    """OR of the rows of ``rel`` for every state of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rel.get(low.bit_length() - 1, 0)
+        mask ^= low
+    return out
+
+
 class Fsa:
     """Epsilon-free automaton over the newline-free byte alphabet.
 
@@ -565,9 +575,5 @@ def nfa_accepts(fsa: Fsa, data: bytes) -> bool:
         return fsa.matches_empty
     current = 1
     for byte in data:
-        row = fsa.rows[byte]
-        moved = 0
-        for q in iter_bits(current):
-            moved |= row.get(q, 0)
-        current = moved
+        current = union_rows(current, fsa.rows[byte])
     return current & fsa.final != 0

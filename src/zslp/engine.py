@@ -53,6 +53,7 @@ from .automaton import (
     Fsa,
     PatternSyntaxError,
     iter_bits,
+    union_rows,
 )
 from .slp import InvalidGrammarError, Slp
 
@@ -60,16 +61,6 @@ PERCENTILE_POINTS = (50, 75, 95, 98, 100)
 
 # Counting tuple of the empty string; the neutral element of ``combine``.
 EMPTY_INFO = (False, False, False, 0)
-
-
-def union_rows(mask: int, rel: dict) -> int:
-    """OR of the rows of ``rel`` for every state of ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= rel.get(low.bit_length() - 1, 0)
-        mask ^= low
-    return out
 
 
 def combine(a: tuple, b: tuple, new_match: bool) -> tuple:
@@ -244,8 +235,10 @@ def run_count(rule_pairs, read_axiom, fsa: Fsa) -> int:
 
     ``rule_pairs`` yields valid pairs, as for ``saturate``, and is consumed
     one rule at a time; ``read_axiom`` is a zero-argument callable that
-    returns a valid axiom and is invoked only after the last rule, so a
-    caller can hand over a decoder that produces both from a single pass.
+    returns a valid axiom and is invoked only after the last rule. The
+    benchmark's tracer (``perfbench/tracing.py``) relies on that order: it
+    times everything before the ``read_axiom`` call as ``engine.saturate``
+    and everything after it as ``engine.fold``.
     """
     if fsa.matches_empty:
         # Every line matches; count lines without touching the automaton.
@@ -304,11 +297,11 @@ class SearchStats:
         return sum(self.per_rule) + sum(self.per_axiom_symbol) + self.p + self.axiom_len
 
 
-def nearest_rank_percentiles(values, points=PERCENTILE_POINTS) -> dict:
-    """Nearest-rank percentiles of a sequence; empty sequences report 0."""
+def nearest_rank_percentiles(values) -> dict:
+    """Nearest-rank percentiles at PERCENTILE_POINTS; empty sequences report 0."""
     ordered = sorted(values)
     result = {}
-    for point in points:
+    for point in PERCENTILE_POINTS:
         if not ordered:
             result[point] = 0
         else:
@@ -323,22 +316,32 @@ def collect_stats(slp: Slp, fsa: Fsa) -> SearchStats:
     s = fsa.state_count
     middle = ~fsa.final
     per_symbol = 2 if s else 1
-    pairs = [sum(row.bit_count() for row in rel.values()) for rel in rels]
+    # A rule's costs depend only on its pair of relations. saturate shares
+    # one dict between equal relations, and ``rels`` keeps each alive, so
+    # its id() names its contents: each distinct pair is costed once.
+    distinct = {id(rel): rel.values() for rel in rels}
+    pairs = {key: sum(map(int.bit_count, rows)) for key, rows in distinct.items()}
+    costs: dict = {}  # (id of A's relation, id of B's) -> (paper ops, measured)
     per_rule = []
     measured = 0
     for first, second in slp.rules:
-        rel_b = rels[second]
-        ops = pairs[second] + s
-        for m in rels[first].values():
-            ops += sum(1 + rel_b.get(q, 0).bit_count() for q in iter_bits(m))
-            measured += 1 + (m & middle).bit_count()
-        per_rule.append(ops)
-        measured += per_symbol
+        rel_a, rel_b = rels[first], rels[second]
+        key = (id(rel_a), id(rel_b))
+        cost = costs.get(key)
+        if cost is None:
+            ops = pairs[id(rel_b)] + s
+            rule_measured = per_symbol
+            for m in rel_a.values():
+                ops += sum(1 + rel_b.get(q, 0).bit_count() for q in iter_bits(m))
+                rule_measured += 1 + (m & middle).bit_count()
+            cost = costs[key] = (ops, rule_measured)
+        per_rule.append(cost[0])
+        measured += cost[1]
     state = (EMPTY_INFO, 0)
     for sym in slp.axiom:
         measured += per_symbol + (state[1] & middle).bit_count()
         state = fold((sym,), infos, rels, fsa, start=state)
-    per_axiom_symbol = [pairs[sym] for sym in slp.axiom]
+    per_axiom_symbol = [pairs[id(rels[sym])] for sym in slp.axiom]
     return SearchStats(
         s=s,
         p=len(slp.rules),

@@ -37,10 +37,13 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import islice
 
-from .slp import FIRST_VARIABLE, Slp, encode_slp
+from .slp import FIRST_VARIABLE, Slp
+
+# Unused here: the benchmark tracer (perfbench/tracing.py) still swaps
+# zslp.repair.encode_slp. Drop this import together with that swap.
+from .slp import encode_slp  # noqa: F401
 
 # Largest input ``compress`` accepts. Peak RSS grows by at most ~100 bytes
 # per input byte (1-4 MB log, prose, random and run inputs): under 2 GB here.
@@ -48,21 +51,6 @@ MAX_INPUT_BYTES = 16 << 20
 # Pair key: first * _KEY_BASE + second. Each rule shortens the sequence, so
 # ids stay below FIRST_VARIABLE + MAX_INPUT_BYTES, far below the base.
 _KEY_BASE = 1 << 32
-
-
-@dataclass(frozen=True)
-class CompressionReport:
-    rules: int
-    axiom_len: int
-    ratio: float
-
-
-def compression_report(slp: Slp, original_len: int) -> CompressionReport:
-    """Size summary for a compressed grammar against its source length."""
-    if original_len < 0:
-        raise ValueError("original_len must be non-negative")
-    ratio = original_len / len(encode_slp(slp))
-    return CompressionReport(rules=len(slp.rules), axiom_len=len(slp.axiom), ratio=ratio)
 
 
 def compress(text: bytes) -> Slp:

@@ -29,8 +29,8 @@ rows. Every line then starts matched; the last fragment counts if non-empty.
 
 from __future__ import annotations
 
-from .automaton import NEWLINE, Fsa
-from .engine import saturate, union_rows
+from .automaton import NEWLINE, Fsa, union_rows
+from .engine import saturate
 from .slp import FIRST_VARIABLE, Slp, iter_expand
 
 # Counting tuple of a subtree that spans a newline and matches nowhere.

@@ -174,11 +174,6 @@ def _outside(ids, stops) -> int:
     return sum(map(ge, ids, stops)) + negative
 
 
-def expand_symbol(slp: Slp, sym: int) -> bytes:
-    """Return the unique byte string the symbol derives."""
-    return expand(slp, (sym,))
-
-
 def expand(slp: Slp, symbols=None) -> bytes:
     """Concatenated expansion of ``symbols``, by default the axiom."""
     return b"".join(iter_expand(slp, symbols))

@@ -44,7 +44,6 @@ from zslp.slp import (
     decode_slp,
     encode_slp,
     expand,
-    expand_symbol,
 )
 
 PRINTABLE = bytes(range(32, 127)) + b"\n"
@@ -134,7 +133,7 @@ def test_criterion_3_saturation_equivalence(saturation_instances):
     """
     for fsa, slp, (_, rels) in saturation_instances:
         for sym in range(256, 256 + len(slp.rules)):
-            expansion = expand_symbol(slp, sym)
+            expansion = expand(slp, (sym,))
             got = relation_pairs(rels[sym])
             assert got == brute_anchored_pairs(fsa, expansion), (sym, expansion)
 
@@ -143,7 +142,7 @@ def test_criterion_4_count_info_equivalence(saturation_instances):
     """Per-symbol counting tuples equal the definitional values, exactly."""
     for fsa, slp, (infos, _) in saturation_instances:
         for sym in range(256, 256 + len(slp.rules)):
-            expansion = expand_symbol(slp, sym)
+            expansion = expand(slp, (sym,))
             assert infos[sym] == brute_count_info(
                 fsa, expansion
             ), (sym, expansion)

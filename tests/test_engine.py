@@ -17,9 +17,16 @@ from conftest import (
     random_grammar,
     relation_pairs,
 )
-from zslp.automaton import NEWLINE, PatternSyntaxError, compile_pattern
+from zslp.automaton import (
+    NEWLINE,
+    PatternSyntaxError,
+    compile_pattern,
+    iter_bits,
+    union_rows,
+)
 from zslp.engine import (
     EMPTY_INFO,
+    SearchStats,
     combine,
     collect_stats,
     contains_match,
@@ -29,11 +36,10 @@ from zslp.engine import (
     nearest_rank_percentiles,
     run_count,
     saturate,
-    union_rows,
 )
 from zslp.oracle import oracle_count
 from zslp.repair import compress
-from zslp.slp import InvalidGrammarError, Slp, SlpFormatError, ZslpReader, expand_symbol
+from zslp.slp import InvalidGrammarError, Slp, SlpFormatError, ZslpReader, expand
 
 
 def run_engine(slp, fsa):
@@ -353,7 +359,7 @@ def test_saturation_matches_brute_force_bulk():
         slp = random_grammar(rng, max_rules=15, expansion_cap=60)
         infos, rels, *_ = run_engine(slp, fsa)
         for sym in range(256, 256 + len(slp.rules)):
-            expansion = expand_symbol(slp, sym)
+            expansion = expand(slp, (sym,))
             assert relation_pairs(rels[sym]) == brute_anchored_pairs(
                 fsa, expansion
             ), (pattern, sym, expansion)
@@ -473,6 +479,50 @@ def test_collect_stats_bounds_and_budget():
         assert all(v <= bound_rule for v in stats.per_rule)
         assert all(v <= bound_axiom for v in stats.per_axiom_symbol)
         assert stats.measured_ops <= 3 * stats.op_budget
+
+
+def reference_stats(slp, fsa):
+    """collect_stats costing every rule on its own, for comparison."""
+    infos, rels = saturate(slp.rules, fsa)
+    s = fsa.state_count
+    middle = ~fsa.final
+    per_symbol = 2 if s else 1
+    pairs = [sum(row.bit_count() for row in rel.values()) for rel in rels]
+    per_rule = []
+    measured = 0
+    for first, second in slp.rules:
+        rel_b = rels[second]
+        ops = pairs[second] + s
+        for m in rels[first].values():
+            ops += sum(1 + rel_b.get(q, 0).bit_count() for q in iter_bits(m))
+            measured += 1 + (m & middle).bit_count()
+        per_rule.append(ops)
+        measured += per_symbol
+    state = (EMPTY_INFO, 0)
+    for sym in slp.axiom:
+        measured += per_symbol + (state[1] & middle).bit_count()
+        state = fold((sym,), infos, rels, fsa, start=state)
+    per_axiom_symbol = [pairs[sym] for sym in slp.axiom]
+    return SearchStats(
+        s=s,
+        p=len(slp.rules),
+        axiom_len=len(slp.axiom),
+        per_rule=tuple(per_rule),
+        per_axiom_symbol=tuple(per_axiom_symbol),
+        rule_percentiles=nearest_rank_percentiles(per_rule),
+        axiom_percentiles=nearest_rank_percentiles(per_axiom_symbol),
+        measured_ops=measured,
+    )
+
+
+def test_collect_stats_costs_each_relation_pair_once():
+    # Costing each distinct pair of shared relations once gives the same
+    # stats as costing every rule, also for automata with inner repeats.
+    rng = random.Random(1414)
+    for _ in range(40):
+        fsa = compile_pattern(rng.choice(SHARING_PATTERNS + ("b(a|b){2,5}a",)))
+        slp = random_grammar(rng, max_rules=40)
+        assert collect_stats(slp, fsa) == reference_stats(slp, fsa)
 
 
 def test_collect_stats_zero_rules():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from test_acceptance import _english_like, _log_like
 
 import zslp.repair
-from zslp.repair import compress, compression_report
-from zslp.slp import encode_slp, expand
+from zslp.repair import compress
+from zslp.slp import expand
 
 
 def test_compress_abab():
@@ -186,27 +186,6 @@ def test_rules_in_creation_order():
     slp = compress(b"abcabcXabab")
     for left, (first, second) in enumerate(slp.rules, 256):
         assert first < left and second < left
-
-
-def test_report_abab():
-    slp = compress(b"abab")
-    report = compression_report(slp, 4)
-    assert report.rules == 1
-    assert report.axiom_len == 2
-    assert report.ratio == 4 / len(encode_slp(slp))
-
-
-def test_report_incompressible_ratio_below_one():
-    slp = compress(b"abc")
-    report = compression_report(slp, 3)
-    assert report.rules == 0
-    assert report.axiom_len == 3
-    assert report.ratio < 1
-
-
-def test_report_rejects_negative_length():
-    with pytest.raises(ValueError):
-        compression_report(compress(b"ab"), -1)
 
 
 @settings(max_examples=300, deadline=None)

@@ -138,7 +138,6 @@ def test_tail_extraction_matches_expansion():
     from conftest import random_grammar
     from zslp.engine import saturate
     from zslp.reporter import _tail_after_last_newline
-    from zslp.slp import expand_symbol
 
     rng = random.Random(97)
     fsa = compile_pattern("ab")
@@ -149,25 +148,37 @@ def test_tail_extraction_matches_expansion():
         for sym in range(256, 256 + len(slp.rules)):
             if not infos[sym][0]:
                 continue
-            expansion = expand_symbol(slp, sym)
+            expansion = expand(slp, (sym,))
             expected = expansion.rsplit(b"\n", 1)[-1]
             assert expand(slp, _tail_after_last_newline(slp, infos, sym)) == expected
             checked += 1
     assert checked > 50
 
 
-def test_pruning_actually_skips_work():
-    import time
+class CountingRules(tuple):
+    """A grammar's rules that count their lookups by index."""
 
+    lookups = 0
+
+    def __getitem__(self, index):
+        self.lookups += 1
+        return super().__getitem__(index)
+
+
+def test_pruning_actually_skips_work():
+    # Work is counted as rule lookups, the walk's descents into subtrees.
     text = b"".join(
         b"%d: GET /item/%d HTTP/1.1 200\n" % (i % 97, i % 31) for i in range(20000)
     )
     slp = compress(text)
-    fsa = compile_pattern("zq9xx")
-    start = time.perf_counter()
-    report(slp, fsa, prune=True)
-    pruned = time.perf_counter() - start
-    start = time.perf_counter()
-    report(slp, fsa, prune=False)
-    unpruned = time.perf_counter() - start
-    assert pruned < unpruned
+    for pattern, lines in (("zq9xx", 0), ("96: GET /item/7 ", 7)):
+        fsa = compile_pattern(pattern)
+        lookups = {}
+        for prune in (True, False):
+            counted = Slp(slp.rules, slp.axiom)
+            object.__setattr__(counted, "rules", CountingRules(slp.rules))
+            assert report(counted, fsa, prune=prune)[0] == lines
+            lookups[prune] = counted.rules.lookups
+        # Without a match the pruned walk descends into no subtree at all.
+        assert (lookups[True] > 0) == (lines > 0), pattern
+        assert lookups[True] < lookups[False], pattern

@@ -34,7 +34,6 @@ from zslp.slp import (
     decode_slp,
     encode_slp,
     expand,
-    expand_symbol,
     iter_expand,
 )
 
@@ -119,31 +118,31 @@ def test_reader_and_constructor_agree(pairs, axiom):
 
 
 def test_expand_terminal(example_slp):
-    assert expand_symbol(example_slp, 97) == b"a"
+    assert expand(example_slp, (97,)) == b"a"
 
 
 def test_expand_fixture_subtrees(example_slp):
-    assert expand_symbol(example_slp, 258) == b"ba\na"
-    assert expand_symbol(example_slp, 262) == b"b\naba"
+    assert expand(example_slp, (258,)) == b"ba\na"
+    assert expand(example_slp, (262,)) == b"b\naba"
     assert expand(example_slp) == EXAMPLE_TEXT
 
 
 def test_expand_fixture_with_top_rule():
     pairs = EXAMPLE_PAIRS + [(258, 262)]
     slp = Slp(pairs, [263])
-    assert expand_symbol(slp, 263) == b"ba\nab\naba"
+    assert expand(slp, (263,)) == b"ba\nab\naba"
 
 
 def test_expand_simple_cases():
     slp = Slp([(97, 98)], [256, 256])
-    assert expand_symbol(slp, 256) == b"ab"
+    assert expand(slp, (256,)) == b"ab"
     assert expand(slp) == b"abab"
     assert expand(Slp([], [97])) == b"a"
 
 
 def test_expand_undefined_symbol_errors(example_slp):
     with pytest.raises(InvalidGrammarError):
-        expand_symbol(example_slp, 5000)
+        expand(example_slp, (5000,))
     for symbols in ([97, 263], [-1], [256, -300]):
         with pytest.raises(InvalidGrammarError, match="undefined symbol"):
             expand(example_slp, symbols)
@@ -158,17 +157,17 @@ def test_expand_invalid_grammar_errors():
 
 def test_concatenation_homomorphism(example_slp):
     for left, (first, second) in enumerate(example_slp.rules, 256):
-        assert expand_symbol(example_slp, left) == expand_symbol(
-            example_slp, first
-        ) + expand_symbol(example_slp, second)
+        assert expand(example_slp, (left,)) == expand(
+            example_slp, (first,)
+        ) + expand(example_slp, (second,))
 
 
 def test_dense_numbering(example_slp):
     # Rule i defines symbol 256 + i, so exactly the ids below 256 + p exist.
     top = 256 + len(example_slp.rules)
-    assert all(expand_symbol(example_slp, sym) for sym in range(top))
+    assert all(expand(example_slp, (sym,)) for sym in range(top))
     with pytest.raises(InvalidGrammarError):
-        expand_symbol(example_slp, top)
+        expand(example_slp, (top,))
 
 
 def test_iter_expand_matches_expand():
