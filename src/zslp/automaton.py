@@ -54,10 +54,6 @@ _MAX_STATES = 20000  # positions, before trimming
 _MAX_PAIRS = 1_000_000  # (position, following position) pairs
 _MAX_VISITS = 200_000  # AST nodes visited, each copy of a repeat counted
 _MAX_NESTING = 100  # groups plus stacked repeat operators, on any path
-# The search engine's saturated relations: rows summed over all rules, times
-# the automaton's width in 64-bit words (state_count // 64 + 1). Every rule's
-# rows count, also when its relation is shared with an earlier rule's.
-MAX_RELATION_WORDS = 50_000_000
 
 
 class PatternSyntaxError(ValueError):
@@ -208,9 +204,9 @@ class _Parser:
         return int(self.text[start : self.pos])
 
     def _atom(self):
+        # Reached only from _concat, which has checked that a character other
+        # than '|' and ')' is next.
         ch = self._peek()
-        if ch is None:
-            self._fail("expected an atom, found end of pattern")
         if ch == "(":
             self._deeper(self.open_groups)
             self.open_groups += 1
@@ -224,25 +220,12 @@ class _Parser:
             return node, height
         if ch == "[":
             return self._char_class(), 0
-        if ch == "\\":
-            self.pos += 1
-            if self._peek() is None:
-                self._fail("dangling backslash")
-            return self._literal(self._take()), 0
         if ch in "*+?{":
             self._fail(f"nothing to repeat before {ch!r}")
-        if ch in "|)":
-            self._fail(f"unexpected {ch!r}")
-        self.pos += 1
         if ch == ".":
+            self.pos += 1
             return ByteSet(_LINE_BYTES), 0
-        return self._literal(ch), 0
-
-    def _literal(self, ch: str):
-        code = ord(ch)
-        if code > 255:
-            self._fail(f"character {ch!r} is outside the byte alphabet")
-        return ByteSet(frozenset({code}) - {NEWLINE})
+        return ByteSet(frozenset({self._byte()}) - {NEWLINE}), 0
 
     def _char_class(self):
         self.pos += 1  # consume '['
@@ -266,7 +249,7 @@ class _Parser:
         return ByteSet(frozenset(members) - {NEWLINE})
 
     def _class_item(self) -> set[int]:
-        lo = self._class_char()
+        lo = self._byte(" in character class")
         if self._peek() == "-":
             # '-' right before ']' is a literal, not a range.
             if self.pos + 1 < len(self.text) and self.text[self.pos + 1] == "]":
@@ -274,17 +257,18 @@ class _Parser:
             self.pos += 1
             if self._peek() is None:
                 self._fail("unclosed range in character class")
-            hi = self._class_char()
+            hi = self._byte(" in character class")
             if hi < lo:
                 self._fail("decreasing range in character class")
             return set(range(lo, hi + 1))
         return {lo}
 
-    def _class_char(self) -> int:
+    def _byte(self, where: str = "") -> int:
+        """Read one character, which a backslash may escape, as a byte."""
         ch = self._take()
         if ch == "\\":
             if self._peek() is None:
-                self._fail("dangling backslash in character class")
+                self._fail("dangling backslash" + where)
             ch = self._take()
         code = ord(ch)
         if code > 255:
@@ -427,8 +411,6 @@ def _glushkov(ast) -> Fsa:
             for part in node.parts:
                 result = then(result, visit(part))
             return result
-        if not isinstance(node, Repeat):
-            raise TypeError(f"unknown pattern node {node!r}")
         if node.high == 0:
             return result
         copies = [visit(node.item)]

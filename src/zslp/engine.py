@@ -47,17 +47,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
-from .automaton import (
-    MAX_RELATION_WORDS,
-    NEWLINE,
-    Fsa,
-    PatternSyntaxError,
-    iter_bits,
-    union_rows,
-)
+from .automaton import NEWLINE, Fsa, PatternSyntaxError, iter_bits, union_rows
 from .slp import InvalidGrammarError, Slp
 
 PERCENTILE_POINTS = (50, 75, 95, 98, 100)
+# Guard rail on the saturated relations: rows summed over all rules, times
+# the automaton's width in 64-bit words (state_count // 64 + 1). Every rule's
+# rows count, also when its relation is shared with an earlier rule's.
+MAX_RELATION_WORDS = 50_000_000
 
 # Counting tuple of the empty string; the neutral element of ``combine``.
 EMPTY_INFO = (False, False, False, 0)

@@ -97,9 +97,8 @@ def compress(text: bytes) -> Slp:
     rules: list[tuple[int, int]] = []
     while heap:
         neg_count, pos, key = heapq.heappop(heap)
-        positions = occ.get(key)
-        if positions is None:
-            continue
+        # Each listed pair has one snapshot in the heap; it is unlisted on a pop.
+        positions = occ[key]
         count = live_count(key, positions)
         if count < 2:
             del occ[key]

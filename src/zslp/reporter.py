@@ -42,7 +42,12 @@ _BATCH = 4096
 
 
 def _tail_after_last_newline(slp: Slp, infos, sym: int) -> list[int]:
-    """Symbols that derive the symbol's expansion after its last newline."""
+    """Symbols that derive the symbol's expansion after its last newline.
+
+    The symbol's expansion must contain a newline, as a pruned symbol's
+    does: the descent then follows the part holding the last newline and
+    ends on that newline byte, which is not part of the tail.
+    """
     parts = []  # right to left
     cur = sym
     while cur >= FIRST_VARIABLE:
@@ -52,8 +57,6 @@ def _tail_after_last_newline(slp: Slp, infos, sym: int) -> list[int]:
         else:
             parts.append(second)
             cur = first
-    if cur != NEWLINE:
-        parts.append(cur)
     return parts[::-1]
 
 

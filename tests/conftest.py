@@ -33,6 +33,25 @@ EXAMPLE_TEXT = b"ba\nab\naba"
 DOUBLING_PAIRS = [(97, 98), (256, 10)] + [(257 + i, 257 + i) for i in range(15)]
 DOUBLING_TOP = 256 + len(DOUBLING_PAIRS) - 1
 
+# Every parser error: (pattern, position, message after "syntax error at
+# position N: ").
+PATTERN_ERRORS = [
+    ("a{x}", 2, "expected a number"),
+    ("a{600}", 6, "repetition larger than 512"),
+    ("a{3,1}", 6, "repetition range {3,1} is decreasing"),
+    ("a{2", 3, "malformed repetition, expected '}'"),
+    ("[a-", 3, "unclosed range in character class"),
+    ("[b-a]", 4, "decreasing range in character class"),
+    ("[a\\", 3, "dangling backslash in character class"),
+    ("[Ā]", 2, "character 'Ā' is outside the byte alphabet"),
+    ("Ā", 1, "character 'Ā' is outside the byte alphabet"),
+    ("a\\", 2, "dangling backslash"),
+    ("a)", 1, "unexpected ')'"),
+    ("*a", 0, "nothing to repeat before '*'"),
+    ("(a", 2, "unclosed '('"),
+    ("[ab", 3, "unclosed character class"),
+]
+
 
 def raw_zslp(pairs, axiom) -> bytes:
     """ZSLP bytes for the rules and axiom as given, valid or not.

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compiled_random_pattern, random_pattern
+from conftest import PATTERN_ERRORS, compiled_random_pattern, random_pattern
 from zslp.automaton import (
     NewlinePatternError,
     PatternSyntaxError,
@@ -107,6 +107,16 @@ def test_syntax_errors_carry_position():
     with pytest.raises(PatternSyntaxError) as err:
         compile_pattern("(" * 50 + "a" + "*" * 51 + ")" * 50)
     assert err.value.position == 151  # the ')' that closes level 101
+
+
+@pytest.mark.parametrize(
+    "pattern, position, message", PATTERN_ERRORS, ids=[p for p, _, _ in PATTERN_ERRORS]
+)
+def test_each_syntax_error_is_pinned(pattern, position, message):
+    with pytest.raises(PatternSyntaxError) as err:
+        compile_pattern(pattern)
+    assert err.value.position == position
+    assert str(err.value) == f"syntax error at position {position}: {message}"
 
 
 def test_newline_only_pattern_rejected():

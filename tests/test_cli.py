@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE_AXIOM, EXAMPLE_PAIRS, raw_zslp
+from conftest import EXAMPLE_AXIOM, EXAMPLE_PAIRS, PATTERN_ERRORS, raw_zslp
 from test_acceptance import _english_like
 import zslp.cli
 import zslp.repair
@@ -45,6 +45,19 @@ def test_count_pattern_error(example_file, capsys):
     assert code == 2
     assert "syntax error" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "pattern, position, message", PATTERN_ERRORS, ids=[p for p, _, _ in PATTERN_ERRORS]
+)
+def test_each_syntax_error_is_one_line(example_file, capsys, pattern, position, message):
+    code = run_cli(["count", "-e", pattern, example_file])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"zslp: pattern error: syntax error at position {position}: {message}\n"
+    )
 
 
 def test_bad_magic_reports_format_error(tmp_path, capsys):
@@ -115,6 +128,17 @@ def test_compress_input_over_the_limit_is_an_input_error(tmp_path, monkeypatch, 
     src.write_bytes(b"ab\n" * 5 + b"a")  # 16 bytes: at the limit
     assert run_cli(["compress", str(src), "-o", str(packed)]) == 0
     assert expand(decode_slp(packed.read_bytes())) == src.read_bytes()
+
+
+def test_compress_empty_input_is_an_input_error(tmp_path, capsys):
+    src = tmp_path / "empty.txt"
+    src.write_bytes(b"")
+    packed = tmp_path / "packed.zslp"
+    assert run_cli(["compress", str(src), "-o", str(packed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "zslp: input error: refusing to compress empty input\n"
+    assert not packed.exists()
 
 
 def test_compress_stdin_stdout(tmp_path, monkeypatch, capsysbinary):

@@ -557,6 +557,8 @@ def test_engine_rejects_nonnormalised_automata():
         fsa_from_cells(2, {(0, 97): {1}, (1, 97): {1}})
     with pytest.raises(ValueError, match="entering an initial state"):
         fsa_from_cells(2, {(0, 97): {0, 1}})
+    with pytest.raises(ValueError, match="newline byte"):
+        fsa_from_cells(2, {(0, 10): {1}})
 
 
 def test_streaming_rule_feed(example_slp, ab_ba_fsa):
