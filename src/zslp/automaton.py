@@ -41,7 +41,7 @@ Inner parts stay: ``t.{0,200}g`` keeps its 203 states."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 NEWLINE = 0x0A
@@ -72,26 +72,10 @@ class NewlinePatternError(ValueError):
 # Pattern AST
 
 
-@dataclass(frozen=True)
-class ByteSet:
-    bytes_: frozenset
-
-
-@dataclass(frozen=True)
-class Seq:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Branch:
-    options: tuple
-
-
-@dataclass(frozen=True)
-class Repeat:
-    item: object
-    low: int
-    high: int | None  # None means unbounded
+ByteSet = namedtuple("ByteSet", "bytes_")
+Seq = namedtuple("Seq", "parts")
+Branch = namedtuple("Branch", "options")
+Repeat = namedtuple("Repeat", "item low high")  # high None means unbounded
 
 
 class _Parser:

@@ -9,7 +9,6 @@ paths mean stdin. All I/O is byte-oriented.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import nullcontext
@@ -20,9 +19,10 @@ from .automaton import NewlinePatternError, PatternSyntaxError
 # the edge-reduced pattern; perfbench's tracer wraps this module's name.
 from .automaton import compile_line_pattern as compile_pattern
 from .engine import collect_stats, run_count
-from .repair import MAX_INPUT_BYTES, compress
+from .repair import compress
 from .reporter import report_matching_lines
 from .slp import (
+    MAX_INPUT_BYTES,
     Slp,
     SlpFormatError,
     ZslpReader,
@@ -101,6 +101,8 @@ def _cmd_stats(args) -> int:
     fsa = compile_pattern(args.pattern)
     stats = collect_stats(_load_slp(args.input), fsa)
     if args.json:
+        import json
+
         payload = {
             "states": stats.s,
             "states_cubed": stats.s**3,

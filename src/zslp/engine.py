@@ -44,7 +44,7 @@ expansion and boundary matches would be over-reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import ceil
 
 from .automaton import NEWLINE, Fsa, PatternSyntaxError, iter_bits, union_rows
@@ -263,8 +263,13 @@ def contains_match(slp: Slp, fsa: Fsa) -> bool:
     return reached & fsa.final != 0
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(
+    namedtuple(
+        "SearchStats",
+        "s p axiom_len per_rule per_axiom_symbol rule_percentiles axiom_percentiles"
+        " measured_ops",
+    )
+):
     """Operation counts of one counting run, derived from its relations.
 
     ``per_rule`` and ``per_axiom_symbol`` are the paper's accounting in
@@ -280,14 +285,7 @@ class SearchStats:
     ``measured_ops`` is an upper bound on the operations it performs.
     """
 
-    s: int
-    p: int
-    axiom_len: int
-    per_rule: tuple
-    per_axiom_symbol: tuple
-    rule_percentiles: dict
-    axiom_percentiles: dict
-    measured_ops: int
+    __slots__ = ()
 
     @property
     def op_budget(self) -> int:

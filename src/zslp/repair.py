@@ -39,15 +39,13 @@ import heapq
 from collections import Counter, defaultdict
 from itertools import islice
 
-from .slp import FIRST_VARIABLE, Slp
+# Peak RSS grows by at most ~100 bytes per input byte (1-4 MB log, prose,
+# random and run inputs): under 2 GB at MAX_INPUT_BYTES.
+from .slp import FIRST_VARIABLE, MAX_INPUT_BYTES, Slp
 
 # Unused here: the benchmark tracer (perfbench/tracing.py) still swaps
 # zslp.repair.encode_slp. Drop this import together with that swap.
 from .slp import encode_slp  # noqa: F401
-
-# Largest input ``compress`` accepts. Peak RSS grows by at most ~100 bytes
-# per input byte (1-4 MB log, prose, random and run inputs): under 2 GB here.
-MAX_INPUT_BYTES = 16 << 20
 # Pair key: first * _KEY_BASE + second. Each rule shortens the sequence, so
 # ids stay below FIRST_VARIABLE + MAX_INPUT_BYTES, far below the base.
 _KEY_BASE = 1 << 32

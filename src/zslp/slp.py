@@ -8,9 +8,11 @@ earlier variable, which makes the rule list topologically ordered by
 construction. The axiom is a non-empty symbol sequence; the text the
 grammar derives is the concatenation of the axiom symbols' expansions. A
 length-1 axiom is allowed so that one-byte inputs have a representation.
-``Slp`` checks these invariants once, when it is built, and ``ZslpReader``
-once, when it decodes a stream; both name a fault with the same text, at
-most FAULTS_SHOWN (3) violations and then how many more.
+``Slp`` is a namedtuple ``(rules, axiom)`` that checks these invariants
+once, when it is built, and ``ZslpReader`` once, when it decodes a stream;
+both name a fault with the same text, at most FAULTS_SHOWN (3) violations
+and then how many more. ``_checked_slp``, which wraps the reader's checked
+parts, is the only way to build an Slp without the check.
 
 The "ZSLP" binary format (version 2):
 
@@ -22,7 +24,10 @@ varints (7 bits per byte, little-endian, high bit = continuation). Every
 symbol id is w bytes, little-endian: w is 2 when all ids fit (256 + p <=
 65,536), otherwise 4. The ids form one fixed-width array, so a reader
 decodes them with ``array.frombytes`` and checks the stream's length by
-arithmetic before it allocates anything. Rules are stored before the axiom
+arithmetic. It reads the header (at most 26 bytes) first and refuses a
+stream that states more than MAX_INPUT_BYTES ids (2p + n, which no stream
+``compress`` writes exceeds) before it reads any; then it reads exactly
+the stated length and one byte more. Rules are stored before the axiom
 and in definition order; nothing may follow the axiom. Version 1, which
 wrote every id as a varint, is no longer read.
 
@@ -42,11 +47,11 @@ from __future__ import annotations
 import io
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import ge, lt
-from typing import BinaryIO, Iterator
 
 FIRST_VARIABLE = 256
 MAGIC = b"ZSLP"
@@ -61,6 +66,11 @@ SHORT_LIMIT = 1024
 SHORT_BUDGET = 4 << 20
 # Violations named in a grammar fault message before "and N more".
 FAULTS_SHOWN = 3
+# Largest input ``compress`` accepts, and so the most ids a stream may state:
+# each rule shortens the sequence by 2 or more, so 2p + n <= input length.
+MAX_INPUT_BYTES = 16 << 20
+# Longest header: magic, version byte, two 10-byte varints, id width byte.
+_HEADER_LIMIT = len(MAGIC) + 1 + 10 + 10 + 1
 _TERMINAL_BYTES = [bytes((byte,)) for byte in range(FIRST_VARIABLE)]
 
 
@@ -80,28 +90,29 @@ class InvalidGrammarError(ValueError):
     """Grammar violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class Slp:
+class Slp(namedtuple("Slp", "rules axiom")):
     """An immutable, valid grammar: ``(first, second)`` rule pairs and the axiom.
 
-    Rule i defines symbol ``256 + i``. Building an Slp checks every
+    A checked namedtuple. Rule i defines symbol ``256 + i``. Building an
+    Slp, also by ``_make``, ``_replace``, copy or pickle, checks every
     invariant and raises InvalidGrammarError naming the violations, so an
-    Slp that exists is valid and its consumers need not check it again;
-    ``ZslpReader.read_slp`` builds one from parts it has already checked.
+    Slp that exists is valid and its consumers need not check it again.
+    ``_checked_slp`` is the only way to build one without the check, from
+    parts ``ZslpReader`` has already checked.
     Expansion caches ``short_expansions`` on it, a table fixed by the rules.
     """
 
-    rules: tuple[tuple[int, int], ...]
-    axiom: tuple[int, ...]
-
-    def __post_init__(self):
-        axiom = tuple(self.axiom)
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "axiom", axiom)
-        firsts, seconds = tuple(zip(*self.rules)) or ((), ())
+    def __new__(cls, rules, axiom):
+        rules, axiom = tuple(rules), tuple(axiom)
+        firsts, seconds = tuple(zip(*rules)) or ((), ())
         negative = min(chain(firsts, seconds, axiom), default=0) < 0
         if negative or _malformed(firsts, seconds, axiom):
             raise InvalidGrammarError(_fault_message(firsts, seconds, axiom))
+        return super().__new__(cls, rules, axiom)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @cached_property
     def short_expansions(self) -> tuple:
@@ -262,16 +273,17 @@ def encode_slp(slp: Slp) -> bytes:
 class ZslpReader:
     """ZSLP reader: the whole stream is decoded and checked on construction.
 
-    The constructor checks the header and the stream's length, decodes
-    every symbol id with one ``array.frombytes``, and checks the grammar's
-    invariants, raising SlpFormatError with the text ``Slp`` would give.
+    The constructor checks the header, reads only the ids it states (see
+    the module docstring), decodes them with one ``array.frombytes``, and
+    checks the grammar's invariants, raising SlpFormatError with the text
+    ``Slp`` would give.
     ``iter_rules``, ``read_axiom`` and ``read_slp`` are views of the checked
     data, in any order and without a second check, so the consumers of the
     rules (``saturate``, the engine's line count) take valid pairs.
     """
 
-    def __init__(self, stream: BinaryIO):
-        data = stream.read()
+    def __init__(self, stream: io.BufferedIOBase):
+        data = stream.read(_HEADER_LIMIT)
         magic = data[: len(MAGIC)]
         if len(magic) < len(MAGIC):
             raise TruncatedStreamError("stream ended inside the magic")
@@ -289,7 +301,14 @@ class ZslpReader:
         if width not in (2, 4):
             raise SlpFormatError(f"unsupported id width {width}")
         pos += 1
-        stop = pos + width * (2 * self.rule_count + axiom_len)
+        id_count = 2 * self.rule_count + axiom_len
+        if id_count > MAX_INPUT_BYTES:
+            raise SlpFormatError(
+                f"header states {id_count} symbol ids, over the {MAX_INPUT_BYTES}-id limit"
+            )
+        stop = pos + width * id_count
+        # The stated ids, and one byte more to find trailing data.
+        data += stream.read(max(0, stop + 1 - len(data)))
         if len(data) < stop:
             raise TruncatedStreamError("stream ended inside the symbol ids")
         if len(data) > stop:
@@ -320,10 +339,7 @@ class ZslpReader:
 
 def _checked_slp(rules: tuple, axiom: tuple) -> Slp:
     """An Slp of parts ``ZslpReader`` has checked, built without a second check."""
-    slp = object.__new__(Slp)
-    object.__setattr__(slp, "rules", rules)
-    object.__setattr__(slp, "axiom", axiom)
-    return slp
+    return tuple.__new__(Slp, (rules, axiom))
 
 
 def decode_slp(data: bytes) -> Slp:

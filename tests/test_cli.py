@@ -249,6 +249,24 @@ def test_trailing_data_after_axiom_is_a_format_error(tmp_path, capsysbinary, arg
     assert b"format error" in captured.err and b"trailing data" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "-e", "ab"], ["search", "-e", "ab"], ["stats", "-e", "ab"], ["decompress"]],
+    ids=["count", "search", "stats", "decompress"],
+)
+def test_stream_over_the_id_limit_is_a_format_error(tmp_path, capsysbinary, argv):
+    # The header states 2**24 rules and 1 axiom symbol over a 10-byte body.
+    packed = tmp_path / "huge.zslp"
+    packed.write_bytes(b"ZSLP\x02\x80\x80\x80\x08\x01\x02" + b"\x61" * 10)
+    assert run_cli(argv + [str(packed)]) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err == (
+        b"zslp: format error: header states 33554433 symbol ids, "
+        b"over the 16777216-id limit\n"
+    )
+
+
 # The version-1 stream of rule (97, 98) and axiom 256 256: every id a varint.
 VERSION_1_ZSLP = bytes.fromhex("5a534c50010161620280028002")
 

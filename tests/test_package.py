@@ -2,6 +2,9 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import zslp
@@ -24,6 +27,21 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_cold_cli_import_leaves_out_heavy_modules():
+    # A zslp process pays for every import: the CLI loads no dataclasses
+    # (which imports inspect, ast, dis and tokenize), no typing, and json
+    # only for stats --json. -S keeps site's own imports out of the picture.
+    code = (
+        "import sys, zslp.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'json', 'typing'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
 
 
 def test_benchmark_tracer_finds_what_it_swaps(tmp_path, capsysbinary):

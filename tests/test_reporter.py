@@ -13,7 +13,7 @@ from zslp.engine import count_matching_lines
 from zslp.oracle import oracle_lines
 from zslp.repair import compress
 from zslp.reporter import report_matching_lines
-from zslp.slp import Slp, expand
+from zslp.slp import Slp, _checked_slp, expand
 
 
 def report(slp, fsa, prune=True):
@@ -175,8 +175,7 @@ def test_pruning_actually_skips_work():
         fsa = compile_pattern(pattern)
         lookups = {}
         for prune in (True, False):
-            counted = Slp(slp.rules, slp.axiom)
-            object.__setattr__(counted, "rules", CountingRules(slp.rules))
+            counted = _checked_slp(CountingRules(slp.rules), slp.axiom)
             assert report(counted, fsa, prune=prune)[0] == lines
             lookups[prune] = counted.rules.lookups
         # Without a match the pruned walk descends into no subtree at all.

@@ -1,4 +1,6 @@
+import copy
 import io
+import pickle
 import random
 import sys
 import threading
@@ -21,8 +23,10 @@ from zslp.engine import collect_stats, contains_match, count_matching_lines, run
 from zslp.oracle import oracle_count
 from zslp.repair import compress
 from zslp.reporter import report_matching_lines
+import zslp.slp
 from zslp.slp import (
     CHUNK_SIZE,
+    MAX_INPUT_BYTES,
     SHORT_BUDGET,
     SHORT_LIMIT,
     BadMagicError,
@@ -56,6 +60,28 @@ def test_validate_accepts_simple_grammar():
     slp = Slp([(97, 98)], [256, 256])
     assert slp.rules == ((97, 98),) and slp.axiom == (256, 256)
     assert slp == Slp(((97, 98),), (256, 256))
+
+
+def test_slp_is_immutable_and_survives_copy_and_pickle():
+    slp = Slp([(97, 98)], [256, 256])
+    for field in ("rules", "axiom"):
+        with pytest.raises(AttributeError):
+            setattr(slp, field, ())
+    assert slp.rules == ((97, 98),) and slp.axiom == (256, 256)
+    assert copy.copy(slp) == slp
+    assert pickle.loads(pickle.dumps(slp)) == slp
+    assert slp.short_expansions is slp.short_expansions
+
+
+def test_slp_rebuilt_by_namedtuple_methods_is_checked():
+    slp = Slp([(97, 98)], [256, 256])
+    with pytest.raises(InvalidGrammarError, match="^empty axiom$"):
+        slp._replace(axiom=())
+    with pytest.raises(InvalidGrammarError, match="^empty axiom$"):
+        Slp._make(((), ()))
+    with pytest.raises(InvalidGrammarError, match="^rule 1 references undefined/later symbol 257$"):
+        slp._replace(rules=((257, 97), (97, 98)))
+    assert slp._replace(axiom=(98, 256)) == Slp([(97, 98)], [98, 256])
 
 
 def test_validate_rejects_forward_reference():
@@ -183,6 +209,18 @@ def test_iter_expand_matches_expand():
 GOLDEN = bytes.fromhex("5a534c50" "02" "01" "02" "02" "6100" "6200" "0001" "0001")
 
 
+class RecordingStream(io.BytesIO):
+    """A stream that records the size of every read."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
 def test_encode_golden_bytes():
     slp = Slp([(97, 98)], [256, 256])
     assert encode_slp(slp) == GOLDEN
@@ -235,6 +273,13 @@ def test_decode_rejects_empty_axiom():
 def test_decode_rejects_trailing_data():
     with pytest.raises(SlpFormatError, match="trailing"):
         decode_slp(GOLDEN + b"\x00")
+    # The reader reads the stated length and one byte more, not the rest.
+    packed = raw_zslp([(97, 98)], [256] * 20)
+    assert len(packed) == 52
+    stream = RecordingStream(packed + b"JUNK" * 100)
+    with pytest.raises(SlpFormatError, match="^trailing data after axiom$"):
+        ZslpReader(stream)
+    assert stream.tell() == len(packed) + 1
 
 
 def test_decode_rejects_overlong_varint():
@@ -251,14 +296,34 @@ def test_decode_rejects_other_id_widths(width):
 
 
 def test_huge_declared_length_fails_before_allocating():
-    # The header declares 2**40 rules; the stream holds 20 bytes in all.
+    # The header declares 2**40 rules over a 10- or 1,000-byte body. It is
+    # refused before any read past the longest header (26 bytes), so before
+    # any symbol id is read.
     header = b"ZSLP\x02" + bytes([0x80] * 5 + [0x20]) + b"\x01\x02"
-    data = header + b"\x61" * (20 - len(header))
-    assert len(data) == 20
-    start = time.process_time()
-    with pytest.raises(TruncatedStreamError, match="inside the symbol ids"):
-        ZslpReader(io.BytesIO(data))
-    assert time.process_time() - start < 1
+    for body in (10, 1000):
+        stream = RecordingStream(header + b"\x61" * body)
+        start = time.process_time()
+        with pytest.raises(SlpFormatError) as info:
+            ZslpReader(stream)
+        assert time.process_time() - start < 1
+        assert str(info.value) == (
+            f"header states {2 * 2**40 + 1} symbol ids, over the {MAX_INPUT_BYTES}-id limit"
+        )
+        assert all(0 <= size for size in stream.sizes)
+        assert sum(stream.sizes) <= 26 and stream.tell() <= 26
+
+
+def test_stream_at_the_id_limit_decodes(monkeypatch):
+    # With the limit at 7 ids, 2 rules and 3 axiom symbols decode, and one
+    # axiom symbol more is refused before its ids are read.
+    monkeypatch.setattr(zslp.slp, "MAX_INPUT_BYTES", 7)
+    pairs = [(97, 98), (256, 10)]
+    at_limit = raw_zslp(pairs, [257, 257, 256])
+    assert expand(decode_slp(at_limit)) == b"ab\nab\nab"
+    stream = RecordingStream(raw_zslp(pairs, [257, 257, 256, 97]))
+    with pytest.raises(SlpFormatError, match="^header states 8 symbol ids, over the 7-id limit$"):
+        ZslpReader(stream)
+    assert sum(stream.sizes) <= 26
 
 
 def _wide_grammar(rule_count: int) -> Slp:
