@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
+from functools import cache
 
 from .automaton import NewlinePatternError, PatternSyntaxError
 
@@ -133,7 +134,12 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``run_cli`` call.
+
+    Parsing keeps no state in the parser, so every call can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="zslp",
         description="Search RePair-compressed text without decompressing it.",

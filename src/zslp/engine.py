@@ -211,20 +211,32 @@ def fold(
     return (nl, left, line, count), reached
 
 
+def line_facts(rule_pairs) -> list[int]:
+    """Twice the newline count, plus 1 if the expansion ends with a newline.
+
+    Indexed by symbol id; ``rule_pairs`` yields valid pairs in definition
+    order and is consumed once. The facts do not depend on any pattern: a
+    rule's newlines are its parts' newlines, and it ends as its second part
+    does.
+    """
+    facts = [0] * 256
+    facts[NEWLINE] = 3
+    append = facts.append
+    for first, second in rule_pairs:
+        append((facts[first] & -2) + facts[second])
+    return facts
+
+
 def _line_count_arithmetic(rule_pairs, read_axiom) -> int:
     """Number of lines in the expansion, from newline counts alone.
 
     Lines are newline-separated segments; a trailing newline does not open a
     final empty line, while adjacent newlines do enclose empty lines.
     """
-    newline_counts = [1 if byte == NEWLINE else 0 for byte in range(256)]
-    ends_with_newline = [byte == NEWLINE for byte in range(256)]
-    for first, second in rule_pairs:
-        newline_counts.append(newline_counts[first] + newline_counts[second])
-        ends_with_newline.append(ends_with_newline[second])
+    facts = line_facts(rule_pairs)
     axiom = read_axiom()
-    total = sum(newline_counts[sym] for sym in axiom)
-    return total + (0 if ends_with_newline[axiom[-1]] else 1)
+    newlines = sum(facts[sym] >> 1 for sym in axiom)
+    return newlines + (0 if facts[axiom[-1]] & 1 else 1)
 
 
 def run_count(rule_pairs, read_axiom, fsa: Fsa) -> int:

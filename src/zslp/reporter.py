@@ -18,19 +18,33 @@ re-seeds the suffix states from the subtree's row of state 0. The
 skipped subtree's trailing line fragment is remembered by symbol id: if a
 later symbol completes a match on that same line, exactly that fragment is
 expanded after the fact so the emitted line is byte-identical to the
-uncompressed one. Disabling pruning never changes the output.
+uncompressed one.
+
+The dual of a skipped subtree is a full one: its expansion holds a newline,
+every closed line in it matches, and its last line matches or is empty.
+Whether a symbol is full follows from its counting tuple and two line facts
+that no pattern changes (its newline count and whether it ends with a
+newline), gathered in one bottom-up pass the first time a line is about to
+be emitted, so a search that prints nothing never pays for it. When the
+line about to take in a full subtree will be emitted (it has matched, or
+the subtree's first line matches), the subtree joins the output whole,
+closing all of its lines at once; its open last line, if any, carries on
+already matched. Disabling pruning turns off both shortcuts and never
+changes the output.
 
 The reporter builds no bytes: a matching line is recorded as symbols (the
-skipped fragment, the line's symbols, a newline) that ``iter_expand`` writes
-in batches. A pattern matching the empty string matches every line; its walk
-runs over the stateless automaton, which saturates to newline flags and no
-rows. Every line then starts matched; the last fragment counts if non-empty.
+skipped fragment, the line's symbols, then a newline or a full subtree)
+that ``iter_expand`` writes in batches. A pattern matching the empty string
+matches every line; its walk runs over the stateless automaton, which
+saturates to newline flags and no rows. Every line then starts matched,
+every symbol holding a newline is full, and the last fragment counts if
+non-empty.
 """
 
 from __future__ import annotations
 
 from .automaton import NEWLINE, Fsa, union_rows
-from .engine import saturate
+from .engine import line_facts, saturate
 from .slp import FIRST_VARIABLE, Slp, iter_expand
 
 # Counting tuple of a subtree that spans a newline and matches nowhere.
@@ -60,14 +74,37 @@ def _tail_after_last_newline(slp: Slp, infos, sym: int) -> list[int]:
     return parts[::-1]
 
 
+def _full_symbols(rules, infos, every_line: bool) -> tuple[list, list]:
+    """Line facts of every symbol and whether the symbol is full.
+
+    A symbol is full when its expansion holds a newline, every closed line
+    in it matches, and its last line matches or is empty: once its first
+    line is known to match, all of its expansion belongs to matching lines.
+    With n newlines and e for a trailing one (fact = 2n + e), that is
+    count = n - 1 and (right or e), or ``fact | right == 2 * count + 3``.
+    """
+    facts = line_facts(rules)
+    if every_line:
+        return facts, [fact > 1 for fact in facts]
+    full = [
+        (fact | right) == 2 * count + 3
+        for fact, (_, _, right, count) in zip(facts, infos)
+    ]
+    return facts, full
+
+
 def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     """Write exactly the matching lines to the sink, each newline-terminated.
 
     Returns the number of emitted lines, which equals the counting result.
     The final line gains a terminating newline even if the source text lacks
     one. No single write to the sink exceeds ``iter_expand``'s chunk size.
+    ``prune`` gates both shortcuts, skipping silent subtrees and writing
+    full ones whole; without it the walk descends to every newline, and
+    the output is the same.
     """
-    if fsa.matches_empty:
+    every_line = fsa.matches_empty
+    if every_line:
         fsa = _EVERY_LINE
     infos, rels = saturate(slp.rules, fsa)
     final = fsa.final
@@ -78,20 +115,23 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     pending: int | None = None  # symbol whose trailing line fragment we skipped
     parts: list[int] = []  # newline-free symbols of the current line, in order
     reachable = 0
-    matched = fsa.matches_empty
+    matched = every_line
+    head_written = False  # the current line's head is in out, in a full symbol
+    facts = full = None  # built at the first line that will be emitted
 
     def write() -> None:
         for chunk in iter_expand(slp, out):
             sink.write(chunk)
         out.clear()
 
-    def emit_line() -> None:
+    def emit_line(last: int, lines: int) -> None:
+        """Queue the current line through ``last``, which closes ``lines``."""
         nonlocal emitted
         if pending is not None:
             out.extend(_tail_after_last_newline(slp, infos, pending))
         out.extend(parts)
-        out.append(NEWLINE)
-        emitted += 1
+        out.append(last)
+        emitted += lines
         if len(out) >= _BATCH:
             write()
 
@@ -100,39 +140,55 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
         sym = stack.pop()
         if sym == NEWLINE:
             if matched:
-                emit_line()
+                emit_line(NEWLINE, 1)
             parts.clear()
             pending = None
             reachable = 0
-            matched = fsa.matches_empty
+            matched = every_line
+            head_written = False
             continue
         info = infos[sym]
-        rel = rels[sym]
         if not info[0]:
             # A newline-free symbol joins the line whole: one mask step.
             parts.append(sym)
             if not matched:
+                rel = rels[sym]
                 if reachable:
                     reachable = union_rows(reachable, rel)
                 reachable |= rel.get(0, 0)
                 matched = reachable & final != 0
             continue
-        if (
-            prune
-            and not matched
-            and info == _SILENT
-            and not (reachable and union_rows(reachable, rel) & final)
-        ):
-            # Nothing of this subtree can sit in a matching line; skip it.
-            parts.clear()
-            pending = sym
-            reachable = rel.get(0, 0)
-            continue
+        if prune:
+            if matched or info[1]:
+                # The current line will be emitted; a full subtree joins it
+                # whole, with every line it closes.
+                if full is None:
+                    facts, full = _full_symbols(rules, infos, every_line)
+                if full[sym]:
+                    fact = facts[sym]
+                    emit_line(sym, fact >> 1)
+                    parts.clear()
+                    pending = None
+                    if fact & 1:
+                        reachable = 0
+                        matched = every_line
+                        head_written = False
+                    else:
+                        matched = head_written = True
+                    continue
+            elif info == _SILENT and not (
+                reachable and union_rows(reachable, rels[sym]) & final
+            ):
+                # Nothing of this subtree can sit in a matching line; skip it.
+                parts.clear()
+                pending = sym
+                reachable = rels[sym].get(0, 0)
+                continue
         first, second = rules[sym - FIRST_VARIABLE]
         stack.append(second)
         stack.append(first)
 
-    if matched and parts:
-        emit_line()
+    if matched and (parts or head_written):
+        emit_line(NEWLINE, 1)
     write()
     return emitted

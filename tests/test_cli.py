@@ -201,6 +201,48 @@ def test_module_invocation_subprocess(example_file):
     assert piped.stdout == open(example_file, "rb").read()
 
 
+def test_parser_is_built_once_per_process(example_file, capsys):
+    import subprocess
+
+    # Importing the CLI builds nothing; the first run_cli call builds the
+    # parser and later calls reuse it.
+    code = "import zslp.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    imported = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert imported.stdout == "0\n"
+    zslp.cli._build_parser.cache_clear()
+    assert run_cli(["count", "-e", "ab|ba", example_file]) == 0
+    assert run_cli(["count", "-e", "ab|ba", example_file]) == 0
+    info = zslp.cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    capsys.readouterr()
+
+
+def test_shared_parser_answers_like_fresh_processes(example_file, capsysbinary):
+    import subprocess
+
+    # A usage error leaves nothing behind in the shared parser: the next
+    # call answers as a fresh process does.
+    runs = (["count"], ["count", "-e", "ab|ba", example_file])
+    fresh = [
+        subprocess.run([sys.executable, "-m", "zslp", *argv], capture_output=True)
+        for argv in runs
+    ]
+    for argv, proc in zip(runs, fresh):
+        code = run_cli(argv)
+        captured = capsysbinary.readouterr()
+        assert (code, captured.out, captured.err) == (
+            proc.returncode,
+            proc.stdout,
+            proc.stderr,
+        ), argv
+    assert [proc.returncode for proc in fresh] == [2, 0]
+
+
 def test_count_equals_decompress_then_oracle(tmp_path, capsys):
     corpus = [
         b"alpha beta\ngamma\n",

@@ -13,7 +13,7 @@ from zslp.engine import count_matching_lines
 from zslp.oracle import oracle_lines
 from zslp.repair import compress
 from zslp.reporter import report_matching_lines
-from zslp.slp import Slp, _checked_slp, expand
+from zslp.slp import CHUNK_SIZE, Slp, _checked_slp, expand, iter_expand
 
 
 def report(slp, fsa, prune=True):
@@ -181,3 +181,168 @@ def test_pruning_actually_skips_work():
         # Without a match the pruned walk descends into no subtree at all.
         assert (lookups[True] > 0) == (lines > 0), pattern
         assert lookups[True] < lookups[False], pattern
+
+
+def test_dense_patterns_match_oracle_and_count():
+    # Texts over "ab\n" with runs of repeated lines, so that RePair builds
+    # subtrees whose every line matches; patterns that match most lines.
+    rng = random.Random(1618)
+    patterns = ("[a-z]", ".", "a|b", "a*", "(ab)+")
+    fsas = [(pattern, compile_pattern(pattern)) for pattern in patterns]
+    for _ in range(150):
+        lines = []
+        for _ in range(rng.randint(1, 10)):
+            line = bytes(rng.choice(b"ab") for _ in range(rng.randint(0, 4)))
+            lines += [line] * rng.choice((1, 2, 3, 8, 20))
+        text = b"\n".join(lines) + rng.choice((b"", b"\n"))
+        if not text:
+            continue
+        slp = compress(text)
+        for pattern, fsa in fsas:
+            expected = b"".join(line + b"\n" for line in oracle_lines(text, pattern))
+            count = count_matching_lines(slp, fsa)
+            for prune in (True, False):
+                assert report(slp, fsa, prune=prune) == (count, expected), (
+                    pattern,
+                    text,
+                    prune,
+                )
+
+
+def assert_reports_oracle(slp, pattern):
+    text = expand(slp)
+    expected = b"".join(line + b"\n" for line in oracle_lines(text, pattern))
+    fsa = compile_pattern(pattern)
+    for prune in (True, False):
+        assert report(slp, fsa, prune=prune) == (
+            count_matching_lines(slp, fsa),
+            expected,
+        ), (pattern, text, prune)
+    return expected
+
+
+def test_full_subtree_ends_an_unterminated_matching_line():
+    # 257 = "a\n" + "a" is full; its open last line ends the text.
+    slp = Slp([(97, 10), (256, 97)], [257])
+    assert assert_reports_oracle(slp, "a") == b"a\na\n"
+    assert assert_reports_oracle(compress(b"ab\nab\nab\nab"), "[a-z]") == b"ab\n" * 4
+    # the open last line goes on past the full symbol
+    assert assert_reports_oracle(Slp([(97, 10), (256, 97)], [257, 98]), "a") == b"a\nab\n"
+
+
+def test_text_starting_with_a_newline():
+    slp = Slp([(10, 97), (256, 10)], [257, 257])  # "\na\n\na\n"
+    assert assert_reports_oracle(slp, "[a-z]") == b"a\na\n"
+    assert assert_reports_oracle(slp, "x*") == b"\na\n\na\n"
+    for pattern in ("[a-z]", "a*", "."):
+        assert_reports_oracle(compress(b"\nab\nab\nab\nb"), pattern)
+
+
+def test_full_subtree_after_a_skipped_fragment():
+    # 257 = "x\nA" is skipped; 259 = "B\nB\n" is full, and the line it
+    # opens with begins with the skipped fragment "A".
+    pairs = [(120, 10), (256, 65), (66, 10), (258, 258)]
+    slp = Slp(pairs, [257, 259])
+    assert assert_reports_oracle(slp, "B") == b"AB\nB\n"
+    lookups = {}
+    for prune in (True, False):
+        counted = _checked_slp(CountingRules(slp.rules), slp.axiom)
+        assert report(counted, compile_pattern("B"), prune=prune) == (2, b"AB\nB\n")
+        lookups[prune] = counted.rules.lookups
+    assert lookups[True] < lookups[False]
+
+
+def test_adjacent_empty_lines():
+    slp = compress(b"a\n\n\na\n\n\na\n\n")
+    for pattern in ("a", "x*", "a*", ".", ""):
+        assert_reports_oracle(slp, pattern)
+    assert assert_reports_oracle(slp, "x*") == b"a\n\n\na\n\n\na\n\n"
+
+
+def test_empty_matching_patterns_emit_every_line():
+    for text in (b"ab\nab\nab\nab", b"ab\n\nab\n", b"\n", b"b\n\n\nb"):
+        slp = compress(text)
+        for pattern in ("", "x*", "a*", "(ab)*"):
+            lines = text.split(b"\n")
+            if text.endswith(b"\n"):
+                lines.pop()
+            assert assert_reports_oracle(slp, pattern) == b"".join(
+                line + b"\n" for line in lines
+            )
+
+
+def test_full_symbol_over_one_chunk_is_written_in_chunks(monkeypatch):
+    import zslp.reporter
+
+    class RecordingSink:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(bytes(data))
+
+    handed = []
+
+    def recording_expand(slp, symbols):
+        handed.append(list(symbols))
+        return iter_expand(slp, symbols)
+
+    monkeypatch.setattr(zslp.reporter, "iter_expand", recording_expand)
+    # DOUBLING_TOP derives 98,304 bytes, every line "ab"; a final "a" opens
+    # one more line, which the reporter terminates. The full symbol goes to
+    # the expander whole.
+    cases = (
+        ([DOUBLING_TOP], 2**15, [DOUBLING_TOP], b""),
+        ([DOUBLING_TOP, 97], 2**15 + 1, [DOUBLING_TOP, 97, 10], b"\n"),
+    )
+    for axiom, lines, symbols, added in cases:
+        slp = Slp(DOUBLING_PAIRS, axiom)
+        sink = RecordingSink()
+        handed.clear()
+        assert report_matching_lines(slp, compile_pattern("a"), sink) == lines
+        assert handed == [symbols]
+        assert b"".join(sink.writes) == expand(slp) + added
+        assert max(len(data) for data in sink.writes) <= CHUNK_SIZE < len(expand(slp))
+
+
+def test_full_subtrees_skip_work(monkeypatch):
+    import zslp.reporter
+
+    # Every line matches: the walk writes full subtrees whole instead of
+    # descending into them. Work is counted as the walk's rule lookups, as
+    # above; the bytes are expanded from the uncounted grammar.
+    text = b"".join(
+        b"%d: GET /item/%d HTTP/1.1 200\n" % (i % 97, i % 31) for i in range(20000)
+    )
+    slp = compress(text)
+    monkeypatch.setattr(
+        zslp.reporter, "iter_expand", lambda _, symbols: iter_expand(slp, symbols)
+    )
+    for pattern in ("HTTP/1\\.1", "[a-z]", "x*"):
+        fsa = compile_pattern(pattern)
+        results = {}
+        for prune in (True, False):
+            counted = _checked_slp(CountingRules(slp.rules), slp.axiom)
+            results[prune] = report(counted, fsa, prune=prune), counted.rules.lookups
+        (on_report, on_lookups), (off_report, off_lookups) = results[True], results[False]
+        assert on_report == off_report
+        assert on_report[0] == 20000
+        assert on_lookups < off_lookups / 10, pattern
+
+
+def test_count_skips_line_facts_unless_the_pattern_matches_empty(monkeypatch):
+    import zslp.engine
+
+    calls = []
+    real = zslp.engine.line_facts
+
+    def counted(rule_pairs):
+        calls.append(1)
+        return real(rule_pairs)
+
+    monkeypatch.setattr(zslp.engine, "line_facts", counted)
+    slp = compress(b"ab\nab\nb\n")
+    assert count_matching_lines(slp, compile_pattern("a")) == 2
+    assert calls == []
+    assert count_matching_lines(slp, compile_pattern("a*")) == 3
+    assert calls == [1]
