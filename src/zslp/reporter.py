@@ -125,7 +125,8 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
         out.clear()
 
     def emit_line(last: int, lines: int) -> None:
-        """Queue the current line through ``last``, which closes ``lines``."""
+        """Queue the current line, ended by ``last``: a newline, or a full
+        symbol that closes ``lines`` lines."""
         nonlocal emitted
         if pending is not None:
             out.extend(_tail_after_last_newline(slp, infos, pending))

@@ -219,7 +219,6 @@ def test_parser_is_built_once_per_process(example_file, capsys):
     assert run_cli(["count", "-e", "ab|ba", example_file]) == 0
     info = zslp.cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    capsys.readouterr()
 
 
 def test_shared_parser_answers_like_fresh_processes(example_file, capsysbinary):
