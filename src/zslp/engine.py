@@ -1,10 +1,10 @@
 """Counting regex-matching lines directly on the compressed grammar.
 
-Automaton states are bits of a Python int. Every symbol gets two values:
+Automaton states are bits of a Python int. Every symbol's expansion u has:
 
-* a counting tuple ``(nl, left, right, count)`` for its expansion u: whether
-  u contains a newline, whether its first and its last line contain a match,
-  and how many closed lines (newline on both sides) of u match; and
+* a counting tuple ``(nl, left, right, count)``: whether u contains a
+  newline, whether its first and its last line contain a match, and how
+  many closed lines (newline on both sides) of u match; and
 * a relation ``{source: target-bitmask}``. Target q2 is in the row of q1
   exactly when the automaton can move from q1 to q2 reading a factor of u
   that is a prefix (unless q2 is the accept state), a suffix (unless q1 is
@@ -20,20 +20,29 @@ across the seam of A and B. This is bit-parallel NFA simulation
 (Baeza-Yates & Gonnet's Shift-Or; Navarro & Raffinot, *Flexible Pattern
 Matching in Strings*) lifted from bytes to grammar symbols.
 
-A grammar's rules carry few distinct relations, so relations are
-hash-consed (Filliatre & Conchon, *Type-Safe Modular Hash-Consing*): equal
-relations are one shared dict with a small id, and the composition of a
-pair of ids is computed once, for the first rule with that pair; later
-rules look it up. This is how per-nonterminal transition functions of an
+A grammar's rules carry few distinct relations, and fewer distinct
+summaries still, so both are hash-consed (Filliatre & Conchon, *Type-Safe
+Modular Hash-Consing*). Equal relations are one shared, read-only dict with
+a small id. A symbol's summary minus its count, ``(relation id, nl, left,
+right)``, is its *kind*, also a small id; the count, which is unbounded,
+is kept per symbol. ``X``'s kind and the seam's addition to its count
+depend only on the kinds of A and B, so they are derived once per distinct
+pair of kinds; deriving composes the pair of relations only if no earlier
+pair had it. This is how per-nonterminal transition functions of an
 automaton over an SLP are usually computed (Lohrey, *Algorithmics on
-SLP-compressed strings: a survey*). The shared dicts are read-only.
+SLP-compressed strings: a survey*).
+
+Each kind has one record, ``(relation, row of state 0, nl, left, right,
+relation id)``; a ``Saturation`` holds every symbol's kind and count and
+the records, indexed by kind. The records are tuples, which CPython
+unpacks fastest, and ``saturate`` is the only code that builds them.
 
 ``fold`` runs the axiom left to right carrying the reached states as one
 int (the states reachable from state 0 by reading some suffix of the prefix
 expanded so far; the accept state, once entered, is kept) and the counting
 tuple's fields as plain scalars, building the tuple once at the end.
 Counting, the match decision and the statistics use this one saturate/fold
-path; the reporter walks the grammar over the same saturated tables.
+path; the reporter walks the grammar over the same records.
 
 The engine requires automata with no transitions entering state 0 or
 leaving the accept state, the shape the pattern compiler produces and
@@ -58,6 +67,9 @@ MAX_RELATION_WORDS = 50_000_000
 
 # Counting tuple of the empty string; the neutral element of ``combine``.
 EMPTY_INFO = (False, False, False, 0)
+
+# Per symbol its kind and closed-line count; per kind its record.
+Saturation = namedtuple("Saturation", "kinds counts table")
 
 
 def combine(a: tuple, b: tuple, new_match: bool) -> tuple:
@@ -85,19 +97,22 @@ def matching_lines(info: tuple) -> int:
     return count + ((left + right) if nl else left)
 
 
-def saturate(rule_pairs, fsa: Fsa) -> tuple[list, list]:
-    """Counting tuples and relations of every symbol, indexed by symbol id.
+def saturate(rule_pairs, fsa: Fsa) -> Saturation:
+    """Kinds and closed-line counts of every symbol, and the kinds' records.
 
     ``rule_pairs`` yields valid ``(first, second)`` pairs in definition
     order (an ``Slp``'s rules or ``ZslpReader.iter_rules``, checked when
     the ``Slp`` or the reader was built) and is consumed once.
 
     Relations are hash-consed: symbols whose relations have equal contents
-    share one dict, so callers must treat ``rels`` as read-only. Each
-    distinct pair of (first, second) relations is composed once, and every
-    later rule with that pair reuses the result. The row budget still
-    counts every rule's rows, shared or not: the compiler's "pattern too
-    large" PatternSyntaxError is raised once they outgrow
+    share one dict, so callers must treat the records' relations as
+    read-only. So are kinds: symbols with the same relation and line flags
+    share one kind and its record. A rule whose pair of kinds was seen
+    before takes the kind and seam increment found then. Otherwise the
+    pair of relations is looked up, and composed only if no earlier rule
+    had it; ``combine`` then runs once for the pair of kinds. The row
+    budget still counts every rule's rows, shared or not: the compiler's
+    "pattern too large" PatternSyntaxError is raised once they outgrow
     MAX_RELATION_WORDS.
     """
     final = fsa.final
@@ -113,53 +128,73 @@ def saturate(rule_pairs, fsa: Fsa) -> tuple[list, list]:
             distinct.append(rel)
         return rel_id
 
-    # The compiler shares one row map per byte class; intern each map once.
-    maps = {id(rel): rel for rel in fsa.rows}
-    terminal_ids = {key: intern(rel) for key, rel in maps.items()}
-    ids = [terminal_ids[id(rel)] for rel in fsa.rows]  # symbol -> relation id
-    rels: list[dict] = [distinct[rel_id] for rel_id in ids]
-    infos: list[tuple] = []
-    for byte, rel in enumerate(rels):
-        hit = rel.get(0, 0) & final != 0
-        infos.append((byte == NEWLINE, hit, hit, 0))
+    kind_ids: dict = {}  # (relation id, nl, left, right) -> kind
+    table: list[tuple] = []  # kind -> record
 
-    # (relation id of A, relation id of B) -> (id, relation, new_match, rows)
+    def kind_of(rel_id: int, nl: bool, left: bool, right: bool) -> int:
+        kind = kind_ids.setdefault((rel_id, nl, left, right), len(table))
+        if kind == len(table):
+            rel = distinct[rel_id]
+            table.append((rel, rel.get(0, 0), nl, left, right, rel_id))
+        return kind
+
+    # (relation id of A, relation id of B) -> (relation id, new_match, rows)
     composed: dict = {}
-    for first, second in rule_pairs:
-        pair = (ids[first], ids[second])
-        known = composed.get(pair)
+
+    def derive(kind_a: int, kind_b: int) -> tuple:
+        """(kind, seam increment, rows) of a rule whose parts have these kinds."""
+        rel_a, _, nl_a, left_a, right_a, id_a = table[kind_a]
+        rel_b, row_b, nl_b, left_b, right_b, id_b = table[kind_b]
+        known = composed.get((id_a, id_b))
         if known is None:
-            rel_b = rels[second]
             rel = {}
             new_match = False
-            for q1, m in rels[first].items():
+            for q1, m in rel_a.items():
                 through = union_rows(m & ~final, rel_b)
                 out = through | m & final
                 if out:
                     rel[q1] = out
                     if through & final and q1 == 0:
                         new_match = True
-            row = rel_b.get(0)
-            if row:
-                rel[0] = rel.get(0, 0) | row
-            rel_id = intern(rel)
-            known = composed[pair] = (rel_id, distinct[rel_id], new_match, len(rel))
-        rel_id, rel, new_match, size = known
-        ids.append(rel_id)
-        rels.append(rel)
-        infos.append(combine(infos[first], infos[second], new_match))
+            if row_b:
+                rel[0] = rel.get(0, 0) | row_b
+            known = composed[id_a, id_b] = (intern(rel), new_match, len(rel))
+        rel_id, new_match, size = known
+        nl, left, right, seam = combine(
+            (nl_a, left_a, right_a, 0), (nl_b, left_b, right_b, 0), new_match
+        )
+        return kind_of(rel_id, nl, left, right), seam, size
+
+    # The compiler shares one row map per byte class; intern each map once.
+    maps = {id(rel): rel for rel in fsa.rows}
+    terminal_ids = {key: intern(rel) for key, rel in maps.items()}
+    kinds: list[int] = []
+    for byte, rel in enumerate(fsa.rows):
+        hit = rel.get(0, 0) & final != 0
+        kinds.append(kind_of(terminal_ids[id(rel)], byte == NEWLINE, hit, hit))
+    counts: list[int] = [0] * len(kinds)
+
+    # (kind of A, kind of B) -> (kind of X, seam increment, rows)
+    derived: dict = {}
+    for first, second in rule_pairs:
+        pair = (kinds[first], kinds[second])
+        try:
+            kind, seam, size = derived[pair]
+        except KeyError:
+            kind, seam, size = derived[pair] = derive(*pair)
+        kinds.append(kind)
+        counts.append(counts[first] + counts[second] + seam)
         rows += size
         if rows > row_budget:
             raise PatternSyntaxError(
                 f"pattern too large: over {MAX_RELATION_WORDS} relation words", 0
             )
-    return infos, rels
+    return Saturation(kinds, counts, table)
 
 
 def fold(
     axiom,
-    infos: list,
-    rels: list,
+    saturation: Saturation,
     fsa: Fsa,
     early_exit: bool = False,
     start: tuple = (EMPTY_INFO, 0),
@@ -174,25 +209,27 @@ def fold(
     The loop carries scalars, not a counting tuple: ``nl`` (a newline has
     been read), ``left`` (the first line matched), ``line`` (the current
     line matched so far), ``count`` (closed lines matched) and ``reached``.
+    Each symbol's record gives its relation, the relation's row of state 0
+    and its line flags; its count is read only when it holds a newline.
     Rows are looked up only for the middle states of ``reached``. The
     counting tuple is built once, at the end; without a newline the first
     line is the current one.
     """
     if not axiom:
         raise InvalidGrammarError("empty axiom")
+    kinds, counts, table = saturation
     final = fsa.final
     middle = ~final
     (nl, left, line, count), reached = start
     for sym in axiom:
-        rel = rels[sym]
+        rel, row, sym_nl, sym_left, sym_right, _ = table[kinds[sym]]
         if reached & middle:
             through = union_rows(reached & middle, rel)
             hit = through & final != 0
-            reached = through | reached & final | rel.get(0, 0)
+            reached = through | reached & final | row
         else:
             hit = False
-            reached = reached & final | rel.get(0, 0)
-        sym_nl, sym_left, sym_right, sym_count = infos[sym]
+            reached = reached & final | row
         if sym_nl:
             # The current line closes inside this symbol.
             if nl:
@@ -201,7 +238,7 @@ def fold(
                 nl = True
                 left = line or sym_left or hit
             line = sym_right
-            count += sym_count
+            count += counts[sym]
         elif not line:
             line = sym_left or hit
         if early_exit and reached & final:
@@ -252,8 +289,8 @@ def run_count(rule_pairs, read_axiom, fsa: Fsa) -> int:
     if fsa.matches_empty:
         # Every line matches; count lines without touching the automaton.
         return _line_count_arithmetic(rule_pairs, read_axiom)
-    infos, rels = saturate(rule_pairs, fsa)
-    info, _ = fold(read_axiom(), infos, rels, fsa)
+    saturation = saturate(rule_pairs, fsa)
+    info, _ = fold(read_axiom(), saturation, fsa)
     return matching_lines(info)
 
 
@@ -270,8 +307,7 @@ def contains_match(slp: Slp, fsa: Fsa) -> bool:
     """
     if fsa.matches_empty:
         return True
-    infos, rels = saturate(slp.rules, fsa)
-    _, reached = fold(slp.axiom, infos, rels, fsa, early_exit=True)
+    _, reached = fold(slp.axiom, saturate(slp.rules, fsa), fsa, early_exit=True)
     return reached & fsa.final != 0
 
 
@@ -292,9 +328,12 @@ class SearchStats(
     and count for an axiom symbol) and one for the row of state 0 (when the
     automaton has states), plus one per row of A and per middle bit of it
     for a rule, and one per middle state reached before an axiom symbol.
-    Those are the operations of a pass that composes every rule on its own;
-    ``saturate`` composes each distinct pair of relations once, so
-    ``measured_ops`` is an upper bound on the operations it performs.
+    Those are the operations of a pass that composes and combines every
+    rule on its own. ``saturate`` composes each distinct pair of relations
+    once and combines line flags once per distinct pair of kinds; any other
+    rule costs it one lookup and one count addition. So ``measured_ops`` is
+    an upper bound on the operations it performs, and a loose one on
+    grammars with few kinds.
     """
 
     __slots__ = ()
@@ -319,26 +358,30 @@ def nearest_rank_percentiles(values) -> dict:
 
 def collect_stats(slp: Slp, fsa: Fsa) -> SearchStats:
     """Saturate the grammar and report its per-rule and per-axiom-symbol costs."""
-    infos, rels = saturate(slp.rules, fsa)
+    saturation = saturate(slp.rules, fsa)
+    kinds, _, table = saturation
     s = fsa.state_count
     middle = ~fsa.final
     per_symbol = 2 if s else 1
-    # A rule's costs depend only on its pair of relations. saturate shares
-    # one dict between equal relations, and ``rels`` keeps each alive, so
-    # its id() names its contents: each distinct pair is costed once.
-    distinct = {id(rel): rel.values() for rel in rels}
-    pairs = {key: sum(map(int.bit_count, rows)) for key, rows in distinct.items()}
-    costs: dict = {}  # (id of A's relation, id of B's) -> (paper ops, measured)
+    rels = {}  # relation id -> relation
+    ids = []  # kind -> relation id
+    for rel, *_, rel_id in table:
+        rels[rel_id] = rel
+        ids.append(rel_id)
+    pairs = {key: sum(map(int.bit_count, rel.values())) for key, rel in rels.items()}
+    # A rule's costs depend only on its pair of relations: each distinct
+    # pair is costed once.
+    costs: dict = {}  # (relation id of A, of B) -> (paper ops, measured)
     per_rule = []
     measured = 0
     for first, second in slp.rules:
-        rel_a, rel_b = rels[first], rels[second]
-        key = (id(rel_a), id(rel_b))
+        key = id_a, id_b = ids[kinds[first]], ids[kinds[second]]
         cost = costs.get(key)
         if cost is None:
-            ops = pairs[id(rel_b)] + s
+            rel_b = rels[id_b]
+            ops = pairs[id_b] + s
             rule_measured = per_symbol
-            for m in rel_a.values():
+            for m in rels[id_a].values():
                 ops += sum(1 + rel_b.get(q, 0).bit_count() for q in iter_bits(m))
                 rule_measured += 1 + (m & middle).bit_count()
             cost = costs[key] = (ops, rule_measured)
@@ -347,8 +390,8 @@ def collect_stats(slp: Slp, fsa: Fsa) -> SearchStats:
     state = (EMPTY_INFO, 0)
     for sym in slp.axiom:
         measured += per_symbol + (state[1] & middle).bit_count()
-        state = fold((sym,), infos, rels, fsa, start=state)
-    per_axiom_symbol = [pairs[id(rels[sym])] for sym in slp.axiom]
+        state = fold((sym,), saturation, fsa, start=state)
+    per_axiom_symbol = [pairs[ids[kinds[sym]]] for sym in slp.axiom]
     return SearchStats(
         s=s,
         p=len(slp.rules),

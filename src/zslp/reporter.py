@@ -1,7 +1,8 @@
 """Lazy top-down decompression that emits only the matching lines.
 
 The engine's saturation pass runs first, so that every symbol carries its
-counting tuple and its relation of state bitmasks. The grammar is then
+kind, whose record holds the symbol's relation of state bitmasks and line
+flags, and its count of matching closed lines. The grammar is then
 walked top-down, keeping one line of state: the symbols of the current line
 so far, the mask of automaton states reachable from state 0 by reading
 some suffix of it, and whether the line already matched. A symbol
@@ -22,15 +23,15 @@ uncompressed one.
 
 The dual of a skipped subtree is a full one: its expansion holds a newline,
 every closed line in it matches, and its last line matches or is empty.
-Whether a symbol is full follows from its counting tuple and two line facts
-that no pattern changes (its newline count and whether it ends with a
-newline), gathered in one bottom-up pass the first time a line is about to
-be emitted, so a search that prints nothing never pays for it. When the
-line about to take in a full subtree will be emitted (it has matched, or
-the subtree's first line matches), the subtree joins the output whole,
-closing all of its lines at once; its open last line, if any, carries on
-already matched. Disabling pruning turns off both shortcuts and never
-changes the output.
+Whether a symbol is full follows from its last line's flag, its count and
+two line facts that no pattern changes (its newline count and whether it
+ends with a newline), gathered in one bottom-up pass the first time a line
+is about to be emitted, so a search that prints nothing never pays for it.
+When the line about to take in a full subtree will be emitted (it has
+matched, or the subtree's first line matches), the subtree joins the output
+whole, closing all of its lines at once; its open last line, if any,
+carries on already matched. Disabling pruning turns off both shortcuts and
+never changes the output.
 
 The reporter builds no bytes: a matching line is recorded as symbols (the
 skipped fragment, the line's symbols, then a newline or a full subtree)
@@ -44,29 +45,31 @@ non-empty.
 from __future__ import annotations
 
 from .automaton import NEWLINE, Fsa, union_rows
-from .engine import line_facts, saturate
+from .engine import Saturation, line_facts, saturate
 from .slp import FIRST_VARIABLE, Slp, iter_expand
 
-# Counting tuple of a subtree that spans a newline and matches nowhere.
-_SILENT = (True, False, False, 0)
 # Stands in for a pattern that matches the empty string, and so every line.
 _EVERY_LINE = Fsa(0, [{}] * 256, True)
 # Symbols of emitted lines gathered before one iter_expand pass writes them.
 _BATCH = 4096
 
 
-def _tail_after_last_newline(slp: Slp, infos, sym: int) -> list[int]:
+def _tail_after_last_newline(
+    slp: Slp, saturation: Saturation, sym: int
+) -> list[int]:
     """Symbols that derive the symbol's expansion after its last newline.
 
     The symbol's expansion must contain a newline, as a pruned symbol's
     does: the descent then follows the part holding the last newline and
     ends on that newline byte, which is not part of the tail.
     """
+    kinds, _, table = saturation
     parts = []  # right to left
     cur = sym
     while cur >= FIRST_VARIABLE:
         first, second = slp.rules[cur - FIRST_VARIABLE]
-        if infos[second][0]:
+        _, _, nl, _, _, _ = table[kinds[second]]
+        if nl:
             cur = second
         else:
             parts.append(second)
@@ -74,7 +77,7 @@ def _tail_after_last_newline(slp: Slp, infos, sym: int) -> list[int]:
     return parts[::-1]
 
 
-def _full_symbols(rules, infos, every_line: bool) -> tuple[list, list]:
+def _full_symbols(rules, saturation: Saturation, every_line: bool) -> tuple[list, list]:
     """Line facts of every symbol and whether the symbol is full.
 
     A symbol is full when its expansion holds a newline, every closed line
@@ -86,9 +89,11 @@ def _full_symbols(rules, infos, every_line: bool) -> tuple[list, list]:
     facts = line_facts(rules)
     if every_line:
         return facts, [fact > 1 for fact in facts]
+    kinds, counts, table = saturation
+    rights = [right for _, _, _, _, right, _ in table]
     full = [
-        (fact | right) == 2 * count + 3
-        for fact, (_, _, right, count) in zip(facts, infos)
+        (fact | rights[kind]) == 2 * count + 3
+        for fact, kind, count in zip(facts, kinds, counts)
     ]
     return facts, full
 
@@ -106,7 +111,7 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     every_line = fsa.matches_empty
     if every_line:
         fsa = _EVERY_LINE
-    infos, rels = saturate(slp.rules, fsa)
+    saturation = kinds, counts, table = saturate(slp.rules, fsa)
     final = fsa.final
     rules = slp.rules
 
@@ -129,7 +134,7 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
         symbol that closes ``lines`` lines."""
         nonlocal emitted
         if pending is not None:
-            out.extend(_tail_after_last_newline(slp, infos, pending))
+            out.extend(_tail_after_last_newline(slp, saturation, pending))
         out.extend(parts)
         out.append(last)
         emitted += lines
@@ -148,23 +153,22 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
             matched = every_line
             head_written = False
             continue
-        info = infos[sym]
-        if not info[0]:
+        rel, row, nl, left, right, _ = table[kinds[sym]]
+        if not nl:
             # A newline-free symbol joins the line whole: one mask step.
             parts.append(sym)
             if not matched:
-                rel = rels[sym]
                 if reachable:
                     reachable = union_rows(reachable, rel)
-                reachable |= rel.get(0, 0)
+                reachable |= row
                 matched = reachable & final != 0
             continue
         if prune:
-            if matched or info[1]:
+            if matched or left:
                 # The current line will be emitted; a full subtree joins it
                 # whole, with every line it closes.
                 if full is None:
-                    facts, full = _full_symbols(rules, infos, every_line)
+                    facts, full = _full_symbols(rules, saturation, every_line)
                 if full[sym]:
                     fact = facts[sym]
                     emit_line(sym, fact >> 1)
@@ -177,13 +181,13 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
                     else:
                         matched = head_written = True
                     continue
-            elif info == _SILENT and not (
-                reachable and union_rows(reachable, rels[sym]) & final
+            elif not (right or counts[sym]) and not (
+                reachable and union_rows(reachable, rel) & final
             ):
                 # Nothing of this subtree can sit in a matching line; skip it.
                 parts.clear()
                 pending = sym
-                reachable = rels[sym].get(0, 0)
+                reachable = row
                 continue
         first, second = rules[sym - FIRST_VARIABLE]
         stack.append(second)

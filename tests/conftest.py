@@ -244,6 +244,21 @@ def relation_pairs(rel: dict) -> set:
     }
 
 
+def symbol_summaries(saturation) -> tuple[list, list]:
+    """Per symbol its counting tuple ``(nl, left, right, count)`` and relation.
+
+    Rebuilt from a ``Saturation``'s per-symbol kinds and counts and its
+    per-kind records, for the tests that check per-symbol values.
+    """
+    kinds, counts, table = saturation
+    infos, rels = [], []
+    for kind, count in zip(kinds, counts):
+        rel, _, nl, left, right, _ = table[kind]
+        infos.append((nl, left, right, count))
+        rels.append(rel)
+    return infos, rels
+
+
 def max_row_width(rels, fsa) -> int:
     """Widest row leaving a state other than 0, over all symbols' relations."""
     return max(

@@ -26,6 +26,7 @@ from conftest import (
     random_text,
     relation_pairs,
     sample_from_pattern,
+    symbol_summaries,
 )
 from zslp.automaton import compile_pattern
 from zslp.cli import run_cli
@@ -80,7 +81,7 @@ def saturation_instances():
     while len(instances) < 200:
         _, fsa = compiled_random_pattern(rng, max_states=10)
         slp = random_grammar(rng, max_rules=30, expansion_cap=80)
-        saturated = saturate(slp.rules, fsa)
+        saturated = symbol_summaries(saturate(slp.rules, fsa))
         instances.append((fsa, slp, saturated))
     return instances
 
@@ -89,9 +90,10 @@ def test_criterion_1_example_reproduction(example_grammar):
     """Fixture text counts 3 for ab|ba with the expected intermediate tuples."""
     assert expand(example_grammar) == EXAMPLE_TEXT
     fsa = compile_pattern("ab|ba")
-    infos, rels = saturate(example_grammar.rules, fsa)
-    info, _ = fold(example_grammar.axiom, infos, rels, fsa)
+    saturation = saturate(example_grammar.rules, fsa)
+    info, _ = fold(example_grammar.axiom, saturation, fsa)
     assert matching_lines(info) == 3
+    infos, _ = symbol_summaries(saturation)
     # the two subtree tuples and the combined one
     assert infos[258] == (True, True, False, 0)
     assert infos[262] == (True, False, True, 0)
@@ -174,7 +176,7 @@ def test_criterion_5_complexity_instrumentation():
         assert stats.measured_ops <= 3 * stats.op_budget, pattern
         runs += 1
         if fsa.is_deterministic:
-            _, rels = saturate(slp.rules, fsa)
+            _, rels = symbol_summaries(saturate(slp.rules, fsa))
             assert max_row_width(rels, fsa) <= 1, pattern
             det_runs += 1
     assert det_runs >= 10, "expected a healthy share of deterministic automata"

@@ -1,3 +1,4 @@
+import collections
 import io
 import itertools
 import random
@@ -16,7 +17,9 @@ from conftest import (
     max_row_width,
     random_grammar,
     relation_pairs,
+    symbol_summaries,
 )
+from test_acceptance import _log_like
 from zslp.automaton import (
     NEWLINE,
     PatternSyntaxError,
@@ -44,9 +47,9 @@ from zslp.slp import InvalidGrammarError, Slp, SlpFormatError, ZslpReader, expan
 
 def run_engine(slp, fsa):
     """Saturate and fold a whole grammar: (infos, rels, final info, total)."""
-    infos, rels = saturate(slp.rules, fsa)
-    info, _ = fold(slp.axiom, infos, rels, fsa)
-    return infos, rels, info, matching_lines(info)
+    saturation = saturate(slp.rules, fsa)
+    info, _ = fold(slp.axiom, saturation, fsa)
+    return (*symbol_summaries(saturation), info, matching_lines(info))
 
 
 def state_roles(fsa):
@@ -59,14 +62,14 @@ def state_roles(fsa):
 
 
 def test_init_terminals_newline(ab_ba_fsa):
-    infos, rels = saturate([], ab_ba_fsa)
+    infos, rels = symbol_summaries(saturate([], ab_ba_fsa))
     assert infos[0x0A] == (True, False, False, 0)
     assert rels[0x0A] == {}
 
 
 def test_init_terminals_intermediate_byte(ab_ba_fsa):
     initial, final = state_roles(ab_ba_fsa)
-    infos, rels = saturate([], ab_ba_fsa)
+    infos, rels = symbol_summaries(saturate([], ab_ba_fsa))
     assert infos[ord("a")] == (False, False, False, 0)
     # 'a' moves initial -> after-a and after-b -> final
     pairs = relation_pairs(rels[ord("a")])
@@ -78,7 +81,7 @@ def test_init_terminals_intermediate_byte(ab_ba_fsa):
 
 def test_init_terminals_single_byte_pattern():
     fsa = compile_pattern("a")
-    infos, _ = saturate([], fsa)
+    infos, _ = symbol_summaries(saturate([], fsa))
     _, left, right, _ = infos[ord("a")]
     assert left and right
 
@@ -115,7 +118,7 @@ def test_count_info_invariants_enforced():
     rng = random.Random(27)
     for _ in range(40):
         _, fsa = compiled_random_pattern(rng, max_states=10)
-        infos, _ = saturate(random_grammar(rng).rules, fsa)
+        infos, _ = symbol_summaries(saturate(random_grammar(rng).rules, fsa))
         for nl, left, right, count in infos:
             assert nl or (left == right and count == 0)
 
@@ -126,7 +129,7 @@ def test_count_info_invariants_enforced():
 
 def test_process_rule_ab(ab_ba_fsa):
     initial, final = state_roles(ab_ba_fsa)
-    infos, rels = saturate([(ord("a"), ord("b"))], ab_ba_fsa)
+    infos, rels = symbol_summaries(saturate([(ord("a"), ord("b"))], ab_ba_fsa))
     pairs = relation_pairs(rels[256])
     # brute-force verified transition set for expansion "ab"
     assert pairs == brute_anchored_pairs(ab_ba_fsa, b"ab")
@@ -136,7 +139,7 @@ def test_process_rule_ab(ab_ba_fsa):
 
 def test_process_rule_no_edges():
     fsa = compile_pattern("ab|ba")
-    infos, rels = saturate([(ord("x"), ord("y"))], fsa)
+    infos, rels = symbol_summaries(saturate([(ord("x"), ord("y"))], fsa))
     assert rels[256] == {}
     assert infos[256] == (False, False, False, 0)
 
@@ -216,18 +219,17 @@ def reference_fold(axiom, infos, rels, fsa, early_exit=False, start=(EMPTY_INFO,
 )
 def test_fold_directed_cases(ab_ba_fsa, rules, axiom, expected):
     slp = Slp(rules, axiom)
-    infos, rels = saturate(slp.rules, ab_ba_fsa)
-    assert fold(slp.axiom, infos, rels, ab_ba_fsa)[0] == expected
+    assert fold(slp.axiom, saturate(slp.rules, ab_ba_fsa), ab_ba_fsa)[0] == expected
 
 
 def test_fold_early_exit_stops_mid_axiom(ab_ba_fsa):
     # "b\nab\nab": the fold stops on the b that completes the first match
     axiom = [98, 10, 97, 98, 10, 97, 98]
-    infos, rels = saturate([], ab_ba_fsa)
-    info, reached = fold(axiom, infos, rels, ab_ba_fsa, early_exit=True)
+    saturation = saturate([], ab_ba_fsa)
+    info, reached = fold(axiom, saturation, ab_ba_fsa, early_exit=True)
     assert info == (True, False, True, 0)
     assert reached & ab_ba_fsa.final
-    assert fold(axiom, infos, rels, ab_ba_fsa)[0] == (True, False, True, 1)
+    assert fold(axiom, saturation, ab_ba_fsa)[0] == (True, False, True, 1)
 
 
 def test_fold_matches_reference_fold():
@@ -237,18 +239,19 @@ def test_fold_matches_reference_fold():
         slp = random_grammar(rng)
         symbols = [97, 98, 10] + list(range(256, 256 + len(slp.rules)))
         axiom = list(slp.axiom) + [rng.choice(symbols) for _ in range(rng.randrange(0, 20))]
-        infos, rels = saturate(slp.rules, fsa)
-        args = (infos, rels, fsa)
-        assert fold(axiom, *args) == reference_fold(axiom, *args)
+        saturation = saturate(slp.rules, fsa)
+        args = (saturation, fsa)
+        ref_args = (*symbol_summaries(saturation), fsa)
+        assert fold(axiom, *args) == reference_fold(axiom, *ref_args)
         assert fold(axiom, *args, early_exit=True) == reference_fold(
-            axiom, *args, early_exit=True
+            axiom, *ref_args, early_exit=True
         )
         if len(axiom) > 1:
             cut = rng.randrange(1, len(axiom))
             head = fold(axiom[:cut], *args)
-            assert head == reference_fold(axiom[:cut], *args)
+            assert head == reference_fold(axiom[:cut], *ref_args)
             assert fold(axiom[cut:], *args, start=head) == reference_fold(
-                axiom[cut:], *args, start=head
+                axiom[cut:], *ref_args, start=head
             )
 
 
@@ -416,13 +419,100 @@ def test_saturate_shares_equal_relations(seed, pattern):
     # rule gives, and relations with equal contents are one object.
     fsa = compile_pattern(pattern)
     slp = random_grammar(random.Random(seed), max_rules=40)
-    infos, rels = saturate(slp.rules, fsa)
+    infos, rels = symbol_summaries(saturate(slp.rules, fsa))
     ref_infos, ref_rels, _ = reference_saturate(slp.rules, fsa)
     assert infos == ref_infos
     assert rels == ref_rels
     by_contents = {}
     for rel in rels:
         assert by_contents.setdefault(tuple(sorted(rel.items())), rel) is rel
+
+
+# The benchmark's seven regex-heavy patterns at seed 1 (21-43 states; 26-86
+# kinds on the 16 KB log text of memo_cases).
+REGEX_HEAVY_SHAPES = (
+    ".{0,32}&",
+    "(GET|POST) .{0,20}(favi|stat)",
+    "[a-z]{2,20}\\.ico",
+    "-(sigma|gamma|delta|omega){1,2} ",
+    "\\[[0-9/A-Za-z]{4,12}:1[0-9]:.{0,10}\\]",
+    '(4|2)[0-9]\\] ".{0,12}(items|ico)',
+    '1\\.1" [0-9]{3} 102[0-9]{1,8}',
+)
+
+
+def memo_work(rule_pairs, fsa):
+    """(distinct kind pairs, rows of A summed over distinct relation pairs).
+
+    A symbol's kind is its relation's contents and its line flags, taken
+    from the reference saturation.
+    """
+    infos, rels, _ = reference_saturate(rule_pairs, fsa)
+    contents = [tuple(sorted(rel.items())) for rel in rels]
+    kinds = [(key, *info[:3]) for key, info in zip(contents, infos)]
+    kind_pairs = {(kinds[a], kinds[b]) for a, b in rule_pairs}
+    rel_pairs = {(contents[a], contents[b]): len(rels[a]) for a, b in rule_pairs}
+    return len(kind_pairs), sum(rel_pairs.values())
+
+
+def memo_cases():
+    rng = random.Random(1818)
+    for _ in range(80):
+        _, fsa = compiled_random_pattern(rng, max_states=12)
+        yield fsa, random_grammar(rng, max_rules=40).rules
+    log_rules = compress(_log_like(16384)).rules
+    for pattern in REGEX_HEAVY_SHAPES:
+        yield compile_pattern(pattern), log_rules
+
+
+def count_saturate_calls(monkeypatch) -> collections.Counter:
+    """Count saturate's calls of ``combine`` and of ``union_rows``.
+
+    ``saturate`` calls ``union_rows`` once per row of A when it composes a
+    pair of relations, and nowhere else.
+    """
+    calls = collections.Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(zslp.engine, "combine", counted(combine))
+    monkeypatch.setattr(zslp.engine, "union_rows", counted(union_rows))
+    return calls
+
+
+def test_saturate_memo_levels_match_reference(monkeypatch):
+    # Per-symbol values equal one composition and one combine per rule,
+    # while saturate combines once per distinct pair of kinds and composes
+    # once per distinct pair of relations.
+    calls = count_saturate_calls(monkeypatch)
+    for fsa, rules in memo_cases():
+        calls.clear()
+        saturation = saturate(rules, fsa)
+        work = (calls["combine"], calls["union_rows"])
+        infos, rels, _ = reference_saturate(rules, fsa)
+        assert symbol_summaries(saturation) == (infos, rels)
+        assert work == memo_work(rules, fsa)
+
+
+def test_saturate_kind_miss_relation_hit(monkeypatch):
+    # "b" and "b\n" share one relation but not the newline flag, so the
+    # rules "b\n"+"a" and "b"+"a" share a pair of relations, not of kinds:
+    # the second misses the kind memo and hits the relation memo.
+    fsa = compile_pattern("ab")
+    rules = [(98, 10), (256, 97), (98, 97), (98, 97)]
+    infos, rels, _ = reference_saturate(rules, fsa)
+    assert rels[256] == rels[98] and infos[256][0] != infos[98][0]
+    calls = count_saturate_calls(monkeypatch)
+    saturation = saturate(rules, fsa)
+    assert symbol_summaries(saturation) == (infos, rels)
+    # Three pairs of kinds; two pairs of relations, each A with one row.
+    assert (calls["combine"], calls["union_rows"]) == (3, 2)
+    assert saturation.kinds[257] != saturation.kinds[258] == saturation.kinds[259]
 
 
 @pytest.mark.parametrize("shape", ["one-shared-relation", "random"])
@@ -483,7 +573,8 @@ def test_collect_stats_bounds_and_budget():
 
 def reference_stats(slp, fsa):
     """collect_stats costing every rule on its own, for comparison."""
-    infos, rels = saturate(slp.rules, fsa)
+    saturation = saturate(slp.rules, fsa)
+    _, rels = symbol_summaries(saturation)
     s = fsa.state_count
     middle = ~fsa.final
     per_symbol = 2 if s else 1
@@ -501,7 +592,7 @@ def reference_stats(slp, fsa):
     state = (EMPTY_INFO, 0)
     for sym in slp.axiom:
         measured += per_symbol + (state[1] & middle).bit_count()
-        state = fold((sym,), infos, rels, fsa, start=state)
+        state = fold((sym,), saturation, fsa, start=state)
     per_axiom_symbol = [pairs[sym] for sym in slp.axiom]
     return SearchStats(
         s=s,
@@ -559,6 +650,18 @@ def test_engine_rejects_nonnormalised_automata():
         fsa_from_cells(2, {(0, 97): {0, 1}})
     with pytest.raises(ValueError, match="newline byte"):
         fsa_from_cells(2, {(0, 10): {1}})
+
+
+def test_run_count_reads_the_axiom_after_the_last_rule(example_slp, ab_ba_fsa):
+    # The benchmark's tracer splits engine.saturate from engine.fold at the
+    # read_axiom call, so every rule must be consumed before it.
+    rules = iter(example_slp.rules)
+
+    def read_axiom():
+        assert next(rules, None) is None
+        return example_slp.axiom
+
+    assert run_count(rules, read_axiom, ab_ba_fsa) == 3
 
 
 def test_streaming_rule_feed(example_slp, ab_ba_fsa):

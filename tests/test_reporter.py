@@ -135,7 +135,7 @@ def test_emission_matches_oracle_and_count():
 def test_tail_extraction_matches_expansion():
     import random
 
-    from conftest import random_grammar
+    from conftest import random_grammar, symbol_summaries
     from zslp.engine import saturate
     from zslp.reporter import _tail_after_last_newline
 
@@ -144,13 +144,15 @@ def test_tail_extraction_matches_expansion():
     checked = 0
     for _ in range(40):
         slp = random_grammar(rng)
-        infos, _ = saturate(slp.rules, fsa)
+        saturation = saturate(slp.rules, fsa)
+        infos, _ = symbol_summaries(saturation)
         for sym in range(256, 256 + len(slp.rules)):
             if not infos[sym][0]:
                 continue
             expansion = expand(slp, (sym,))
             expected = expansion.rsplit(b"\n", 1)[-1]
-            assert expand(slp, _tail_after_last_newline(slp, infos, sym)) == expected
+            tail = _tail_after_last_newline(slp, saturation, sym)
+            assert expand(slp, tail) == expected
             checked += 1
     assert checked > 50
 
