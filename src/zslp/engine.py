@@ -42,7 +42,8 @@ int (the states reachable from state 0 by reading some suffix of the prefix
 expanded so far; the accept state, once entered, is kept) and the counting
 tuple's fields as plain scalars, building the tuple once at the end.
 Counting, the match decision and the statistics use this one saturate/fold
-path; the reporter walks the grammar over the same records.
+path; the reporter steps the same records over the axiom and, below it,
+reads which lines match from the counts alone.
 
 The engine requires automata with no transitions entering state 0 or
 leaving the accept state, the shape the pattern compiler produces and

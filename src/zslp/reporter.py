@@ -2,50 +2,56 @@
 
 The engine's saturation pass runs first, so that every symbol carries its
 kind, whose record holds the symbol's relation of state bitmasks and line
-flags, and its count of matching closed lines. The grammar is then
-walked top-down, keeping one line of state: the symbols of the current line
-so far, the mask of automaton states reachable from state 0 by reading
-some suffix of it, and whether the line already matched. A symbol
-without a newline joins the line whole, in one mask step through its
-relation; its bytes are expanded only if the line turns out to match.
+flags, and its count of matching closed lines (lines with a newline on
+both sides). The reporter then works in two parts.
 
-A subtree may be skipped when nothing of it can appear in a matching line:
-it must span a newline (so lines after it do not depend on what precedes
-it), contain no matching closed line, have non-matching first and last
-lines, the current line must not have matched already, and no automaton run
-through the pending suffix states may complete a match inside the subtree's
-head. Skipping discards the current line (it provably cannot match) and
-re-seeds the suffix states from the subtree's row of state 0. The
-skipped subtree's trailing line fragment is remembered by symbol id: if a
-later symbol completes a match on that same line, exactly that fragment is
-expanded after the fact so the emitted line is byte-identical to the
-uncompressed one.
+The axiom pass walks the axiom only, keeping one line of state: the
+symbols of the current line so far, the mask of automaton states reachable
+from state 0 by reading some suffix of it, and whether the line already
+matched. A newline-free symbol joins the line whole, in one mask step
+through its relation. A symbol holding a newline is never descended here.
+Its first line ends the current line, which matches when the line already
+matched, the symbol's first line matches on its own, or a run from the
+line's suffix states completes a match inside it (one more mask step).
+Its last line opens the next line, with the states of its row of state 0
+and its last-line flag. If that flag is down, the last line's bytes are
+found again, by one descent, only once the line turns out to match.
 
-The dual of a skipped subtree is a full one: its expansion holds a newline,
-every closed line in it matches, and its last line matches or is empty.
-Whether a symbol is full follows from its last line's flag, its count and
-two line facts that no pattern changes (its newline count and whether it
-ends with a newline), gathered in one bottom-up pass the first time a line
-is about to be emitted, so a search that prints nothing never pays for it.
-When the line about to take in a full subtree will be emitted (it has
-matched, or the subtree's first line matches), the subtree joins the output
-whole, closing all of its lines at once; its open last line, if any,
-carries on already matched. Disabling pruning turns off both shortcuts and
-never changes the output.
+Line emission then queues, for one symbol, its first line if that line
+matches, its matching closed lines, and its last line if that line
+matches; it reads the counts and steps no automaton. For ``X -> A B`` with
+a newline on both sides, the line across the seam, A's last line then B's
+first, matches exactly when ``counts[X] - counts[A] - counts[B]`` is 1, so
+each part is told whether its own first or last line is emitted. An
+explicit stack enters only parts with something to emit. A part without a
+matching closed line gives at most its first line and its last line, each
+from one spine descent. A part whose closed lines all match (its count is
+one less than its newline count) is queued as one stretch: the whole symbol
+when its first and last lines are emitted too, else its symbols through
+its last newline (one right-spine descent) or after its first newline (one
+left-spine descent). A symbol is full when that whole write applies at the
+axiom level: the line it ends matches, and its last line matches or is
+empty. Each symbol's split at its first and at its last newline is
+memoised for the run. The counts-only tests read ``engine.line_facts``
+(newline counts, and whether a symbol ends with a newline), gathered in
+one bottom-up pass the first time a line is about to be emitted, so a
+search that prints nothing never pays for it.
 
-The reporter builds no bytes: a matching line is recorded as symbols (the
-skipped fragment, the line's symbols, then a newline or a full subtree)
-that ``iter_expand`` writes in batches. A pattern matching the empty string
+``prune`` gates skipping parts with nothing to emit and every stretch
+queued whole; without it line emission descends to every newline, and the
+output is the same.
+
+The reporter builds no bytes: a matching line is recorded as symbols that
+``iter_expand`` writes in batches. A pattern matching the empty string
 matches every line; its walk runs over the stateless automaton, which
 saturates to newline flags and no rows. Every line then starts matched,
-every symbol holding a newline is full, and the last fragment counts if
-non-empty.
+and a symbol's n newlines close n - 1 matching closed lines.
 """
 
 from __future__ import annotations
 
 from .automaton import NEWLINE, Fsa, union_rows
-from .engine import Saturation, line_facts, saturate
+from .engine import line_facts, saturate
 from .slp import FIRST_VARIABLE, Slp, iter_expand
 
 # Stands in for a pattern that matches the empty string, and so every line.
@@ -54,48 +60,25 @@ _EVERY_LINE = Fsa(0, [{}] * 256, True)
 _BATCH = 4096
 
 
-def _tail_after_last_newline(
-    slp: Slp, saturation: Saturation, sym: int
-) -> list[int]:
-    """Symbols that derive the symbol's expansion after its last newline.
+def _split_at_newline(rules, facts: list, sym: int, last: bool) -> tuple[list, list]:
+    """Symbols deriving the expansion through its first (or last) newline,
+    and the symbols after it.
 
-    The symbol's expansion must contain a newline, as a pruned symbol's
-    does: the descent then follows the part holding the last newline and
-    ends on that newline byte, which is not part of the tail.
+    The expansion must hold a newline (``facts[sym] > 1``): the descent
+    follows the part holding that newline down to the newline byte.
     """
-    kinds, _, table = saturation
-    parts = []  # right to left
-    cur = sym
-    while cur >= FIRST_VARIABLE:
-        first, second = slp.rules[cur - FIRST_VARIABLE]
-        _, _, nl, _, _, _ = table[kinds[second]]
-        if nl:
-            cur = second
+    through, after = [], []  # after: right to left
+    while sym >= FIRST_VARIABLE:
+        first, second = rules[sym - FIRST_VARIABLE]
+        if facts[second] < 2 if last else facts[first] > 1:
+            after.append(second)
+            sym = first
         else:
-            parts.append(second)
-            cur = first
-    return parts[::-1]
-
-
-def _full_symbols(rules, saturation: Saturation, every_line: bool) -> tuple[list, list]:
-    """Line facts of every symbol and whether the symbol is full.
-
-    A symbol is full when its expansion holds a newline, every closed line
-    in it matches, and its last line matches or is empty: once its first
-    line is known to match, all of its expansion belongs to matching lines.
-    With n newlines and e for a trailing one (fact = 2n + e), that is
-    count = n - 1 and (right or e), or ``fact | right == 2 * count + 3``.
-    """
-    facts = line_facts(rules)
-    if every_line:
-        return facts, [fact > 1 for fact in facts]
-    kinds, counts, table = saturation
-    rights = [right for _, _, _, _, right, _ in table]
-    full = [
-        (fact | rights[kind]) == 2 * count + 3
-        for fact, kind, count in zip(facts, kinds, counts)
-    ]
-    return facts, full
+            through.append(first)
+            sym = second
+    through.append(sym)
+    after.reverse()
+    return through, after
 
 
 def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
@@ -104,54 +87,135 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     Returns the number of emitted lines, which equals the counting result.
     The final line gains a terminating newline even if the source text lacks
     one. No single write to the sink exceeds ``iter_expand``'s chunk size.
-    ``prune`` gates both shortcuts, skipping silent subtrees and writing
-    full ones whole; without it the walk descends to every newline, and
-    the output is the same.
+    ``prune`` gates skipping parts with nothing to emit and queueing a
+    stretch of matching lines whole; without it line emission descends to
+    every newline, and the output is the same.
     """
     every_line = fsa.matches_empty
     if every_line:
         fsa = _EVERY_LINE
-    saturation = kinds, counts, table = saturate(slp.rules, fsa)
+    kinds, counts, table = saturate(slp.rules, fsa)
     final = fsa.final
     rules = slp.rules
 
     emitted = 0
     out: list[int] = []  # symbols of emitted lines not yet written
-    pending: int | None = None  # symbol whose trailing line fragment we skipped
+    pending: int | None = None  # symbol whose last line opens the current one
     parts: list[int] = []  # newline-free symbols of the current line, in order
     reachable = 0
     matched = every_line
-    head_written = False  # the current line's head is in out, in a full symbol
-    facts = full = None  # built at the first line that will be emitted
+    written = False  # the current line so far is in out
+    facts = enter = None  # built at the first line that will be emitted
+    splits: tuple = ({}, {})  # at the first, at the last newline: symbol -> split
+
+    def line_tables() -> None:
+        nonlocal facts, counts, enter
+        if facts is None:
+            facts = line_facts(rules)
+            if every_line:
+                # Every line matches: n newlines close n - 1 closed lines.
+                counts = [max(fact >> 1, 1) - 1 for fact in facts]
+            # Unpruned, line emission enters every part holding a newline.
+            enter = counts if prune else facts
+
+    def split(sym: int, last: bool) -> tuple[list, list]:
+        memo = splits[last]
+        found = memo.get(sym)
+        if found is None:
+            found = memo[sym] = _split_at_newline(rules, facts, sym, last)
+        return found
 
     def write() -> None:
         for chunk in iter_expand(slp, out):
             sink.write(chunk)
         out.clear()
 
-    def emit_line(last: int, lines: int) -> None:
-        """Queue the current line, ended by ``last``: a newline, or a full
-        symbol that closes ``lines`` lines."""
-        nonlocal emitted
+    def queue_line_start() -> None:
+        """Queue the current line so far: the pending last line, then parts."""
         if pending is not None:
-            out.extend(_tail_after_last_newline(slp, saturation, pending))
+            line_tables()
+            out.extend(split(pending, True)[1])
         out.extend(parts)
-        out.append(last)
-        emitted += lines
-        if len(out) >= _BATCH:
-            write()
 
-    stack = list(reversed(slp.axiom))
-    while stack:
-        sym = stack.pop()
+    def queue_lines(sym: int, head: bool, tail: bool) -> None:
+        """Queue the symbol's expansion that lies in matching lines.
+
+        That is its first line if ``head``, its matching closed lines, and
+        its last line if ``tail``. The symbol holds a newline.
+        """
+        nonlocal emitted
+        stack = [(sym, head, tail)]
+        while stack:
+            if len(out) >= _BATCH:
+                write()
+            item = stack.pop()
+            if item.__class__ is int:
+                out.append(item)  # newline-free, inside an emitted last line
+                continue
+            sym, head, tail = item
+            # Descend towards the first part, leaving the rest on the stack.
+            while True:
+                if sym < FIRST_VARIABLE:  # the newline byte, closing the first line
+                    if head:
+                        out.append(NEWLINE)
+                        emitted += 1
+                    break
+                if prune:
+                    count = counts[sym]
+                    if count == (facts[sym] >> 1) - 1:
+                        # Every closed line matches: queue a stretch whole,
+                        # or descend to the seam that holds its ends.
+                        if head and tail:
+                            out.append(sym)
+                            emitted += count + 1
+                            break
+                        if head:
+                            out.extend(split(sym, True)[0])  # through the last newline
+                            emitted += count + 1
+                            break
+                        if tail:
+                            out.extend(split(sym, False)[1])  # after the first newline
+                            emitted += count
+                            break
+                    elif not count:
+                        if head:
+                            out.extend(split(sym, False)[0])  # the first line
+                            emitted += 1
+                        if tail:
+                            out.extend(split(sym, True)[1])  # the last line
+                        break
+                first, second = rules[sym - FIRST_VARIABLE]
+                if facts[first] < 2:
+                    if head:
+                        out.append(first)
+                    sym = second
+                elif facts[second] < 2:
+                    if tail:
+                        stack.append(second)
+                    sym = first
+                else:
+                    # The line across the seam matches exactly when it adds
+                    # to the count.
+                    seam = counts[sym] > counts[first] + counts[second]
+                    if tail or seam or enter[second]:
+                        stack.append((second, seam, tail))
+                    if not (head or seam or enter[first]):
+                        break
+                    sym, tail = first, seam
+
+    for sym in slp.axiom:
         if sym == NEWLINE:
             if matched:
-                emit_line(NEWLINE, 1)
+                queue_line_start()
+                out.append(NEWLINE)
+                emitted += 1
+                if len(out) >= _BATCH:
+                    write()
             parts.clear()
             pending = None
             reachable = 0
             matched = every_line
-            head_written = False
+            written = False
             continue
         rel, row, nl, left, right, _ = table[kinds[sym]]
         if not nl:
@@ -163,37 +227,37 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
                 reachable |= row
                 matched = reachable & final != 0
             continue
-        if prune:
-            if matched or left:
-                # The current line will be emitted; a full subtree joins it
-                # whole, with every line it closes.
-                if full is None:
-                    facts, full = _full_symbols(rules, saturation, every_line)
-                if full[sym]:
-                    fact = facts[sym]
-                    emit_line(sym, fact >> 1)
-                    parts.clear()
-                    pending = None
-                    if fact & 1:
-                        reachable = 0
-                        matched = every_line
-                        head_written = False
-                    else:
-                        matched = head_written = True
-                    continue
-            elif not (right or counts[sym]) and not (
-                reachable and union_rows(reachable, rel) & final
-            ):
-                # Nothing of this subtree can sit in a matching line; skip it.
-                parts.clear()
-                pending = sym
-                reachable = row
-                continue
-        first, second = rules[sym - FIRST_VARIABLE]
-        stack.append(second)
-        stack.append(first)
+        # A symbol holding a newline is not descended here. Its first line
+        # ends the current one, and its last line, if it matches on its
+        # own, opens the next one already matched.
+        head = matched or left or reachable and union_rows(reachable, rel) & final
+        tail = right or every_line
+        ends_line = False
+        if head or tail or counts[sym] or not prune:
+            line_tables()
+            ends_line = facts[sym] & 1
+            if head:
+                queue_line_start()
+            # An empty last line joins its symbol's stretch as if emitted.
+            queue_lines(sym, head, tail or ends_line)
+        parts.clear()
+        if tail or head and ends_line:
+            # The last line is queued already, or empty.
+            pending = None
+            reachable = 0
+            written = not ends_line
+            matched = written or every_line
+        else:
+            pending = sym
+            reachable = row & ~final
+            matched = written = False
 
-    if matched and (parts or head_written):
-        emit_line(NEWLINE, 1)
+    # An open last line is emitted if it matched and holds bytes.
+    if matched and (parts or written or pending is not None):
+        line_tables()
+        if parts or written or not facts[pending] & 1:
+            queue_line_start()
+            out.append(NEWLINE)
+            emitted += 1
     write()
     return emitted

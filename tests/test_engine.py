@@ -2,6 +2,7 @@ import collections
 import io
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -348,6 +349,42 @@ def test_final_formula_consistency():
         slp = random_grammar(rng)
         _, _, (nl, left, right, count), total = run_engine(slp, fsa)
         assert total == count + left + (1 if nl and right else 0)
+
+
+def seam_increments(slp, fsa):
+    """Per rule whose two parts hold a newline: its seam line and increment."""
+    _, counts, _ = saturate(slp.rules, fsa)
+    expansions = [bytes([byte]) for byte in range(256)]
+    for first, second in slp.rules:
+        expansions.append(expansions[first] + expansions[second])
+    for sym, (first, second) in enumerate(slp.rules, 256):
+        if b"\n" in expansions[first] and b"\n" in expansions[second]:
+            line = (
+                expansions[first].rsplit(b"\n", 1)[1]
+                + expansions[second].split(b"\n", 1)[0]
+            )
+            yield line, counts[sym] - counts[first] - counts[second]
+
+
+def test_seam_increment_marks_a_matching_seam_line():
+    # The reporter reads whether the line across a rule's seam matches from
+    # the counts alone: the increment is 1 exactly when it matches.
+    cases = []
+    rng = random.Random(19)
+    while len(cases) < 150:
+        pattern, fsa = compiled_random_pattern(rng)
+        if not fsa.matches_empty:
+            cases.append((pattern, fsa, random_grammar(rng, max_rules=40)))
+    log = compress(_log_like(60_000))
+    for pattern in ("404", "GET /api", "host-(alpha|gamma) .*(html|js)", "HTTP/1\\.1"):
+        cases.append((pattern, compile_pattern(pattern), log))
+    outcomes = collections.Counter()
+    for pattern, fsa, slp in cases:
+        for line, increment in seam_increments(slp, fsa):
+            matches = re.search(pattern.encode(), line) is not None
+            assert increment == matches, (pattern, line, increment)
+            outcomes[matches] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -133,26 +133,27 @@ def test_emission_matches_oracle_and_count():
 
 
 def test_tail_extraction_matches_expansion():
-    import random
-
-    from conftest import random_grammar, symbol_summaries
-    from zslp.engine import saturate
-    from zslp.reporter import _tail_after_last_newline
+    from conftest import random_grammar
+    from zslp.engine import line_facts
+    from zslp.reporter import _split_at_newline
 
     rng = random.Random(97)
-    fsa = compile_pattern("ab")
     checked = 0
     for _ in range(40):
         slp = random_grammar(rng)
-        saturation = saturate(slp.rules, fsa)
-        infos, _ = symbol_summaries(saturation)
+        facts = line_facts(slp.rules)
         for sym in range(256, 256 + len(slp.rules)):
-            if not infos[sym][0]:
+            if facts[sym] < 2:
                 continue
             expansion = expand(slp, (sym,))
-            expected = expansion.rsplit(b"\n", 1)[-1]
-            tail = _tail_after_last_newline(slp, saturation, sym)
-            assert expand(slp, tail) == expected
+            # the head: through the first newline, then the rest
+            through, after = _split_at_newline(slp.rules, facts, sym, last=False)
+            head, rest = expansion.split(b"\n", 1)
+            assert (expand(slp, through), expand(slp, after)) == (head + b"\n", rest)
+            # the tail: through the last newline, then the rest
+            through, tail = _split_at_newline(slp.rules, facts, sym, last=True)
+            rest, expected = expansion.rsplit(b"\n", 1)
+            assert (expand(slp, through), expand(slp, tail)) == (rest + b"\n", expected)
             checked += 1
     assert checked > 50
 
@@ -348,3 +349,68 @@ def test_count_skips_line_facts_unless_the_pattern_matches_empty(monkeypatch):
     assert calls == []
     assert count_matching_lines(slp, compile_pattern("a*")) == 3
     assert calls == [1]
+
+
+def test_batches_stay_bounded_when_a_symbol_holds_many_matching_lines(monkeypatch):
+    import zslp.reporter
+
+    class RecordingSink:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(bytes(data))
+
+    handed = []
+
+    def recording_expand(slp, symbols):
+        handed.append(list(symbols))
+        return iter_expand(slp, symbols)
+
+    monkeypatch.setattr(zslp.reporter, "iter_expand", recording_expand)
+    # DOUBLING_PAIRS with "ab\nc\n" at the bottom: one axiom symbol holds
+    # 2**16 lines, and "ab" matches every other one, so the lines are
+    # queued one by one inside that symbol.
+    pairs = [(97, 98), (256, 10), (99, 10), (257, 258)]
+    pairs += [(259 + i, 259 + i) for i in range(15)]
+    slp = Slp(pairs, [256 + len(pairs) - 1])
+    lines = oracle_lines(expand(slp), "ab")
+    sink = RecordingSink()
+    assert report_matching_lines(slp, compile_pattern("ab"), sink) == len(lines) == 2**15
+    assert b"".join(sink.writes) == b"ab\n" * 2**15
+    # A line here is two symbols: "ab" and the newline.
+    assert len(handed) >= 2**16 // zslp.reporter._BATCH
+    assert max(len(symbols) for symbols in handed) <= zslp.reporter._BATCH + 2
+    assert max(len(data) for data in sink.writes) <= CHUNK_SIZE
+
+
+def test_alternating_lines_step_the_automaton_only_on_the_axiom(monkeypatch):
+    import zslp.reporter
+
+    # Every matching line is followed by a non-matching one, so no symbol
+    # spanning a newline has all of its lines matching; in the lines that
+    # do not match, ".*" keeps a state alive to the end of the line.
+    text = b"".join(
+        b"alpha %d /p.%s\n" % (i % 89, b"png" if i % 2 else b"html")
+        for i in range(20000)
+    )
+    slp = compress(text)
+    pattern = "alpha .*html"
+    expected = b"".join(line + b"\n" for line in oracle_lines(text, pattern))
+    fsa = compile_pattern(pattern)
+    calls = []
+    real = zslp.reporter.union_rows
+
+    def counted(mask, rel):
+        calls.append(1)
+        return real(mask, rel)
+
+    monkeypatch.setattr(zslp.reporter, "union_rows", counted)
+    lookups = {}
+    for prune in (True, False):
+        calls.clear()
+        counted_slp = _checked_slp(CountingRules(slp.rules), slp.axiom)
+        assert report(counted_slp, fsa, prune=prune) == (10000, expected)
+        assert len(calls) <= len(slp.axiom)
+        lookups[prune] = counted_slp.rules.lookups
+    assert lookups[True] < lookups[False] / 2
