@@ -14,8 +14,11 @@ Its first line ends the current line, which matches when the line already
 matched, the symbol's first line matches on its own, or a run from the
 line's suffix states completes a match inside it (one more mask step).
 Its last line opens the next line, with the states of its row of state 0
-and its last-line flag. If that flag is down, the last line's bytes are
-found again, by one descent, only once the line turns out to match.
+and its last-line flag, and the symbol waits as that line's opener. The
+next symbol holding a newline decides whether the line matches; only then
+is the opener handed to line emission, told whether its first line and
+its last line are emitted. After the axiom the last opener is closed the
+same way.
 
 Line emission then queues, for one symbol, its first line if that line
 matches, its matching closed lines, and its last line if that line
@@ -29,13 +32,13 @@ from one spine descent. A part whose closed lines all match (its count is
 one less than its newline count) is queued as one stretch: the whole symbol
 when its first and last lines are emitted too, else its symbols through
 its last newline (one right-spine descent) or after its first newline (one
-left-spine descent). A symbol is full when that whole write applies at the
-axiom level: the line it ends matches, and its last line matches or is
-empty. Each symbol's split at its first and at its last newline is
-memoised for the run. The counts-only tests read ``engine.line_facts``
-(newline counts, and whether a symbol ends with a newline), gathered in
-one bottom-up pass the first time a line is about to be emitted, so a
-search that prints nothing never pays for it.
+left-spine descent). So an axiom symbol whose closed lines all match is
+written whole when its head line matches and the line after it, which its
+last line opens, matches or is empty. Each symbol's split at its first and
+at its last newline is memoised for the run. The counts-only tests read
+``engine.line_facts`` (newline counts, and whether a symbol ends with a
+newline), gathered in one bottom-up pass the first time a line is about
+to be emitted, so a search that prints nothing never pays for it.
 
 ``prune`` gates skipping parts with nothing to emit and every stretch
 queued whole; without it line emission descends to every newline, and the
@@ -100,11 +103,11 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
 
     emitted = 0
     out: list[int] = []  # symbols of emitted lines not yet written
-    pending: int | None = None  # symbol whose last line opens the current one
+    opener: int | None = None  # symbol whose last line opens the current one
+    opened = False  # the line the opener ends matched
     parts: list[int] = []  # newline-free symbols of the current line, in order
     reachable = 0
     matched = every_line
-    written = False  # the current line so far is in out
     facts = enter = None  # built at the first line that will be emitted
     splits: tuple = ({}, {})  # at the first, at the last newline: symbol -> split
 
@@ -129,13 +132,6 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
         for chunk in iter_expand(slp, out):
             sink.write(chunk)
         out.clear()
-
-    def queue_line_start() -> None:
-        """Queue the current line so far: the pending last line, then parts."""
-        if pending is not None:
-            line_tables()
-            out.extend(split(pending, True)[1])
-        out.extend(parts)
 
     def queue_lines(sym: int, head: bool, tail: bool) -> None:
         """Queue the symbol's expansion that lies in matching lines.
@@ -204,19 +200,6 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
                     sym, tail = first, seam
 
     for sym in slp.axiom:
-        if sym == NEWLINE:
-            if matched:
-                queue_line_start()
-                out.append(NEWLINE)
-                emitted += 1
-                if len(out) >= _BATCH:
-                    write()
-            parts.clear()
-            pending = None
-            reachable = 0
-            matched = every_line
-            written = False
-            continue
         rel, row, nl, left, right, _ = table[kinds[sym]]
         if not nl:
             # A newline-free symbol joins the line whole: one mask step.
@@ -228,36 +211,27 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
                 matched = reachable & final != 0
             continue
         # A symbol holding a newline is not descended here. Its first line
-        # ends the current one, and its last line, if it matches on its
-        # own, opens the next one already matched.
+        # ends the current one, which decides the opener's last line.
         head = matched or left or reachable and union_rows(reachable, rel) & final
-        tail = right or every_line
-        ends_line = False
-        if head or tail or counts[sym] or not prune:
+        if opener is not None and (opened or head or counts[opener] or not prune):
             line_tables()
-            ends_line = facts[sym] & 1
-            if head:
-                queue_line_start()
             # An empty last line joins its symbol's stretch as if emitted.
-            queue_lines(sym, head, tail or ends_line)
+            queue_lines(opener, opened, head or facts[opener] & 1)
+        if head:
+            out.extend(parts)
         parts.clear()
-        if tail or head and ends_line:
-            # The last line is queued already, or empty.
-            pending = None
-            reachable = 0
-            written = not ends_line
-            matched = written or every_line
-        else:
-            pending = sym
-            reachable = row & ~final
-            matched = written = False
+        opener, opened = sym, head
+        reachable = row & ~final
+        matched = right or every_line
 
-    # An open last line is emitted if it matched and holds bytes.
-    if matched and (parts or written or pending is not None):
+    # The last opener is closed; the last line is emitted if it matched
+    # and holds bytes.
+    if opener is not None and (opened or matched or counts[opener] or not prune):
         line_tables()
-        if parts or written or not facts[pending] & 1:
-            queue_line_start()
-            out.append(NEWLINE)
-            emitted += 1
+        queue_lines(opener, opened, matched or facts[opener] & 1)
+    if matched and (parts or opener is not None and not facts[opener] & 1):
+        out.extend(parts)
+        out.append(NEWLINE)
+        emitted += 1
     write()
     return emitted

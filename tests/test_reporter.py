@@ -260,6 +260,53 @@ def test_adjacent_empty_lines():
     for pattern in ("a", "x*", "a*", ".", ""):
         assert_reports_oracle(slp, pattern)
     assert assert_reports_oracle(slp, "x*") == b"a\n\n\na\n\n\na\n\n"
+    # raw newline terminals in the axiom, next to X = "a\n" (ending with a
+    # newline) and Y = "\na" (not)
+    x, y = 256, 257
+    for axiom in ((10,), (10, 10), (x, 10), (10, x), (x, 10, 10, y)):
+        slp = Slp([(97, 10), (10, 97)], axiom)
+        for pattern in ("a", "x*", ""):
+            assert_reports_oracle(slp, pattern)
+
+
+def test_opener_completed_by_the_next_symbol_is_written_whole(monkeypatch):
+    import zslp.reporter
+
+    # X = "ab\nab\na" and Y = "b\n": every line of X Y X Y is "ab". Each X
+    # opens a line that Y completes, so it is queued whole, with no descent
+    # to its last newline.
+    pairs = [(97, 98), (256, 10), (257, 257), (258, 97), (98, 10)]
+    slp = Slp(pairs, [259, 260, 259, 260])
+    splits = []
+    real = zslp.reporter._split_at_newline
+
+    def counted(*args):
+        splits.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(zslp.reporter, "_split_at_newline", counted)
+    count, payload = report(slp, compile_pattern("ab"))
+    assert (count, payload) == (6, b"ab\n" * 6)
+    assert payload == b"".join(line + b"\n" for line in oracle_lines(expand(slp), "ab"))
+    assert splits == []
+
+
+def test_search_printing_nothing_never_builds_line_facts(monkeypatch):
+    import zslp.reporter
+
+    calls = []
+    real = zslp.reporter.line_facts
+
+    def counted(rule_pairs):
+        calls.append(1)
+        return real(rule_pairs)
+
+    monkeypatch.setattr(zslp.reporter, "line_facts", counted)
+    slp = compress(b"".join(b"line %d of the log\n" % i for i in range(2000)))
+    for pattern, lines, built in (("zebra", 0, 0), ("of the", 2000, 1), ("x*", 2000, 1)):
+        calls.clear()
+        assert report(slp, compile_pattern(pattern))[0] == lines
+        assert len(calls) == built, pattern
 
 
 def test_empty_matching_patterns_emit_every_line():
