@@ -54,13 +54,17 @@ _MAX_STATES = 20000  # positions, before trimming
 _MAX_PAIRS = 1_000_000  # (position, following position) pairs
 _MAX_VISITS = 200_000  # AST nodes visited, each copy of a repeat counted
 _MAX_NESTING = 100  # groups plus stacked repeat operators, on any path
+# (low, high) of each one-character repeat operator; high None is unbounded.
+_BOUNDS = {"*": (0, None), "+": (1, None), "?": (0, 1)}
 
 
 class PatternSyntaxError(ValueError):
-    """Pattern rejected by the parser; carries the offending position."""
+    """Pattern rejected; carries the offending position, None for a pattern
+    refused for its size."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"syntax error at position {position}: {message}")
+    def __init__(self, message: str, position: int | None = None):
+        at = "" if position is None else f"syntax error at position {position}: "
+        super().__init__(at + message)
         self.position = position
 
 
@@ -148,17 +152,11 @@ class _Parser:
             if ch is None or ch not in "*+?{":
                 return node, height
             height = self._deeper(height)
-            if ch == "*":
-                self.pos += 1
-                node = Repeat(node, 0, None)
-            elif ch == "+":
-                self.pos += 1
-                node = Repeat(node, 1, None)
-            elif ch == "?":
-                self.pos += 1
-                node = Repeat(node, 0, 1)
-            else:
+            if ch == "{":
                 node = Repeat(node, *self._interval())
+            else:
+                self.pos += 1
+                node = Repeat(node, *_BOUNDS[ch])
 
     def _interval(self) -> tuple[int, int | None]:
         self.pos += 1  # consume '{'
@@ -349,7 +347,7 @@ def _sweep(start: int, step: list) -> int:
 
 def _check_budget(used: int, budget: int, what: str) -> None:
     if used > budget:
-        raise PatternSyntaxError(f"pattern too large: over {budget} {what}", 0)
+        raise PatternSyntaxError(f"pattern too large: over {budget} {what}")
 
 
 def _glushkov(ast) -> Fsa:

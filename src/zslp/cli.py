@@ -122,13 +122,12 @@ def _cmd_stats(args) -> int:
             f"automaton states: s={stats.s}  s^3={stats.s ** 3}  s^2={stats.s ** 2}\n"
             f"grammar: rules={stats.p}  axiom_len={stats.axiom_len}\n"
         )
-
-        def row(label, percentiles):
+        for label, percentiles in (
+            ("per-rule ops", stats.rule_percentiles),
+            ("per-axiom-symbol ops", stats.axiom_percentiles),
+        ):
             cells = "  ".join(f"p{k}={v}" for k, v in percentiles.items())
-            return f"{label}: {cells}\n"
-
-        sys.stdout.write(row("per-rule ops", stats.rule_percentiles))
-        sys.stdout.write(row("per-axiom-symbol ops", stats.axiom_percentiles))
+            sys.stdout.write(f"{label}: {cells}\n")
         sys.stdout.write(f"measured ops: {stats.measured_ops}\n")
     sys.stdout.flush()
     return 0
@@ -146,31 +145,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_compress = sub.add_parser("compress", help="bytes -> ZSLP")
-    p_compress.add_argument("input", nargs="?", default=None)
-    p_compress.add_argument("-o", "--output", default=None)
-    p_compress.set_defaults(func=_cmd_compress)
-
-    p_decompress = sub.add_parser("decompress", help="ZSLP -> bytes")
-    p_decompress.add_argument("input", nargs="?", default=None)
-    p_decompress.add_argument("-o", "--output", default=None)
-    p_decompress.set_defaults(func=_cmd_decompress)
-
-    p_count = sub.add_parser("count", help="print the number of matching lines")
-    p_count.add_argument("-e", "--pattern", required=True)
-    p_count.add_argument("input", nargs="?", default=None)
-    p_count.set_defaults(func=_cmd_count)
-
-    p_search = sub.add_parser("search", help="print the matching lines")
-    p_search.add_argument("-e", "--pattern", required=True)
-    p_search.add_argument("input", nargs="?", default=None)
-    p_search.set_defaults(func=_cmd_search)
-
-    p_stats = sub.add_parser("stats", help="operation-count percentiles")
-    p_stats.add_argument("-e", "--pattern", required=True)
-    p_stats.add_argument("input", nargs="?", default=None)
-    p_stats.add_argument("--json", action="store_true")
-    p_stats.set_defaults(func=_cmd_stats)
+    for name, func, summary in (
+        ("compress", _cmd_compress, "bytes -> ZSLP"),
+        ("decompress", _cmd_decompress, "ZSLP -> bytes"),
+        ("count", _cmd_count, "print the number of matching lines"),
+        ("search", _cmd_search, "print the matching lines"),
+        ("stats", _cmd_stats, "operation-count percentiles"),
+    ):
+        command = sub.add_parser(name, help=summary)
+        command.set_defaults(func=func)
+        if name in ("compress", "decompress"):  # bytes in, bytes out
+            command.add_argument("input", nargs="?", default=None)
+            command.add_argument("-o", "--output", default=None)
+        else:  # a pattern query
+            command.add_argument("-e", "--pattern", required=True)
+            command.add_argument("input", nargs="?", default=None)
+        if name == "stats":
+            command.add_argument("--json", action="store_true")
 
     return parser
 

@@ -41,9 +41,10 @@ unpacks fastest, and ``saturate`` is the only code that builds them.
 int (the states reachable from state 0 by reading some suffix of the prefix
 expanded so far; the accept state, once entered, is kept) and the counting
 tuple's fields as plain scalars, building the tuple once at the end.
-Counting, the match decision and the statistics use this one saturate/fold
-path; the reporter steps the same records over the axiom and, below it,
-reads which lines match from the counts alone.
+Counting and the match decision use this one saturate/fold path. The
+statistics saturate the same way and step only the reached mask over the
+axiom, in one pass; the reporter steps the same records over the axiom
+and, below it, reads which lines match from the counts alone.
 
 The engine requires automata with no transitions entering state 0 or
 leaving the accept state, the shape the pattern compiler produces and
@@ -65,9 +66,6 @@ PERCENTILE_POINTS = (50, 75, 95, 98, 100)
 # the automaton's width in 64-bit words (state_count // 64 + 1). Every rule's
 # rows count, also when its relation is shared with an earlier rule's.
 MAX_RELATION_WORDS = 50_000_000
-
-# Counting tuple of the empty string; the neutral element of ``combine``.
-EMPTY_INFO = (False, False, False, 0)
 
 # Per symbol its kind and closed-line count; per kind its record.
 Saturation = namedtuple("Saturation", "kinds counts table")
@@ -188,24 +186,17 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
         rows += size
         if rows > row_budget:
             raise PatternSyntaxError(
-                f"pattern too large: over {MAX_RELATION_WORDS} relation words", 0
+                f"pattern too large: over {MAX_RELATION_WORDS} relation words"
             )
     return Saturation(kinds, counts, table)
 
 
-def fold(
-    axiom,
-    saturation: Saturation,
-    fsa: Fsa,
-    early_exit: bool = False,
-    start: tuple = (EMPTY_INFO, 0),
-):
+def fold(axiom, saturation: Saturation, fsa: Fsa, early_exit: bool = False):
     """Left fold over the axiom; returns ``(counting tuple, reached mask)``.
 
     ``reached`` holds the states state 0 can reach by reading a suffix of
     the expansion so far, the accept state included once entered. With
     ``early_exit`` the fold stops as soon as the accept state is reached.
-    ``start`` is the result of folding the symbols before ``axiom``.
 
     The loop carries scalars, not a counting tuple: ``nl`` (a newline has
     been read), ``left`` (the first line matched), ``line`` (the current
@@ -221,7 +212,8 @@ def fold(
     kinds, counts, table = saturation
     final = fsa.final
     middle = ~final
-    (nl, left, line, count), reached = start
+    nl = left = line = False
+    count = reached = 0
     for sym in axiom:
         rel, row, sym_nl, sym_left, sym_right, _ = table[kinds[sym]]
         if reached & middle:
@@ -265,18 +257,6 @@ def line_facts(rule_pairs) -> list[int]:
     return facts
 
 
-def _line_count_arithmetic(rule_pairs, read_axiom) -> int:
-    """Number of lines in the expansion, from newline counts alone.
-
-    Lines are newline-separated segments; a trailing newline does not open a
-    final empty line, while adjacent newlines do enclose empty lines.
-    """
-    facts = line_facts(rule_pairs)
-    axiom = read_axiom()
-    newlines = sum(facts[sym] >> 1 for sym in axiom)
-    return newlines + (0 if facts[axiom[-1]] & 1 else 1)
-
-
 def run_count(rule_pairs, read_axiom, fsa: Fsa) -> int:
     """Streaming form of ``count_matching_lines``.
 
@@ -288,8 +268,11 @@ def run_count(rule_pairs, read_axiom, fsa: Fsa) -> int:
     and everything after it as ``engine.fold``.
     """
     if fsa.matches_empty:
-        # Every line matches; count lines without touching the automaton.
-        return _line_count_arithmetic(rule_pairs, read_axiom)
+        # Every line matches: count lines from newline counts alone. A
+        # trailing newline opens no final empty line.
+        facts = line_facts(rule_pairs)
+        axiom = read_axiom()
+        return sum(facts[sym] >> 1 for sym in axiom) + (0 if facts[axiom[-1]] & 1 else 1)
     saturation = saturate(rule_pairs, fsa)
     info, _ = fold(read_axiom(), saturation, fsa)
     return matching_lines(info)
@@ -358,17 +341,18 @@ def nearest_rank_percentiles(values) -> dict:
 
 
 def collect_stats(slp: Slp, fsa: Fsa) -> SearchStats:
-    """Saturate the grammar and report its per-rule and per-axiom-symbol costs."""
-    saturation = saturate(slp.rules, fsa)
-    kinds, _, table = saturation
+    """Saturate the grammar and report its per-rule and per-axiom-symbol costs.
+
+    Each distinct pair of relations is costed once. One pass over the axiom
+    steps the reached mask as ``fold`` does, without the line flags.
+    """
+    kinds, _, table = saturate(slp.rules, fsa)
     s = fsa.state_count
-    middle = ~fsa.final
+    final = fsa.final
+    middle = ~final
     per_symbol = 2 if s else 1
-    rels = {}  # relation id -> relation
-    ids = []  # kind -> relation id
-    for rel, *_, rel_id in table:
-        rels[rel_id] = rel
-        ids.append(rel_id)
+    ids = [record[5] for record in table]  # kind -> relation id
+    rels = {record[5]: record[0] for record in table}  # relation id -> relation
     pairs = {key: sum(map(int.bit_count, rel.values())) for key, rel in rels.items()}
     # A rule's costs depend only on its pair of relations: each distinct
     # pair is costed once.
@@ -388,11 +372,13 @@ def collect_stats(slp: Slp, fsa: Fsa) -> SearchStats:
             cost = costs[key] = (ops, rule_measured)
         per_rule.append(cost[0])
         measured += cost[1]
-    state = (EMPTY_INFO, 0)
+    per_axiom_symbol = []
+    reached = 0
     for sym in slp.axiom:
-        measured += per_symbol + (state[1] & middle).bit_count()
-        state = fold((sym,), saturation, fsa, start=state)
-    per_axiom_symbol = [pairs[ids[kinds[sym]]] for sym in slp.axiom]
+        rel, row, _, _, _, rel_id = table[kinds[sym]]
+        measured += per_symbol + (reached & middle).bit_count()
+        per_axiom_symbol.append(pairs[rel_id])
+        reached = union_rows(reached & middle, rel) | reached & final | row
     return SearchStats(
         s=s,
         p=len(slp.rules),

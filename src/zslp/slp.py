@@ -11,8 +11,10 @@ length-1 axiom is allowed so that one-byte inputs have a representation.
 ``Slp`` is a namedtuple ``(rules, axiom)`` that checks these invariants
 once, when it is built, and ``ZslpReader`` once, when it decodes a stream;
 both name a fault with the same text, at most FAULTS_SHOWN (3) violations
-and then how many more. ``_checked_slp``, which wraps the reader's checked
-parts, is the only way to build an Slp without the check.
+and then how many more. ``Slp`` first refuses a rule that is not a pair
+of int ids and an axiom entry that is not an int id, naming the first.
+``_checked_slp``, which wraps the reader's checked parts, is the only way
+to build an Slp without the check.
 
 The "ZSLP" binary format (version 2):
 
@@ -104,7 +106,13 @@ class Slp(namedtuple("Slp", "rules axiom")):
 
     def __new__(cls, rules, axiom):
         rules, axiom = tuple(rules), tuple(axiom)
-        firsts, seconds = tuple(zip(*rules)) or ((), ())
+        try:
+            firsts, seconds = tuple(zip(*rules, strict=True)) or ((), ())
+            types = set(map(type, chain(firsts, seconds, axiom)))
+            if not all(issubclass(t, int) for t in types):
+                raise TypeError
+        except (TypeError, ValueError):  # not all pairs, or not all ints
+            raise InvalidGrammarError(_shape_fault(rules, axiom)) from None
         negative = min(chain(firsts, seconds, axiom), default=0) < 0
         if negative or _malformed(firsts, seconds, axiom):
             raise InvalidGrammarError(_fault_message(firsts, seconds, axiom))
@@ -138,6 +146,21 @@ class Slp(namedtuple("Slp", "rules axiom")):
             append(None)
         short += [None] * (FIRST_VARIABLE + len(self.rules) - len(short))
         return tuple(short)
+
+
+def _shape_fault(rules, axiom) -> str:
+    """Names the first rule that is not a pair of int ids, else the first
+    axiom position that is not an int id."""
+    for i, rule in enumerate(rules):
+        try:
+            first, second = rule
+            if isinstance(first, int) and isinstance(second, int):
+                continue
+        except (TypeError, ValueError):
+            pass
+        return f"rule {i + 1} is not a pair of integer symbol ids"
+    pos = next(pos for pos, sym in enumerate(axiom) if not isinstance(sym, int))
+    return f"axiom position {pos} is not an integer symbol id"
 
 
 def _malformed(firsts, seconds, axiom) -> bool:

@@ -194,8 +194,11 @@ def test_oversized_patterns_rejected():
         compile_pattern("((.?){512}){4}z")
     with pytest.raises(PatternSyntaxError, match="states"):
         compile_pattern("(a{512}){512}")
-    with pytest.raises(PatternSyntaxError, match="node copies"):
+    with pytest.raises(PatternSyntaxError, match="node copies") as err:
         compile_pattern("((" + "()" * 100 + "a){512}){39}")
+    # A refusal for size names no position in the pattern.
+    assert err.value.position is None
+    assert str(err.value) == "pattern too large: over 200000 node copies"
 
 
 def test_repeats_of_position_free_items_compile_at_once():

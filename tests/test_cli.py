@@ -416,21 +416,24 @@ def test_inner_wide_repeat_agrees_with_the_oracle(prose_file, capsysbinary, patt
 @pytest.mark.parametrize(
     "pattern, message",
     [
-        ("a((.?){512}){4}z", "too large"),
-        ("((" + "()" * 500 + "a){512}){39}", "too large"),
-        ("(((\n{512}){512}){512}){512}", "newline"),
+        ("a((.?){512}){4}z", "pattern too large: over 1000000 transition pairs"),
+        ("((" + "()" * 500 + "a){512}){39}", "pattern too large: over 200000 node copies"),
+        (
+            "(((\n{512}){512}){512}){512}",
+            "newline in pattern: it cannot match any newline-free string",
+        ),
     ],
     ids=["pair-budget", "visit-budget", "nested-newline-repeats"],
 )
 def test_huge_pattern_is_a_pattern_error(example_file, capsys, pattern, message):
+    # A budget refusal names the budget, not a syntax error at some position.
     start = time.process_time()
     code = run_cli(["count", "-e", pattern, example_file])
     elapsed = time.process_time() - start
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert "pattern error" in captured.err and message in captured.err
+    assert captured.err == f"zslp: pattern error: {message}\n"
     assert elapsed < 10
 
 
@@ -516,9 +519,9 @@ def test_wide_automaton_over_relation_budget_is_a_pattern_error(log_file, comman
     cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == b""
-    assert proc.stderr.count(b"\n") == 1
-    assert proc.stderr.startswith(b"zslp: pattern error:")
-    assert b"too large" in proc.stderr
+    assert proc.stderr == (
+        b"zslp: pattern error: pattern too large: over 50000000 relation words\n"
+    )
     assert cpu < 10
 
 

@@ -29,7 +29,6 @@ from zslp.automaton import (
     union_rows,
 )
 from zslp.engine import (
-    EMPTY_INFO,
     SearchStats,
     combine,
     collect_stats,
@@ -195,6 +194,10 @@ def test_axiom_fold_newlines_only(ab_ba_fsa):
     assert total == 0
 
 
+# Counting tuple of the empty string; the neutral element of ``combine``.
+EMPTY_INFO = (False, False, False, 0)
+
+
 def reference_fold(axiom, infos, rels, fsa, early_exit=False, start=(EMPTY_INFO, 0)):
     """The fold as one ``combine`` per axiom symbol, for comparison."""
     final = fsa.final
@@ -247,13 +250,6 @@ def test_fold_matches_reference_fold():
         assert fold(axiom, *args, early_exit=True) == reference_fold(
             axiom, *ref_args, early_exit=True
         )
-        if len(axiom) > 1:
-            cut = rng.randrange(1, len(axiom))
-            head = fold(axiom[:cut], *args)
-            assert head == reference_fold(axiom[:cut], *ref_args)
-            assert fold(axiom[cut:], *args, start=head) == reference_fold(
-                axiom[cut:], *ref_args, start=head
-            )
 
 
 def test_axiom_of_length_one(ab_ba_fsa):
@@ -610,8 +606,7 @@ def test_collect_stats_bounds_and_budget():
 
 def reference_stats(slp, fsa):
     """collect_stats costing every rule on its own, for comparison."""
-    saturation = saturate(slp.rules, fsa)
-    _, rels = symbol_summaries(saturation)
+    infos, rels = symbol_summaries(saturate(slp.rules, fsa))
     s = fsa.state_count
     middle = ~fsa.final
     per_symbol = 2 if s else 1
@@ -629,7 +624,7 @@ def reference_stats(slp, fsa):
     state = (EMPTY_INFO, 0)
     for sym in slp.axiom:
         measured += per_symbol + (state[1] & middle).bit_count()
-        state = fold((sym,), saturation, fsa, start=state)
+        state = reference_fold((sym,), infos, rels, fsa, start=state)
     per_axiom_symbol = [pairs[sym] for sym in slp.axiom]
     return SearchStats(
         s=s,
@@ -651,6 +646,25 @@ def test_collect_stats_costs_each_relation_pair_once():
         fsa = compile_pattern(rng.choice(SHARING_PATTERNS + ("b(a|b){2,5}a",)))
         slp = random_grammar(rng, max_rules=40)
         assert collect_stats(slp, fsa) == reference_stats(slp, fsa)
+
+
+def test_collect_stats_reads_the_axiom_without_fold(monkeypatch):
+    # The reached masks before each axiom symbol come from one pass over
+    # the axiom, not from a fold per symbol.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fold(*args, **kwargs)
+
+    monkeypatch.setattr(zslp.engine, "fold", counted)
+    rng = random.Random(5)
+    slp = compress(bytes(rng.choice(b"ab \n") for _ in range(2000)))
+    fsa = compile_pattern("ab+a|ba")
+    stats = collect_stats(slp, fsa)
+    assert stats.axiom_len > 100
+    assert calls == []
+    assert stats == reference_stats(slp, fsa)
 
 
 def test_collect_stats_zero_rules():

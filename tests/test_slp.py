@@ -48,12 +48,33 @@ from zslp.slp import (
         (((257, 97),), (256,), "rule 1 references undefined/later symbol 257"),
         ((), (), "empty axiom"),
         ((), (300,), "axiom position 0 references undefined symbol 300"),
+        (((97, 98), (97, 98, 99)), (257,), "rule 2 is not a pair of integer symbol ids"),
+        (((97,),), (97,), "rule 1 is not a pair of integer symbol ids"),
+        ((97,), (97,), "rule 1 is not a pair of integer symbol ids"),
+        (((97.0, 98),), (256,), "rule 1 is not a pair of integer symbol ids"),
+        (("ab",), (256,), "rule 1 is not a pair of integer symbol ids"),
+        (((97, 98),), (256, 98.0), "axiom position 1 is not an integer symbol id"),
+        (((97, 98), (97, 98, 99), (97,)), (258,), "rule 2 is not a pair of integer symbol ids"),
+        (((97, 98),), ("a", 256.0), "axiom position 0 is not an integer symbol id"),
     ],
-    ids=["forward-reference", "empty-axiom", "undefined-axiom-symbol"],
+    ids=[
+        "forward-reference",
+        "empty-axiom",
+        "undefined-axiom-symbol",
+        "rule-of-three-ids",
+        "rule-of-one-id",
+        "rule-not-a-sequence",
+        "float-rule-id",
+        "str-rule",
+        "float-axiom-id",
+        "first-of-many-rules",
+        "first-of-many-axiom-entries",
+    ],
 )
 def test_invalid_grammar_rejected_when_built(rules, axiom, message):
-    with pytest.raises(InvalidGrammarError, match=message):
+    with pytest.raises(InvalidGrammarError) as info:
         Slp(rules, axiom)
+    assert str(info.value) == message
 
 
 def test_validate_accepts_simple_grammar():
