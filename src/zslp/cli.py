@@ -157,8 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in ("compress", "decompress"):  # bytes in, bytes out
             command.add_argument("input", nargs="?", default=None)
             command.add_argument("-o", "--output", default=None)
-        else:  # a pattern query
-            command.add_argument("-e", "--pattern", required=True)
+        else:  # a pattern query; the pattern is the bytes the shell passed
+            command.add_argument("-e", "--pattern", required=True, type=os.fsencode)
             command.add_argument("input", nargs="?", default=None)
         if name == "stats":
             command.add_argument("--json", action="store_true")

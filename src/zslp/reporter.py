@@ -46,19 +46,16 @@ output is the same.
 
 The reporter builds no bytes: a matching line is recorded as symbols that
 ``iter_expand`` writes in batches. A pattern matching the empty string
-matches every line; its walk runs over the stateless automaton, which
-saturates to newline flags and no rows. Every line then starts matched,
-and a symbol's n newlines close n - 1 matching closed lines.
+matches every line: the whole expansion is written, with a final newline
+if it lacks one, and nothing is saturated or walked.
 """
 
 from __future__ import annotations
 
 from .automaton import NEWLINE, Fsa, union_rows
-from .engine import line_facts, saturate
+from .engine import count_matching_lines, line_facts, saturate
 from .slp import FIRST_VARIABLE, Slp, iter_expand
 
-# Stands in for a pattern that matches the empty string, and so every line.
-_EVERY_LINE = Fsa(0, [{}] * 256, True)
 # Symbols of emitted lines gathered before one iter_expand pass writes them.
 _BATCH = 4096
 
@@ -92,11 +89,16 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     one. No single write to the sink exceeds ``iter_expand``'s chunk size.
     ``prune`` gates skipping parts with nothing to emit and queueing a
     stretch of matching lines whole; without it line emission descends to
-    every newline, and the output is the same.
+    every newline, and the output is the same. A pattern that matches the
+    empty string matches every line, so the whole expansion is written.
     """
-    every_line = fsa.matches_empty
-    if every_line:
-        fsa = _EVERY_LINE
+    if fsa.matches_empty:
+        chunk = b""
+        for chunk in iter_expand(slp):
+            sink.write(chunk)
+        if not chunk.endswith(b"\n"):
+            sink.write(b"\n")
+        return count_matching_lines(slp, fsa)
     kinds, counts, table = saturate(slp.rules, fsa)
     final = fsa.final
     rules = slp.rules
@@ -107,17 +109,14 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     opened = False  # the line the opener ends matched
     parts: list[int] = []  # newline-free symbols of the current line, in order
     reachable = 0
-    matched = every_line
+    matched = False
     facts = enter = None  # built at the first line that will be emitted
     splits: tuple = ({}, {})  # at the first, at the last newline: symbol -> split
 
     def line_tables() -> None:
-        nonlocal facts, counts, enter
+        nonlocal facts, enter
         if facts is None:
             facts = line_facts(rules)
-            if every_line:
-                # Every line matches: n newlines close n - 1 closed lines.
-                counts = [max(fact >> 1, 1) - 1 for fact in facts]
             # Unpruned, line emission enters every part holding a newline.
             enter = counts if prune else facts
 
@@ -222,14 +221,14 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
         parts.clear()
         opener, opened = sym, head
         reachable = row & ~final
-        matched = right or every_line
+        matched = right
 
-    # The last opener is closed; the last line is emitted if it matched
-    # and holds bytes.
+    # The last opener is closed; the last line is emitted if it matched (a
+    # line that holds a match is not empty).
     if opener is not None and (opened or matched or counts[opener] or not prune):
         line_tables()
         queue_lines(opener, opened, matched or facts[opener] & 1)
-    if matched and (parts or opener is not None and not facts[opener] & 1):
+    if matched:
         out.extend(parts)
         out.append(NEWLINE)
         emitted += 1

@@ -95,12 +95,12 @@ class InvalidGrammarError(ValueError):
 class Slp(namedtuple("Slp", "rules axiom")):
     """An immutable, valid grammar: ``(first, second)`` rule pairs and the axiom.
 
-    A checked namedtuple. Rule i defines symbol ``256 + i``. Building an
-    Slp, also by ``_make``, ``_replace``, copy or pickle, checks every
-    invariant and raises InvalidGrammarError naming the violations, so an
-    Slp that exists is valid and its consumers need not check it again.
-    ``_checked_slp`` is the only way to build one without the check, from
-    parts ``ZslpReader`` has already checked.
+    A checked namedtuple. Rule i, stored as a tuple of two ids whatever
+    pairs the caller gave, defines symbol ``256 + i``. Building an Slp, also
+    by ``_make``, ``_replace``, copy or pickle, checks every invariant and
+    raises InvalidGrammarError naming the violations, so an Slp that exists
+    is valid and its consumers need not check it again. ``_checked_slp``,
+    the one way to skip the check, wraps parts ``ZslpReader`` has checked.
     Expansion caches ``short_expansions`` on it, a table fixed by the rules.
     """
 
@@ -116,7 +116,7 @@ class Slp(namedtuple("Slp", "rules axiom")):
         negative = min(chain(firsts, seconds, axiom), default=0) < 0
         if negative or _malformed(firsts, seconds, axiom):
             raise InvalidGrammarError(_fault_message(firsts, seconds, axiom))
-        return super().__new__(cls, rules, axiom)
+        return super().__new__(cls, tuple(zip(firsts, seconds)), axiom)
 
     @classmethod
     def _make(cls, iterable):

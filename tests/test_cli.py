@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import random
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -47,8 +49,15 @@ def test_count_pattern_error(example_file, capsys):
     assert captured.out == ""
 
 
+# The CLI reads a pattern as the bytes it was given, so a non-ASCII
+# character is its UTF-8 bytes there, not one character outside the alphabet.
+ASCII_PATTERN_ERRORS = [case for case in PATTERN_ERRORS if case[0].isascii()]
+
+
 @pytest.mark.parametrize(
-    "pattern, position, message", PATTERN_ERRORS, ids=[p for p, _, _ in PATTERN_ERRORS]
+    "pattern, position, message",
+    ASCII_PATTERN_ERRORS,
+    ids=[p for p, _, _ in ASCII_PATTERN_ERRORS],
 )
 def test_each_syntax_error_is_one_line(example_file, capsys, pattern, position, message):
     code = run_cli(["count", "-e", pattern, example_file])
@@ -58,6 +67,32 @@ def test_each_syntax_error_is_one_line(example_file, capsys, pattern, position, 
     assert captured.err == (
         f"zslp: pattern error: syntax error at position {position}: {message}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["count", "-e", b"caf\xc3\xa9"], 0, b"1\n", b""),  # "café" typed in UTF-8
+        (["search", "-e", "€|é".encode()], 0, b"caf\xc3\xa9 au lait\n", b""),
+        (["count", "-e", "[é]".encode()], 0, b"2\n", b""),  # a class of two bytes
+        (["count", "-e", b"\xe9"], 1, b"0\n", b""),  # a raw byte the text lacks
+        (
+            ["count", "-e", "é(".encode()],
+            2,
+            b"",
+            b"zslp: pattern error: syntax error at position 3: unclosed '('\n",
+        ),
+    ],
+    ids=["utf8-count", "utf8-search", "utf8-class", "raw-byte", "byte-position"],
+)
+def test_pattern_is_the_bytes_given(tmp_path, capsysbinary, argv, code, out, err):
+    packed = tmp_path / "cafe.zslp"
+    packed.write_bytes(encode_slp(compress(b"caf\xc3\xa9 au lait\nx\xa9y\nthe\n")))
+    # The interpreter decodes each argument with os.fsdecode, so run_cli
+    # gets exactly what a shell would pass for these bytes.
+    assert run_cli([os.fsdecode(arg) for arg in argv] + [str(packed)]) == code
+    captured = capsysbinary.readouterr()
+    assert (captured.out, captured.err) == (out, err)
 
 
 def test_bad_magic_reports_format_error(tmp_path, capsys):
@@ -198,7 +233,7 @@ def test_module_invocation_subprocess(example_file):
         capture_output=True,
     )
     assert piped.returncode == 0
-    assert piped.stdout == open(example_file, "rb").read()
+    assert piped.stdout == Path(example_file).read_bytes()
 
 
 def test_parser_is_built_once_per_process(example_file, capsys):

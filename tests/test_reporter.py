@@ -8,7 +8,7 @@ from conftest import (
     random_text,
     sample_from_pattern,
 )
-from zslp.automaton import compile_pattern
+from zslp.automaton import compile_line_pattern, compile_pattern
 from zslp.engine import count_matching_lines
 from zslp.oracle import oracle_lines
 from zslp.repair import compress
@@ -303,7 +303,8 @@ def test_search_printing_nothing_never_builds_line_facts(monkeypatch):
 
     monkeypatch.setattr(zslp.reporter, "line_facts", counted)
     slp = compress(b"".join(b"line %d of the log\n" % i for i in range(2000)))
-    for pattern, lines, built in (("zebra", 0, 0), ("of the", 2000, 1), ("x*", 2000, 1)):
+    # A pattern matching the empty string writes the text without them.
+    for pattern, lines, built in (("zebra", 0, 0), ("of the", 2000, 1), ("x*", 2000, 0)):
         calls.clear()
         assert report(slp, compile_pattern(pattern))[0] == lines
         assert len(calls) == built, pattern
@@ -368,7 +369,7 @@ def test_full_subtrees_skip_work(monkeypatch):
     monkeypatch.setattr(
         zslp.reporter, "iter_expand", lambda _, symbols: iter_expand(slp, symbols)
     )
-    for pattern in ("HTTP/1\\.1", "[a-z]", "x*"):
+    for pattern in ("HTTP/1\\.1", "[a-z]"):
         fsa = compile_pattern(pattern)
         results = {}
         for prune in (True, False):
@@ -378,6 +379,39 @@ def test_full_subtrees_skip_work(monkeypatch):
         assert on_report == off_report
         assert on_report[0] == 20000
         assert on_lookups < off_lookups / 10, pattern
+
+
+def test_every_line_pattern_writes_the_text_without_saturating(monkeypatch):
+    import zslp.reporter
+
+    class RecordingSink:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(bytes(data))
+
+    calls = []
+    real = zslp.reporter.saturate
+
+    def counted(rule_pairs, fsa):
+        calls.append(1)
+        return real(rule_pairs, fsa)
+
+    monkeypatch.setattr(zslp.reporter, "saturate", counted)
+    fsas = (compile_pattern("x*"), compile_pattern("(a|)"), compile_line_pattern(""))
+    # DOUBLING_TOP derives 98,304 bytes ending with a newline; a final "a"
+    # leaves the text without one.
+    for axiom, added in (([DOUBLING_TOP], b""), ([DOUBLING_TOP, 97], b"\n")):
+        slp = Slp(DOUBLING_PAIRS, axiom)
+        for fsa in fsas:
+            for prune in (True, False):
+                sink = RecordingSink()
+                emitted = report_matching_lines(slp, fsa, sink, prune=prune)
+                assert emitted == count_matching_lines(slp, fsa)
+                assert b"".join(sink.writes) == expand(slp) + added
+                assert max(len(data) for data in sink.writes) <= CHUNK_SIZE
+    assert calls == []
 
 
 def test_count_skips_line_facts_unless_the_pattern_matches_empty(monkeypatch):

@@ -94,6 +94,18 @@ def test_slp_is_immutable_and_survives_copy_and_pickle():
     assert slp.short_expansions is slp.short_expansions
 
 
+def test_slp_stores_rules_as_tuples():
+    # List pairs are copied into tuples, so the Slp hashes like one built
+    # from tuples and a later change to the caller's lists does not reach it.
+    pairs = [[97, 98], [256, 99]]
+    slp = Slp(pairs, [257])
+    assert slp == Slp([(97, 98), (256, 99)], [257])
+    assert hash(slp) == hash(Slp([(97, 98), (256, 99)], [257]))
+    assert type(slp.rules[0]) is tuple and slp.rules[0] == (97, 98)
+    pairs[0][0] = 300
+    assert slp.rules == ((97, 98), (256, 99)) and expand(slp) == b"abc"
+
+
 def test_slp_rebuilt_by_namedtuple_methods_is_checked():
     slp = Slp([(97, 98)], [256, 256])
     with pytest.raises(InvalidGrammarError, match="^empty axiom$"):
