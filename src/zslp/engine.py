@@ -194,9 +194,11 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
 def fold(axiom, saturation: Saturation, fsa: Fsa, early_exit: bool = False):
     """Left fold over the axiom; returns ``(counting tuple, reached mask)``.
 
-    ``reached`` holds the states state 0 can reach by reading a suffix of
-    the expansion so far, the accept state included once entered. With
-    ``early_exit`` the fold stops as soon as the accept state is reached.
+    ``axiom`` is any sequence of valid ids: an ``Slp``'s tuple or the id
+    array ``ZslpReader.read_axiom`` returns. ``reached`` holds the states
+    state 0 can reach by reading a suffix of the expansion so far, the
+    accept state included once entered. With ``early_exit`` the fold stops
+    as soon as the accept state is reached.
 
     The loop carries scalars, not a counting tuple: ``nl`` (a newline has
     been read), ``left`` (the first line matched), ``line`` (the current
@@ -262,7 +264,8 @@ def run_count(rule_pairs, read_axiom, fsa: Fsa) -> int:
 
     ``rule_pairs`` yields valid pairs, as for ``saturate``, and is consumed
     one rule at a time; ``read_axiom`` is a zero-argument callable that
-    returns a valid axiom and is invoked only after the last rule. The
+    returns a valid axiom, any sequence of ids (``ZslpReader.read_axiom``
+    gives its id array), and is invoked only after the last rule. The
     benchmark's tracer (``perfbench/tracing.py``) relies on that order: it
     times everything before the ``read_axiom`` call as ``engine.saturate``
     and everything after it as ``engine.fold``.

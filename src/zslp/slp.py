@@ -11,8 +11,10 @@ length-1 axiom is allowed so that one-byte inputs have a representation.
 ``Slp`` is a namedtuple ``(rules, axiom)`` that checks these invariants
 once, when it is built, and ``ZslpReader`` once, when it decodes a stream;
 both name a fault with the same text, at most FAULTS_SHOWN (3) violations
-and then how many more. ``Slp`` first refuses a rule that is not a pair
-of int ids and an axiom entry that is not an int id, naming the first.
+and then how many more. The reader checks the axiom's ids on the stream's
+bytes, so a valid axiom costs no int object per id. ``Slp`` first refuses
+a rule that is not a pair of int ids and an axiom entry that is not an
+int id, naming the first.
 ``_checked_slp``, which wraps the reader's checked parts, is the only way
 to build an Slp without the check.
 
@@ -24,14 +26,14 @@ The "ZSLP" binary format (version 2):
 Left ids are implicit (dense numbering). The two counts are unsigned LEB128
 varints (7 bits per byte, little-endian, high bit = continuation). Every
 symbol id is w bytes, little-endian: w is 2 when all ids fit (256 + p <=
-65,536), otherwise 4. The ids form one fixed-width array, so a reader
-decodes them with ``array.frombytes`` and checks the stream's length by
-arithmetic. It reads the header (at most 26 bytes) first and refuses a
-stream that states more than MAX_INPUT_BYTES ids (2p + n, which no stream
-``compress`` writes exceeds) before it reads any; then it reads exactly
-the stated length and one byte more. Rules are stored before the axiom
-and in definition order; nothing may follow the axiom. Version 1, which
-wrote every id as a varint, is no longer read.
+65,536), otherwise 4. The ids are fixed-width, so the header fixes the
+stream's length. A reader reads the header (at most 26 bytes) first and
+refuses a stream that states more than MAX_INPUT_BYTES ids (2p + n, which
+no stream ``compress`` writes exceeds) before it reads any; then it reads
+the rule ids and the axiom ids straight into two arrays, and one byte more.
+Rules are stored before the axiom and in definition order; nothing may
+follow the axiom. Version 1, which wrote every id as a varint, is no longer
+read.
 
 ``iter_expand`` copies short expansions instead of walking them. On its
 first expansion that is not empty, an ``Slp`` builds a table of them in one
@@ -74,6 +76,8 @@ MAX_INPUT_BYTES = 16 << 20
 # Longest header: magic, version byte, two 10-byte varints, id width byte.
 _HEADER_LIMIT = len(MAGIC) + 1 + 10 + 10 + 1
 _TERMINAL_BYTES = [bytes((byte,)) for byte in range(FIRST_VARIABLE)]
+# Ids the reader's axiom check takes at a time.
+_CHECK_BLOCK = 1 << 16
 
 
 class SlpFormatError(ValueError):
@@ -114,7 +118,12 @@ class Slp(namedtuple("Slp", "rules axiom")):
         except (TypeError, ValueError):  # not all pairs, or not all ints
             raise InvalidGrammarError(_shape_fault(rules, axiom)) from None
         negative = min(chain(firsts, seconds, axiom), default=0) < 0
-        if negative or _malformed(firsts, seconds, axiom):
+        if (
+            negative
+            or not axiom
+            or max(axiom) >= FIRST_VARIABLE + len(rules)
+            or _bad_rules(firsts, seconds)
+        ):
             raise InvalidGrammarError(_fault_message(firsts, seconds, axiom))
         return super().__new__(cls, tuple(zip(firsts, seconds)), axiom)
 
@@ -163,13 +172,42 @@ def _shape_fault(rules, axiom) -> str:
     return f"axiom position {pos} is not an integer symbol id"
 
 
-def _malformed(firsts, seconds, axiom) -> bool:
-    """Whether rule i names symbol 256 + i or a later one, or the axiom is
-    empty or names an undefined symbol. Ids are taken to be >= 0."""
+def _bad_rules(firsts, seconds) -> bool:
+    """Whether some rule i names symbol 256 + i or a later one. Ids are
+    taken to be >= 0."""
     lefts = range(FIRST_VARIABLE, FIRST_VARIABLE + len(firsts))
-    if not axiom or max(axiom) >= lefts.stop:
-        return True
     return any(map(ge, firsts, lefts)) or any(map(ge, seconds, lefts))
+
+
+def _any_at_least(ids: array, stop: int) -> bool:
+    """Whether any of ``ids``, stored little-endian, is at least ``stop``.
+
+    Compares the ids' bytes with those of ``stop - 1`` from the most
+    significant down, a column of bytes at a time and with no int per id:
+    an id is too large at the first byte above the limit's byte, provided
+    it tied the limit in every byte before. ``ties`` holds bit 0 of byte i
+    while id i has tied. The ids are taken _CHECK_BLOCK at a time, so the
+    check's own buffers stay small whatever the stream's length.
+    """
+    width = ids.itemsize
+    step = width * _CHECK_BLOCK
+    top = stop - 1
+    with memoryview(ids) as view, view.cast("B") as raw:
+        for start in range(0, len(raw), step):
+            block = raw[start : start + step].tobytes()
+            ties = -1
+            for k in reversed(range(width)):
+                column = block[k::width]
+                limit = top >> 8 * k & 0xFF
+                # ``translate`` tables mapping to 1 the bytes above the limit and the limit.
+                above = bytes(limit + 1) + b"\x01" * (255 - limit)
+                if int.from_bytes(column.translate(above), "little") & ties:
+                    return True
+                if not k or limit not in column:
+                    break
+                equal = bytes(limit) + b"\x01" + bytes(255 - limit)
+                ties &= int.from_bytes(column.translate(equal), "little")
+    return False
 
 
 def _fault_message(firsts, seconds, axiom) -> str:
@@ -297,12 +335,15 @@ class ZslpReader:
     """ZSLP reader: the whole stream is decoded and checked on construction.
 
     The constructor checks the header, reads only the ids it states (see
-    the module docstring), decodes them with one ``array.frombytes``, and
-    checks the grammar's invariants, raising SlpFormatError with the text
-    ``Slp`` would give.
+    the module docstring) into an array of rule ids and an array of axiom
+    ids, and checks the grammar's invariants, raising SlpFormatError with
+    the text ``Slp`` would give. The axiom's ids are checked on their bytes
+    before they are put in host order.
     ``iter_rules``, ``read_axiom`` and ``read_slp`` are views of the checked
     data, in any order and without a second check, so the consumers of the
     rules (``saturate``, the engine's line count) take valid pairs.
+    ``read_axiom`` returns the id array itself; only ``read_slp`` builds
+    the tuples an ``Slp`` holds.
     """
 
     def __init__(self, stream: io.BufferedIOBase):
@@ -323,41 +364,53 @@ class ZslpReader:
         width = data[pos]
         if width not in (2, 4):
             raise SlpFormatError(f"unsupported id width {width}")
-        pos += 1
         id_count = 2 * self.rule_count + axiom_len
         if id_count > MAX_INPUT_BYTES:
             raise SlpFormatError(
                 f"header states {id_count} symbol ids, over the {MAX_INPUT_BYTES}-id limit"
             )
-        stop = pos + width * id_count
-        # The stated ids, and one byte more to find trailing data.
-        data += stream.read(max(0, stop + 1 - len(data)))
-        if len(data) < stop:
-            raise TruncatedStreamError("stream ended inside the symbol ids")
-        if len(data) > stop:
+        # The header read may have taken the first ids, or all of them and more.
+        head = data[pos + 1 :]
+        rule_ids, head = _read_ids(stream, head, width, 2 * self.rule_count)
+        self._axiom, head = _read_ids(stream, head, width, axiom_len)
+        if head or stream.read(1):
             raise SlpFormatError("trailing data after axiom")
-        ids = array(_ID_TYPECODES[width])
-        ids.frombytes(memoryview(data)[pos:])
+        stop = FIRST_VARIABLE + self.rule_count
+        bad_axiom = not axiom_len or _any_at_least(self._axiom, stop)
         if _BIG_ENDIAN:
-            ids.byteswap()
-        end = 2 * self.rule_count
-        self._firsts = ids[0:end:2]
-        self._seconds = ids[1:end:2]
-        # A tuple, not an array: max over it is faster.
-        self._axiom = tuple(ids[end:])
-        if _malformed(self._firsts, self._seconds, self._axiom):
+            rule_ids.byteswap()
+            self._axiom.byteswap()
+        self._firsts = rule_ids[0::2]
+        self._seconds = rule_ids[1::2]
+        if bad_axiom or _bad_rules(self._firsts, self._seconds):
             raise SlpFormatError(_fault_message(self._firsts, self._seconds, self._axiom))
 
     def iter_rules(self) -> Iterator[tuple[int, int]]:
         """Yield (first, second) for each rule, in definition order."""
         return zip(self._firsts, self._seconds)
 
-    def read_axiom(self) -> tuple[int, ...]:
+    def read_axiom(self) -> array:
+        """The axiom's ids, as the array they were read into."""
         return self._axiom
 
     def read_slp(self) -> Slp:
         """The grammar: every rule and the axiom."""
-        return _checked_slp(tuple(zip(self._firsts, self._seconds)), self._axiom)
+        return _checked_slp(tuple(zip(self._firsts, self._seconds)), tuple(self._axiom))
+
+
+def _read_ids(stream, head: bytes, width: int, count: int) -> tuple[array, bytes]:
+    """``count`` ids of ``width`` bytes, from ``head`` and then read from the
+    stream into the array; returns them and the rest of ``head``."""
+    ids = array(_ID_TYPECODES[width], [0]) * count
+    with memoryview(ids) as view, view.cast("B") as into:
+        filled = min(len(head), len(into))
+        into[:filled] = head[:filled]
+        while filled < len(into):
+            got = stream.readinto(into[filled:])
+            if not got:
+                raise TruncatedStreamError("stream ended inside the symbol ids")
+            filled += got
+    return ids, head[filled:]
 
 
 def _checked_slp(rules: tuple, axiom: tuple) -> Slp:

@@ -53,10 +53,10 @@ PATTERN_ERRORS = [
 ]
 
 
-def raw_zslp(pairs, axiom) -> bytes:
+def raw_zslp(pairs, axiom, width=2) -> bytes:
     """ZSLP bytes for the rules and axiom as given, valid or not.
 
-    Ids must be in 0..65,535; they are written 2 bytes wide.
+    Ids are written ``width`` bytes wide, so they must fit it.
     """
     out = bytearray(b"ZSLP\x02")
     for count in (len(pairs), len(axiom)):
@@ -64,9 +64,9 @@ def raw_zslp(pairs, axiom) -> bytes:
             out.append(count & 0x7F | 0x80)
             count >>= 7
         out.append(count)
-    out.append(2)
+    out.append(width)
     for sym in [*itertools.chain.from_iterable(pairs), *axiom]:
-        out += sym.to_bytes(2, "little")
+        out += sym.to_bytes(width, "little")
     return bytes(out)
 
 

@@ -236,6 +236,42 @@ def test_module_invocation_subprocess(example_file):
     assert piped.stdout == Path(example_file).read_bytes()
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_count_memory_follows_the_stream(tmp_path):
+    import subprocess
+
+    # count keeps the axiom as the id array it read. 4M axiom ids of width
+    # 2, each 257 ("a\na\n"), may raise the child's peak RSS over that of a
+    # one-id stream by at most 16 bytes per id; a tuple of int objects took
+    # about 45 (ids from 257 up are not cached small ints). The child reads
+    # its peak as VmHWM: its ru_maxrss would keep this process's peak, which
+    # Linux carries across the exec.
+    code = (
+        "import sys\n"
+        "from zslp.cli import run_cli\n"
+        "status = run_cli(['count', '-e', 'a', sys.argv[1]])\n"
+        "with open('/proc/self/status') as lines:\n"
+        "    peak = next(line for line in lines if line.startswith('VmHWM:'))\n"
+        "print(status, peak.split()[1])\n"
+    )
+    peaks = {}
+    for ids in (1, 4 << 20):
+        packed = tmp_path / f"{ids}.zslp"
+        packed.write_bytes(raw_zslp([(97, 10), (256, 256)], [257] * ids))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, packed],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        count, status, peak_kib = map(int, proc.stdout.split())
+        assert (count, status) == (2 * ids, 0)
+        peaks[ids] = peak_kib
+    per_id = (peaks[4 << 20] - peaks[1]) * 1024 / (4 << 20)
+    assert per_id < 16, f"{per_id:.1f} bytes of peak RSS per axiom id"
+
+
 def test_parser_is_built_once_per_process(example_file, capsys):
     import subprocess
 

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import time
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from zslp.reporter import report_matching_lines
 import zslp.slp
 from zslp.slp import (
     CHUNK_SIZE,
+    FIRST_VARIABLE,
     MAX_INPUT_BYTES,
     SHORT_BUDGET,
     SHORT_LIMIT,
@@ -159,10 +161,10 @@ def test_fault_message_names_three_violations_then_counts():
 SYMBOL_IDS = st.integers(0, 263)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(SYMBOL_IDS, SYMBOL_IDS), max_size=6), st.lists(SYMBOL_IDS, max_size=6))
-def test_reader_and_constructor_agree(pairs, axiom):
-    data = raw_zslp(pairs, axiom)
+def assert_reader_agrees(pairs, axiom, width=2):
+    """The reader decodes the stream to the Slp the constructor builds, or
+    refuses it with the constructor's message."""
+    data = raw_zslp(pairs, axiom, width)
     try:
         built = Slp(pairs, axiom)
     except InvalidGrammarError as exc:
@@ -174,6 +176,49 @@ def test_reader_and_constructor_agree(pairs, axiom):
     assert decoded == built and hash(decoded) == hash(built)
     assert expand(decoded) == expand(built)
     assert decoded.short_expansions == built.short_expansions
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(SYMBOL_IDS, SYMBOL_IDS), max_size=6),
+    st.lists(SYMBOL_IDS, max_size=6),
+    st.sampled_from([2, 4]),
+)
+def test_reader_and_constructor_agree(pairs, axiom, width):
+    assert_reader_agrees(pairs, axiom, width)
+
+
+def _ids_near(bound, width):
+    """Ids just below, at and past ``bound``, and ids that pass it only in
+    a byte above its two lowest."""
+    near = [bound - 1, bound, bound + 255]
+    if width == 2:
+        return near + [0xFFFF]
+    return near + [bound - 1 + (1 << 16), bound - 1 + (1 << 24), 0xFFFFFFFF]
+
+
+# Bounds 256 + p whose low byte is 0 (p = 0, 256) or 255 (p = 255, 511),
+# and one past 16 bits (65,537), where an id that is below the bound in its
+# third byte but ties it in the second must not be compared in the first.
+@pytest.mark.parametrize(
+    "width, rule_count",
+    [(width, p) for width in (2, 4) for p in (0, 255, 256, 511)] + [(4, 65_281)],
+)
+def test_reader_bound_check_is_exact(width, rule_count, monkeypatch):
+    # The reader checks axiom ids on their bytes, the highest first, looking
+    # at a lower byte only for ids that tie the bound in every higher one.
+    # Each id goes once in the axiom, whose bound is 256 + p, and once in an
+    # extra rule p, whose bound is also 256 + p; beside it sit the bound's
+    # predecessor, which ties it, and 97.
+    pairs = [(97, 98)] * rule_count
+    bound = FIRST_VARIABLE + rule_count
+    for sym in _ids_near(bound, width):
+        assert_reader_agrees(pairs, [bound - 1, sym, 97], width)
+        assert_reader_agrees(pairs + [(bound - 1, sym)], [97], width)
+        # Two ids per block: the id is checked in a second, partial block.
+        with monkeypatch.context() as patch:
+            patch.setattr(zslp.slp, "_CHECK_BLOCK", 2)
+            assert_reader_agrees(pairs, [bound - 1, 97, sym], width)
 
 
 def test_expand_terminal(example_slp):
@@ -387,11 +432,14 @@ def test_id_width_follows_the_largest_id(rule_count, width):
 
 def test_reader_streams_rules_in_order():
     # The reader's views are of data checked at construction: any order works.
+    # read_axiom gives the id array it read; only read_slp builds tuples.
     reader = ZslpReader(io.BytesIO(GOLDEN))
-    assert reader.read_axiom() == (256, 256)
+    assert reader.read_axiom() == array("H", [256, 256])
     assert list(reader.iter_rules()) == [(97, 98)]
-    assert reader.read_axiom() == (256, 256)
-    assert reader.read_slp() == Slp([(97, 98)], [256, 256])
+    assert reader.read_axiom() == array("H", [256, 256])
+    slp = reader.read_slp()
+    assert slp == Slp([(97, 98)], [256, 256])
+    assert type(slp.axiom) is tuple and type(slp.rules[0]) is tuple
 
 
 @settings(max_examples=150, deadline=None)
