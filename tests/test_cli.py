@@ -240,10 +240,11 @@ def test_module_invocation_subprocess(example_file):
 def test_count_memory_follows_the_stream(tmp_path):
     import subprocess
 
-    # count keeps the axiom as the id array it read. 4M axiom ids of width
-    # 2, each 257 ("a\na\n"), may raise the child's peak RSS over that of a
-    # one-id stream by at most 16 bytes per id; a tuple of int objects took
-    # about 45 (ids from 257 up are not cached small ints). The child reads
+    # count keeps the axiom as the id array it read, 2 bytes per id here,
+    # and checks it a block at a time. 4M axiom ids of width 2, each 257
+    # ("a\na\n"), may raise the child's peak RSS over that of a one-id
+    # stream by at most 6 bytes per id; a tuple of int objects took about
+    # 45 (ids from 257 up are not cached small ints). The child reads
     # its peak as VmHWM: its ru_maxrss would keep this process's peak, which
     # Linux carries across the exec.
     code = (
@@ -269,7 +270,7 @@ def test_count_memory_follows_the_stream(tmp_path):
         assert (count, status) == (2 * ids, 0)
         peaks[ids] = peak_kib
     per_id = (peaks[4 << 20] - peaks[1]) * 1024 / (4 << 20)
-    assert per_id < 16, f"{per_id:.1f} bytes of peak RSS per axiom id"
+    assert per_id < 6, f"{per_id:.1f} bytes of peak RSS per axiom id"
 
 
 def test_parser_is_built_once_per_process(example_file, capsys):
