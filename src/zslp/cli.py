@@ -2,8 +2,8 @@
 
 Exit codes follow the grep convention: 0 when the run succeeded and, for
 count/search, found at least one match; 1 when a count/search ran cleanly
-but matched nothing; 2 for usage, pattern, or format errors. Missing input
-paths mean stdin. All I/O is byte-oriented.
+but matched nothing; 2 for usage, pattern, format, io and out-of-memory
+errors. Missing input paths mean stdin. All I/O is byte-oriented.
 """
 
 from __future__ import annotations
@@ -179,6 +179,9 @@ def run_cli(argv=None) -> int:
         return 2
     except SlpFormatError as exc:
         print(f"zslp: format error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("zslp: out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # Like grep when its reader goes away: no message, and the status a

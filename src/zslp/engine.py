@@ -191,14 +191,13 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
     return Saturation(kinds, counts, table)
 
 
-def fold(axiom, saturation: Saturation, fsa: Fsa, early_exit: bool = False):
-    """Left fold over the axiom; returns ``(counting tuple, reached mask)``.
+def fold(axiom, saturation: Saturation, fsa: Fsa):
+    """Left fold over the whole axiom; returns ``(counting tuple, reached mask)``.
 
     ``axiom`` is any sequence of valid ids: an ``Slp``'s tuple or the id
     array ``ZslpReader.read_axiom`` returns. ``reached`` holds the states
     state 0 can reach by reading a suffix of the expansion so far, the
-    accept state included once entered. With ``early_exit`` the fold stops
-    as soon as the accept state is reached.
+    accept state included once entered. There is no early exit.
 
     The loop carries scalars, not a counting tuple: ``nl`` (a newline has
     been read), ``left`` (the first line matched), ``line`` (the current
@@ -209,8 +208,6 @@ def fold(axiom, saturation: Saturation, fsa: Fsa, early_exit: bool = False):
     counting tuple is built once, at the end; without a newline the first
     line is the current one.
     """
-    if not axiom:
-        raise InvalidGrammarError("empty axiom")
     kinds, counts, table = saturation
     final = fsa.final
     middle = ~final
@@ -236,8 +233,6 @@ def fold(axiom, saturation: Saturation, fsa: Fsa, early_exit: bool = False):
             count += counts[sym]
         elif not line:
             line = sym_left or hit
-        if early_exit and reached & final:
-            break
     if not nl:
         left = line
     return (nl, left, line, count), reached
@@ -268,17 +263,17 @@ def run_count(rule_pairs, read_axiom, fsa: Fsa) -> int:
     gives its id array), and is invoked only after the last rule. The
     benchmark's tracer (``perfbench/tracing.py``) relies on that order: it
     times everything before the ``read_axiom`` call as ``engine.saturate``
-    and everything after it as ``engine.fold``.
+    and everything after it as ``engine.fold``. An empty axiom raises
+    InvalidGrammarError, whatever the pattern.
     """
-    if fsa.matches_empty:
-        # Every line matches: count lines from newline counts alone. A
-        # trailing newline opens no final empty line.
-        facts = line_facts(rule_pairs)
-        axiom = read_axiom()
-        return sum(facts[sym] >> 1 for sym in axiom) + (0 if facts[axiom[-1]] & 1 else 1)
-    saturation = saturate(rule_pairs, fsa)
-    info, _ = fold(read_axiom(), saturation, fsa)
-    return matching_lines(info)
+    every_line = fsa.matches_empty  # then newline counts alone give the count
+    summary = line_facts(rule_pairs) if every_line else saturate(rule_pairs, fsa)
+    axiom = read_axiom()
+    if not axiom:
+        raise InvalidGrammarError("empty axiom")
+    if every_line:  # a trailing newline opens no final empty line
+        return sum(summary[sym] >> 1 for sym in axiom) + (0 if summary[axiom[-1]] & 1 else 1)
+    return matching_lines(fold(axiom, summary, fsa)[0])
 
 
 def count_matching_lines(slp: Slp, fsa: Fsa) -> int:
@@ -287,15 +282,9 @@ def count_matching_lines(slp: Slp, fsa: Fsa) -> int:
 
 
 def contains_match(slp: Slp, fsa: Fsa) -> bool:
-    """Whether any line of the expansion contains a match.
-
-    Every rule is still read (later rules may define axiom symbols), but the
-    axiom fold stops as soon as a match is certain.
-    """
-    if fsa.matches_empty:
-        return True
-    _, reached = fold(slp.axiom, saturate(slp.rules, fsa), fsa, early_exit=True)
-    return reached & fsa.final != 0
+    """Whether any line of the expansion contains a match: whether the
+    count, which reads the whole axiom (no early exit), is not 0."""
+    return count_matching_lines(slp, fsa) > 0
 
 
 class SearchStats(

@@ -18,7 +18,7 @@ and its last-line flag, and the symbol waits as that line's opener. The
 next symbol holding a newline decides whether the line matches; only then
 is the opener handed to line emission, told whether its first line and
 its last line are emitted. After the axiom the last opener is closed the
-same way.
+same way. The pass tallies the emitted lines as it decides them.
 
 Line emission then queues, for one symbol, its first line if that line
 matches, its matching closed lines, and its last line if that line
@@ -84,13 +84,17 @@ def _split_at_newline(rules, facts: list, sym: int, last: bool) -> tuple[list, l
 def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     """Write exactly the matching lines to the sink, each newline-terminated.
 
-    Returns the number of emitted lines, which equals the counting result.
-    The final line gains a terminating newline even if the source text lacks
-    one. No single write to the sink exceeds ``iter_expand``'s chunk size.
-    ``prune`` gates skipping parts with nothing to emit and queueing a
-    stretch of matching lines whole; without it line emission descends to
-    every newline, and the output is the same. A pattern that matches the
-    empty string matches every line, so the whole expansion is written.
+    Returns the number of emitted lines, which equals the counting result:
+    the axiom pass tallies it with ``fold``'s arithmetic, per symbol holding
+    a newline its first line if that matched and its count (added when it
+    is handed to line emission; one that is not has a count of 0), and after
+    the axiom the last line if it matched. The final line gains a terminating
+    newline even if the source text lacks one. No single write to the sink
+    exceeds ``iter_expand``'s chunk size. ``prune`` gates skipping parts
+    with nothing to emit and queueing a stretch of matching lines whole;
+    without it line emission descends to every newline, and the output is
+    the same. A pattern that matches the empty string matches every line,
+    so the whole expansion is written.
     """
     if fsa.matches_empty:
         chunk = b""
@@ -138,7 +142,6 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
         That is its first line if ``head``, its matching closed lines, and
         its last line if ``tail``. The symbol holds a newline.
         """
-        nonlocal emitted
         stack = [(sym, head, tail)]
         while stack:
             if len(out) >= _BATCH:
@@ -153,7 +156,6 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
                 if sym < FIRST_VARIABLE:  # the newline byte, closing the first line
                     if head:
                         out.append(NEWLINE)
-                        emitted += 1
                     break
                 if prune:
                     count = counts[sym]
@@ -162,20 +164,16 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
                         # or descend to the seam that holds its ends.
                         if head and tail:
                             out.append(sym)
-                            emitted += count + 1
                             break
                         if head:
                             out.extend(split(sym, True)[0])  # through the last newline
-                            emitted += count + 1
                             break
                         if tail:
                             out.extend(split(sym, False)[1])  # after the first newline
-                            emitted += count
                             break
                     elif not count:
                         if head:
                             out.extend(split(sym, False)[0])  # the first line
-                            emitted += 1
                         if tail:
                             out.extend(split(sym, True)[1])  # the last line
                         break
@@ -214,10 +212,12 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
         head = matched or left or reachable and union_rows(reachable, rel) & final
         if opener is not None and (opened or head or counts[opener] or not prune):
             line_tables()
+            emitted += counts[opener]  # its matching closed lines
             # An empty last line joins its symbol's stretch as if emitted.
             queue_lines(opener, opened, head or facts[opener] & 1)
         if head:
             out.extend(parts)
+            emitted += 1
         parts.clear()
         opener, opened = sym, head
         reachable = row & ~final
@@ -227,6 +227,7 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     # line that holds a match is not empty).
     if opener is not None and (opened or matched or counts[opener] or not prune):
         line_tables()
+        emitted += counts[opener]
         queue_lines(opener, opened, matched or facts[opener] & 1)
     if matched:
         out.extend(parts)

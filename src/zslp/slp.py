@@ -255,35 +255,40 @@ def iter_expand(slp: Slp, symbols=None) -> Iterator[bytes]:
     """Yield the expansion of ``symbols`` (default: the axiom) in chunks.
 
     The only walk that turns symbols into bytes: ``expand``, ``decompress``
-    and the reporter all go through it. A symbol with a stored expansion
-    (``Slp.short_expansions``, built here on the first non-empty call) is
-    copied whole; any other is replaced on the stack by its two parts.
+    and the reporter all go through it. It reads ``symbols`` in place. A
+    symbol with a stored expansion (``Slp.short_expansions``, built here on
+    the first non-empty call) is copied whole; from any other the walk
+    descends the first part and stacks only the second.
     Every chunk but the last holds exactly CHUNK_SIZE bytes, so a copied
     piece that crosses a chunk boundary is split there; an empty sequence
     yields nothing; an undefined symbol raises InvalidGrammarError.
     """
-    stack = list(reversed(slp.axiom if symbols is None else symbols))
-    if not stack:
-        return
     limit = FIRST_VARIABLE + len(slp.rules)
-    if symbols is not None and not (0 <= min(stack) and max(stack) < limit):
+    if symbols is None:
+        symbols = slp.axiom
+    elif symbols and not (0 <= min(symbols) and max(symbols) < limit):
         bad = next(sym for sym in symbols if not 0 <= sym < limit)
         raise InvalidGrammarError(f"undefined symbol {bad}")
+    if not symbols:
+        return
     short = slp.short_expansions
     rules = slp.rules
+    stack: list[int] = []  # second parts, innermost last
     out = bytearray()
-    while stack:
-        sym = stack.pop()
-        piece = short[sym]
-        if piece is None:
-            first, second = rules[sym - FIRST_VARIABLE]
-            stack.append(second)
-            stack.append(first)
-            continue
-        out += piece
-        if len(out) >= CHUNK_SIZE:
-            yield bytes(out[:CHUNK_SIZE])
-            del out[:CHUNK_SIZE]
+    for sym in symbols:
+        while True:
+            piece = short[sym]
+            while piece is None:  # descend the first part, stack the second
+                sym, second = rules[sym - FIRST_VARIABLE]
+                stack.append(second)
+                piece = short[sym]
+            out += piece
+            if len(out) >= CHUNK_SIZE:
+                yield bytes(out[:CHUNK_SIZE])
+                del out[:CHUNK_SIZE]
+            if not stack:
+                break
+            sym = stack.pop()
     if out:
         yield bytes(out)
 

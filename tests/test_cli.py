@@ -109,6 +109,19 @@ def test_missing_file_reports_io_error(capsys):
     assert "io error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["count", "-e", "a"], ["search", "-e", "a"], ["stats", "-e", "a"], ["decompress"]]
+)
+def test_out_of_memory_is_a_one_line_error(example_file, monkeypatch, capsys, argv):
+    # Exit 1 would mean "no match"; running out of memory is an error.
+    def exhausted(stream):
+        raise MemoryError
+
+    monkeypatch.setattr(zslp.cli, "ZslpReader", exhausted)
+    assert run_cli([*argv, example_file]) == 2
+    assert capsys.readouterr() == ("", "zslp: out of memory\n")
+
+
 def test_usage_error_exit_code(capsys):
     assert run_cli(["count"]) == 2  # missing -e
     assert run_cli(["frobnicate"]) == 2

@@ -198,7 +198,7 @@ def test_axiom_fold_newlines_only(ab_ba_fsa):
 EMPTY_INFO = (False, False, False, 0)
 
 
-def reference_fold(axiom, infos, rels, fsa, early_exit=False, start=(EMPTY_INFO, 0)):
+def reference_fold(axiom, infos, rels, fsa, start=(EMPTY_INFO, 0)):
     """The fold as one ``combine`` per axiom symbol, for comparison."""
     final = fsa.final
     info, reached = start
@@ -207,8 +207,6 @@ def reference_fold(axiom, infos, rels, fsa, early_exit=False, start=(EMPTY_INFO,
         through = union_rows(reached & ~final, rel)
         info = combine(info, infos[sym], through & final != 0)
         reached = through | reached & final | rel.get(0, 0)
-        if early_exit and reached & final:
-            break
     return info, reached
 
 
@@ -226,16 +224,6 @@ def test_fold_directed_cases(ab_ba_fsa, rules, axiom, expected):
     assert fold(slp.axiom, saturate(slp.rules, ab_ba_fsa), ab_ba_fsa)[0] == expected
 
 
-def test_fold_early_exit_stops_mid_axiom(ab_ba_fsa):
-    # "b\nab\nab": the fold stops on the b that completes the first match
-    axiom = [98, 10, 97, 98, 10, 97, 98]
-    saturation = saturate([], ab_ba_fsa)
-    info, reached = fold(axiom, saturation, ab_ba_fsa, early_exit=True)
-    assert info == (True, False, True, 0)
-    assert reached & ab_ba_fsa.final
-    assert fold(axiom, saturation, ab_ba_fsa)[0] == (True, False, True, 1)
-
-
 def test_fold_matches_reference_fold():
     rng = random.Random(1010)
     for _ in range(1200):
@@ -247,9 +235,6 @@ def test_fold_matches_reference_fold():
         args = (saturation, fsa)
         ref_args = (*symbol_summaries(saturation), fsa)
         assert fold(axiom, *args) == reference_fold(axiom, *ref_args)
-        assert fold(axiom, *args, early_exit=True) == reference_fold(
-            axiom, *ref_args, early_exit=True
-        )
 
 
 def test_axiom_of_length_one(ab_ba_fsa):
@@ -304,6 +289,9 @@ def test_count_validates_grammar(ab_ba_fsa):
         count_matching_lines(Slp(rules=(), axiom=()), ab_ba_fsa)
     with pytest.raises(InvalidGrammarError, match="empty axiom"):
         run_count([], lambda: (), ab_ba_fsa)
+    # A pattern that matches every line takes the same check.
+    with pytest.raises(InvalidGrammarError, match="empty axiom"):
+        run_count([], lambda: (), compile_pattern("a*"))
 
 
 def test_line_counting_bypass_semantics():

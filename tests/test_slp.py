@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from array import array
 
 import pytest
@@ -280,6 +281,20 @@ def test_iter_expand_matches_expand():
     assert b"".join(chunks) == expand(slp) == b"ab\n" * 2**15 + b"a"
     assert [len(chunk) for chunk in chunks] == [65536, 98305 - 65536]
     assert list(iter_expand(slp, ())) == [] and expand(slp, (257, 97)) == b"ab\na"
+
+
+def test_iter_expand_walks_its_symbols_in_place():
+    # Each axiom symbol derives "a\n", so the first chunk reads 32,768 of
+    # them; a copy of the whole axiom would take 8 MB.
+    slp = Slp([(97, 10)], [256] * 1_000_000)
+    tracemalloc.start()
+    try:
+        first = next(iter_expand(slp))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == b"a\n" * (CHUNK_SIZE // 2)
+    assert peak < 1 << 20
 
 
 # Rule (97, 98), axiom 256 256: magic, version 2, p = 1, n = 2, width 2,
