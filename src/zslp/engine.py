@@ -191,22 +191,21 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
     return Saturation(kinds, counts, table)
 
 
-def fold(axiom, saturation: Saturation, fsa: Fsa):
-    """Left fold over the whole axiom; returns ``(counting tuple, reached mask)``.
+def fold(axiom, saturation: Saturation, fsa: Fsa) -> tuple:
+    """Left fold over the whole axiom; returns its counting tuple.
 
-    ``axiom`` is any sequence of valid ids: an ``Slp``'s tuple or the id
-    array ``ZslpReader.read_axiom`` returns. ``reached`` holds the states
-    state 0 can reach by reading a suffix of the expansion so far, the
-    accept state included once entered. There is no early exit.
+    ``axiom`` is any sequence of valid ids: an ``Slp``'s axiom or the id
+    array ``ZslpReader.read_axiom`` returns. There is no early exit.
 
     The loop carries scalars, not a counting tuple: ``nl`` (a newline has
     been read), ``left`` (the first line matched), ``line`` (the current
-    line matched so far), ``count`` (closed lines matched) and ``reached``.
-    Each symbol's record gives its relation, the relation's row of state 0
-    and its line flags; its count is read only when it holds a newline.
-    Rows are looked up only for the middle states of ``reached``. The
-    counting tuple is built once, at the end; without a newline the first
-    line is the current one.
+    line matched so far), ``count`` (closed lines matched) and ``reached``
+    (the states state 0 can reach by reading a suffix of the expansion so
+    far, the accept state included once entered). Each symbol's record
+    gives its relation, the relation's row of state 0 and its line flags;
+    its count is read only when it holds a newline. Rows are looked up only
+    for the middle states of ``reached``. The counting tuple is built once,
+    at the end; without a newline the first line is the current one.
     """
     kinds, counts, table = saturation
     final = fsa.final
@@ -235,7 +234,7 @@ def fold(axiom, saturation: Saturation, fsa: Fsa):
             line = sym_left or hit
     if not nl:
         left = line
-    return (nl, left, line, count), reached
+    return nl, left, line, count
 
 
 def line_facts(rule_pairs) -> list[int]:
@@ -273,7 +272,7 @@ def run_count(rule_pairs, read_axiom, fsa: Fsa) -> int:
         raise InvalidGrammarError("empty axiom")
     if every_line:  # a trailing newline opens no final empty line
         return sum(summary[sym] >> 1 for sym in axiom) + (0 if summary[axiom[-1]] & 1 else 1)
-    return matching_lines(fold(axiom, summary, fsa)[0])
+    return matching_lines(fold(axiom, summary, fsa))
 
 
 def count_matching_lines(slp: Slp, fsa: Fsa) -> int:

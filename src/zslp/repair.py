@@ -28,9 +28,11 @@ compression*, Proc. IEEE 2000), in plain lists:
   gain occurrences, so known counts only fall and first positions only move
   right: a snapshot is an upper bound, and one that holds is the max.
 
-On the benchmark's 256 KB corpora (2-vCPU x86-64 KVM guest, CPython
-3.11.7) this takes about 2.1 s/MB of CPU on log lines and 2.8 s/MB on
-English-like text, and grows peak RSS by 69-97 bytes per input byte.
+On the benchmark's seed-1 256 KiB corpora this takes about 0.8 s/MiB of
+CPU on log lines and 1.5 s/MiB on English-like text (in-process
+``process_time`` medians of 5 calls, three rounds: 0.75-1.00 and
+1.41-2.01 s/MiB; 2-vCPU Xeon KVM guest, CPython 3.11.7), and grows peak
+RSS by 69-97 bytes per input byte.
 """
 
 from __future__ import annotations

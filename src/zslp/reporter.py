@@ -54,22 +54,25 @@ from __future__ import annotations
 
 from .automaton import NEWLINE, Fsa, union_rows
 from .engine import count_matching_lines, line_facts, saturate
-from .slp import FIRST_VARIABLE, Slp, iter_expand
+from .slp import FIRST_VARIABLE, Rules, Slp, iter_expand
 
 # Symbols of emitted lines gathered before one iter_expand pass writes them.
 _BATCH = 4096
 
 
-def _split_at_newline(rules, facts: list, sym: int, last: bool) -> tuple[list, list]:
+def _split_at_newline(rules: Rules, facts: list, sym: int, last: bool) -> tuple[list, list]:
     """Symbols deriving the expansion through its first (or last) newline,
     and the symbols after it.
 
     The expansion must hold a newline (``facts[sym] > 1``): the descent
     follows the part holding that newline down to the newline byte.
     """
+    firsts, seconds = rules.firsts, rules.seconds
     through, after = [], []  # after: right to left
     while sym >= FIRST_VARIABLE:
-        first, second = rules[sym - FIRST_VARIABLE]
+        rule = sym - FIRST_VARIABLE
+        first = firsts[rule]
+        second = seconds[rule]
         if facts[second] < 2 if last else facts[first] > 1:
             after.append(second)
             sym = first
@@ -106,6 +109,7 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     kinds, counts, table = saturate(slp.rules, fsa)
     final = fsa.final
     rules = slp.rules
+    firsts, seconds = rules.firsts, rules.seconds
 
     emitted = 0
     out: list[int] = []  # symbols of emitted lines not yet written
@@ -177,7 +181,9 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
                         if tail:
                             out.extend(split(sym, True)[1])  # the last line
                         break
-                first, second = rules[sym - FIRST_VARIABLE]
+                rule = sym - FIRST_VARIABLE
+                first = firsts[rule]
+                second = seconds[rule]
                 if facts[first] < 2:
                     if head:
                         out.append(first)

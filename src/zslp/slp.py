@@ -1,6 +1,6 @@
 """Straight-line programs with multi-symbol axioms, plus their binary format.
 
-A grammar is an ordered tuple of binary rules, each a ``(first, second)``
+A grammar is an ordered sequence of binary rules, each a ``(first, second)``
 pair of symbol ids. Ids 0..255 denote the terminal bytes; id 256+i denotes
 the variable defined by rule i (dense numbering, so symbol tables can be
 plain arrays). Every right-hand symbol of a rule must be a terminal or an
@@ -8,15 +8,20 @@ earlier variable, which makes the rule list topologically ordered by
 construction. The axiom is a non-empty symbol sequence; the text the
 grammar derives is the concatenation of the axiom symbols' expansions. A
 length-1 axiom is allowed so that one-byte inputs have a representation.
-``Slp`` is a namedtuple ``(rules, axiom)`` that checks these invariants
-once, when it is built, and ``ZslpReader`` once, when it decodes a stream;
-both name a fault with the same text, at most FAULTS_SHOWN (3) violations
-and then how many more. The reader checks the axiom's ids on the stream's
-bytes, so a valid axiom costs no int object per id. ``Slp`` first refuses
-a rule that is not a pair of int ids and an axiom entry that is not an
-int id, naming the first.
-``_checked_slp``, which wraps the reader's checked parts, is the only way
-to build an Slp without the check.
+
+A grammar is held as three id arrays, from the stream to every consumer:
+the rules' firsts, the rules' seconds and the axiom. ``Slp`` is a
+namedtuple ``(rules, axiom)`` that sees them read-only: ``rules`` is a
+``Rules``, a sequence of pairs over the two rule arrays, and ``axiom`` a
+read-only memoryview. ``Slp`` checks the invariants once, when it is
+built, and converts its input to arrays once; ``ZslpReader`` checks them
+once, when it decodes a stream, and its ``read_slp`` wraps the arrays it
+read. Both name a fault with the same text, at most FAULTS_SHOWN (3)
+violations and then how many more. The reader checks the axiom's ids on
+the stream's bytes, so a valid axiom costs no int object per id. ``Slp``
+first refuses a rule that is not a pair of int ids and an axiom entry that
+is not an int id, naming the first. ``_checked_slp``, which wraps checked
+parts, is the only way to build an Slp without the check.
 
 The "ZSLP" binary format (version 2):
 
@@ -41,9 +46,12 @@ bottom-up pass over its rules: every terminal's byte, and the bytes of every
 rule whose expansion is at most SHORT_LIMIT (1,024) bytes, made as the
 concatenation of its two parts' stored bytes. At most SHORT_BUDGET (4 MiB)
 bytes are stored per grammar; rules after the one that would pass it are
-not stored. The walk copies a stored symbol's bytes in one step and pushes
-only the symbols above them through its stack. Counting, statistics and a
-search that writes nothing never build the table.
+not stored. The walk takes its symbols a block of CHUNK_SIZE // SHORT_LIMIT
+(64) at a time: a block whose every symbol is stored is one join of at most
+CHUNK_SIZE bytes, and any other block is walked symbol by symbol, copying a
+stored symbol's bytes in one step and pushing only the symbols above them
+through its stack. Counting, statistics and a search that writes nothing
+never build the table.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import ge, lt
+from operator import ge, index, lt
 
 FIRST_VARIABLE = 256
 MAGIC = b"ZSLP"
@@ -68,6 +76,8 @@ CHUNK_SIZE = 65536
 # Longest expansion stored per symbol, and the most bytes stored per grammar.
 SHORT_LIMIT = 1024
 SHORT_BUDGET = 4 << 20
+# Symbols ``iter_expand`` takes at a time: their stored pieces fill at most a chunk.
+_BLOCK = CHUNK_SIZE // SHORT_LIMIT
 # Violations named in a grammar fault message before "and N more".
 FAULTS_SHOWN = 3
 # Largest input ``compress`` accepts, and so the most ids a stream may state:
@@ -96,16 +106,58 @@ class InvalidGrammarError(ValueError):
     """Grammar violates a structural invariant."""
 
 
-class Slp(namedtuple("Slp", "rules axiom")):
-    """An immutable, valid grammar: ``(first, second)`` rule pairs and the axiom.
+class Rules:
+    """A grammar's rules: a read-only sequence of ``(first, second)`` pairs.
 
-    A checked namedtuple. Rule i, stored as a tuple of two ids whatever
-    pairs the caller gave, defines symbol ``256 + i``. Building an Slp, also
-    by ``_make``, ``_replace``, copy or pickle, checks every invariant and
-    raises InvalidGrammarError naming the violations, so an Slp that exists
-    is valid and its consumers need not check it again. ``_checked_slp``,
-    the one way to skip the check, wraps parts ``ZslpReader`` has checked.
-    Expansion caches ``short_expansions`` on it, a table fixed by the rules.
+    Rule i's ids are ``firsts[i]`` and ``seconds[i]``, two read-only id
+    arrays; iterating zips them and ``rules[i]`` builds one pair, so the
+    rules are held as the two arrays only. Equal rules compare and hash
+    equal whatever the arrays' id width.
+    """
+
+    __slots__ = ("firsts", "seconds")
+
+    def __init__(self, firsts, seconds):
+        object.__setattr__(self, "firsts", firsts)
+        object.__setattr__(self, "seconds", seconds)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: rules are read-only")
+
+    def __len__(self) -> int:
+        return len(self.firsts)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self.firsts, self.seconds)
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        i = index(i)  # a slice would pair two views
+        return self.firsts[i], self.seconds[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, Rules):
+            return NotImplemented
+        return self.firsts == other.firsts and self.seconds == other.seconds
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.firsts), tuple(self.seconds)))
+
+    def __repr__(self) -> str:
+        return f"Rules({list(self)!r})"
+
+
+class Slp(namedtuple("Slp", "rules axiom")):
+    """An immutable, valid grammar: its ``Rules`` and its axiom's ids.
+
+    A checked namedtuple of read-only views of three id arrays: rule i,
+    whatever pair the caller gave, is ``(rules.firsts[i], rules.seconds[i])``
+    and defines symbol ``256 + i``; ``axiom`` is a memoryview of the axiom's
+    ids. Building an Slp, also by ``_make``, ``_replace``, copy or pickle,
+    checks every invariant and raises InvalidGrammarError naming the
+    violations, so an Slp that exists is valid and its consumers need not
+    check it again. ``_checked_slp``, the one way to skip the check, wraps
+    parts ``ZslpReader`` has checked. Expansion caches ``short_expansions``
+    on it, a table fixed by the rules.
     """
 
     def __new__(cls, rules, axiom):
@@ -125,11 +177,23 @@ class Slp(namedtuple("Slp", "rules axiom")):
             or _bad_rules(firsts, seconds)
         ):
             raise InvalidGrammarError(_fault_message(firsts, seconds, axiom))
-        return super().__new__(cls, tuple(zip(firsts, seconds)), axiom)
+        code = _ID_TYPECODES[_id_width(len(rules))]
+        firsts, seconds, axiom = (_read_only(array(code, ids)) for ids in (firsts, seconds, axiom))
+        return super().__new__(cls, Rules(firsts, seconds), axiom)
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    def __reduce__(self):
+        # Copy and pickle rebuild through the constructor, so they check.
+        return type(self), (list(self.rules), list(self.axiom))
+
+    def __hash__(self) -> int:
+        return hash((self.rules, tuple(self.axiom)))
+
+    def __repr__(self) -> str:
+        return f"Slp({list(self.rules)!r}, {list(self.axiom)!r})"
 
     @cached_property
     def short_expansions(self) -> tuple:
@@ -155,6 +219,16 @@ class Slp(namedtuple("Slp", "rules axiom")):
             append(None)
         short += [None] * (FIRST_VARIABLE + len(self.rules) - len(short))
         return tuple(short)
+
+
+def _id_width(rule_count: int) -> int:
+    """Bytes per id: 2 when every id of the grammar fits, else 4."""
+    return 2 if FIRST_VARIABLE + rule_count <= 1 << 16 else 4
+
+
+def _read_only(ids: array) -> memoryview:
+    """A read-only view of an id array; while it lives the array keeps its length."""
+    return memoryview(ids).toreadonly()
 
 
 def _shape_fault(rules, axiom) -> str:
@@ -255,13 +329,15 @@ def iter_expand(slp: Slp, symbols=None) -> Iterator[bytes]:
     """Yield the expansion of ``symbols`` (default: the axiom) in chunks.
 
     The only walk that turns symbols into bytes: ``expand``, ``decompress``
-    and the reporter all go through it. It reads ``symbols`` in place. A
-    symbol with a stored expansion (``Slp.short_expansions``, built here on
-    the first non-empty call) is copied whole; from any other the walk
-    descends the first part and stacks only the second.
-    Every chunk but the last holds exactly CHUNK_SIZE bytes, so a copied
-    piece that crosses a chunk boundary is split there; an empty sequence
-    yields nothing; an undefined symbol raises InvalidGrammarError.
+    and the reporter all go through it. It reads the sequence ``symbols``
+    in place, _BLOCK symbols at a time. A block whose every symbol has a
+    stored expansion (``Slp.short_expansions``, built here on the first
+    non-empty call; a stored piece is never empty) is joined whole. Any
+    other block is walked: a stored symbol is copied whole, and from any
+    other the walk descends the first part and stacks only the second.
+    Every chunk but the last holds exactly CHUNK_SIZE bytes, so bytes that
+    cross a chunk boundary are split there; an empty sequence yields
+    nothing; an undefined symbol raises InvalidGrammarError.
     """
     limit = FIRST_VARIABLE + len(slp.rules)
     if symbols is None:
@@ -272,23 +348,33 @@ def iter_expand(slp: Slp, symbols=None) -> Iterator[bytes]:
     if not symbols:
         return
     short = slp.short_expansions
-    rules = slp.rules
+    firsts, seconds = slp.rules.firsts, slp.rules.seconds
     stack: list[int] = []  # second parts, innermost last
     out = bytearray()
-    for sym in symbols:
-        while True:
-            piece = short[sym]
-            while piece is None:  # descend the first part, stack the second
-                sym, second = rules[sym - FIRST_VARIABLE]
-                stack.append(second)
-                piece = short[sym]
-            out += piece
+    for start in range(0, len(symbols), _BLOCK):
+        block = symbols[start : start + _BLOCK]
+        pieces = [short[sym] for sym in block]
+        if all(pieces):
+            out += b"".join(pieces)  # at most CHUNK_SIZE bytes: one split
             if len(out) >= CHUNK_SIZE:
                 yield bytes(out[:CHUNK_SIZE])
                 del out[:CHUNK_SIZE]
-            if not stack:
-                break
-            sym = stack.pop()
+            continue
+        for sym, piece in zip(block, pieces):
+            while True:
+                while piece is None:  # descend the first part, stack the second
+                    rule = sym - FIRST_VARIABLE
+                    sym = firsts[rule]
+                    stack.append(seconds[rule])
+                    piece = short[sym]
+                out += piece
+                if len(out) >= CHUNK_SIZE:
+                    yield bytes(out[:CHUNK_SIZE])
+                    del out[:CHUNK_SIZE]
+                if not stack:
+                    break
+                sym = stack.pop()
+                piece = short[sym]
     if out:
         yield bytes(out)
 
@@ -322,7 +408,7 @@ def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
 
 def encode_slp(slp: Slp) -> bytes:
     """Serialise a grammar to the ZSLP byte format."""
-    width = 2 if FIRST_VARIABLE + len(slp.rules) <= 1 << 16 else 4
+    width = _id_width(len(slp.rules))
     ids = array(_ID_TYPECODES[width], chain.from_iterable(slp.rules))
     ids.extend(slp.axiom)
     if _BIG_ENDIAN:
@@ -341,14 +427,16 @@ class ZslpReader:
 
     The constructor checks the header, reads only the ids it states (see
     the module docstring) into an array of rule ids and an array of axiom
-    ids, and checks the grammar's invariants, raising SlpFormatError with
-    the text ``Slp`` would give. The axiom's ids are checked on their bytes
+    ids, splits the rule ids into an array of firsts and one of seconds,
+    and checks the grammar's invariants, raising SlpFormatError with the
+    text ``Slp`` would give. The axiom's ids are checked on their bytes
     before they are put in host order.
     ``iter_rules``, ``read_axiom`` and ``read_slp`` are views of the checked
-    data, in any order and without a second check, so the consumers of the
-    rules (``saturate``, the engine's line count) take valid pairs.
-    ``read_axiom`` returns the id array itself; only ``read_slp`` builds
-    the tuples an ``Slp`` holds.
+    arrays, in any order and without a second check, so the consumers of
+    the rules (``saturate``, the engine's line count) take valid pairs.
+    ``read_axiom`` returns the axiom's array itself and ``read_slp`` an
+    ``Slp`` of read-only views of the three arrays; neither copies an id,
+    so a caller that holds both must not change the axiom's array.
     """
 
     def __init__(self, stream: io.BufferedIOBase):
@@ -399,8 +487,8 @@ class ZslpReader:
         return self._axiom
 
     def read_slp(self) -> Slp:
-        """The grammar: every rule and the axiom."""
-        return _checked_slp(tuple(zip(self._firsts, self._seconds)), tuple(self._axiom))
+        """The grammar: every rule and the axiom, as views of the arrays read."""
+        return _checked_slp(*map(_read_only, (self._firsts, self._seconds, self._axiom)))
 
 
 def _read_ids(stream, head: bytes, width: int, count: int) -> tuple[array, bytes]:
@@ -418,9 +506,10 @@ def _read_ids(stream, head: bytes, width: int, count: int) -> tuple[array, bytes
     return ids, head[filled:]
 
 
-def _checked_slp(rules: tuple, axiom: tuple) -> Slp:
-    """An Slp of parts ``ZslpReader`` has checked, built without a second check."""
-    return tuple.__new__(Slp, (rules, axiom))
+def _checked_slp(firsts, seconds, axiom) -> Slp:
+    """An Slp of read-only id sequences ``ZslpReader`` has checked, built
+    without a second check."""
+    return tuple.__new__(Slp, (Rules(firsts, seconds), axiom))
 
 
 def decode_slp(data: bytes) -> Slp:

@@ -91,7 +91,7 @@ def test_criterion_1_example_reproduction(example_grammar):
     assert expand(example_grammar) == EXAMPLE_TEXT
     fsa = compile_pattern("ab|ba")
     saturation = saturate(example_grammar.rules, fsa)
-    info, _ = fold(example_grammar.axiom, saturation, fsa)
+    info = fold(example_grammar.axiom, saturation, fsa)
     assert matching_lines(info) == 3
     infos, _ = symbol_summaries(saturation)
     # the two subtree tuples and the combined one

@@ -253,37 +253,51 @@ def test_module_invocation_subprocess(example_file):
 def test_count_memory_follows_the_stream(tmp_path):
     import subprocess
 
-    # count keeps the axiom as the id array it read, 2 bytes per id here,
-    # and checks it a block at a time. 4M axiom ids of width 2, each 257
-    # ("a\na\n"), may raise the child's peak RSS over that of a one-id
-    # stream by at most 6 bytes per id; a tuple of int objects took about
-    # 45 (ids from 257 up are not cached small ints). The child reads
+    # count, search and decompress keep the axiom as the id array read, 2
+    # bytes per id here; count checks it a block at a time, and search and
+    # decompress read it through read-only views. 4M axiom ids of width 2,
+    # each 257 ("a\na\n"), may raise a child's peak RSS over that of a
+    # one-id stream by at most 6 bytes per id; a tuple of int objects took
+    # about 45 (ids from 257 up are not cached small ints). The child reads
     # its peak as VmHWM: its ru_maxrss would keep this process's peak, which
-    # Linux carries across the exec.
+    # Linux carries across the exec. Its output goes to a file.
     code = (
         "import sys\n"
         "from zslp.cli import run_cli\n"
-        "status = run_cli(['count', '-e', 'a', sys.argv[1]])\n"
+        "status = run_cli(sys.argv[1:])\n"
         "with open('/proc/self/status') as lines:\n"
         "    peak = next(line for line in lines if line.startswith('VmHWM:'))\n"
-        "print(status, peak.split()[1])\n"
+        "print(status, peak.split()[1], file=sys.stderr)\n"
     )
+    commands = (["count", "-e", "a"], ["search", "-e", "a"], ["decompress"])
     peaks = {}
     for ids in (1, 4 << 20):
         packed = tmp_path / f"{ids}.zslp"
         packed.write_bytes(raw_zslp([(97, 10), (256, 256)], [257] * ids))
-        proc = subprocess.run(
-            [sys.executable, "-c", code, packed],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
-        )
-        count, status, peak_kib = map(int, proc.stdout.split())
-        assert (count, status) == (2 * ids, 0)
-        peaks[ids] = peak_kib
-    per_id = (peaks[4 << 20] - peaks[1]) * 1024 / (4 << 20)
-    assert per_id < 6, f"{per_id:.1f} bytes of peak RSS per axiom id"
+        for command in commands:
+            written = tmp_path / "out"
+            with open(written, "wb") as out:
+                proc = subprocess.run(
+                    [sys.executable, "-c", code, *command, packed],
+                    stdout=out,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                    timeout=120,
+                    check=True,
+                )
+            status, peak_kib = map(int, proc.stderr.split())
+            assert status == 0
+            if command[0] == "count":
+                assert written.read_bytes() == b"%d\n" % (2 * ids)
+            else:  # every line matches: the whole text, 4 bytes per id
+                assert written.stat().st_size == 4 * ids
+                with open(written, "rb") as text:
+                    assert text.read(8) == b"a\na\na\na\n"[: 4 * ids]
+            peaks[command[0], ids] = peak_kib
+    for command in commands:
+        name = command[0]
+        per_id = (peaks[name, 4 << 20] - peaks[name, 1]) * 1024 / (4 << 20)
+        assert per_id < 6, f"{name}: {per_id:.1f} bytes of peak RSS per axiom id"
 
 
 def test_parser_is_built_once_per_process(example_file, capsys):

@@ -158,14 +158,20 @@ def test_tail_extraction_matches_expansion():
     assert checked > 50
 
 
-class CountingRules(tuple):
-    """A grammar's rules that count their lookups by index."""
+class CountingIds(tuple):
+    """A grammar's rule firsts that count their lookups by index: a walk
+    reads one per rule it descends."""
 
     lookups = 0
 
     def __getitem__(self, index):
         self.lookups += 1
         return super().__getitem__(index)
+
+
+def counting_slp(slp):
+    """The grammar, with rule firsts that count the walks' rule lookups."""
+    return _checked_slp(CountingIds(slp.rules.firsts), slp.rules.seconds, slp.axiom)
 
 
 def test_pruning_actually_skips_work():
@@ -178,9 +184,9 @@ def test_pruning_actually_skips_work():
         fsa = compile_pattern(pattern)
         lookups = {}
         for prune in (True, False):
-            counted = _checked_slp(CountingRules(slp.rules), slp.axiom)
+            counted = counting_slp(slp)
             assert report(counted, fsa, prune=prune)[0] == lines
-            lookups[prune] = counted.rules.lookups
+            lookups[prune] = counted.rules.firsts.lookups
         # Without a match the pruned walk descends into no subtree at all.
         assert (lookups[True] > 0) == (lines > 0), pattern
         assert lookups[True] < lookups[False], pattern
@@ -249,9 +255,9 @@ def test_full_subtree_after_a_skipped_fragment():
     assert assert_reports_oracle(slp, "B") == b"AB\nB\n"
     lookups = {}
     for prune in (True, False):
-        counted = _checked_slp(CountingRules(slp.rules), slp.axiom)
+        counted = counting_slp(slp)
         assert report(counted, compile_pattern("B"), prune=prune) == (2, b"AB\nB\n")
-        lookups[prune] = counted.rules.lookups
+        lookups[prune] = counted.rules.firsts.lookups
     assert lookups[True] < lookups[False]
 
 
@@ -373,8 +379,8 @@ def test_full_subtrees_skip_work(monkeypatch):
         fsa = compile_pattern(pattern)
         results = {}
         for prune in (True, False):
-            counted = _checked_slp(CountingRules(slp.rules), slp.axiom)
-            results[prune] = report(counted, fsa, prune=prune), counted.rules.lookups
+            counted = counting_slp(slp)
+            results[prune] = report(counted, fsa, prune=prune), counted.rules.firsts.lookups
         (on_report, on_lookups), (off_report, off_lookups) = results[True], results[False]
         assert on_report == off_report
         assert on_report[0] == 20000
@@ -490,8 +496,8 @@ def test_alternating_lines_step_the_automaton_only_on_the_axiom(monkeypatch):
     lookups = {}
     for prune in (True, False):
         calls.clear()
-        counted_slp = _checked_slp(CountingRules(slp.rules), slp.axiom)
+        counted_slp = counting_slp(slp)
         assert report(counted_slp, fsa, prune=prune) == (10000, expected)
         assert len(calls) <= len(slp.axiom)
-        lookups[prune] = counted_slp.rules.lookups
+        lookups[prune] = counted_slp.rules.firsts.lookups
     assert lookups[True] < lookups[False] / 2

@@ -38,6 +38,7 @@ from zslp.slp import (
     SlpFormatError,
     TruncatedStreamError,
     ZslpReader,
+    _checked_slp,
     decode_slp,
     encode_slp,
     expand,
@@ -82,7 +83,7 @@ def test_invalid_grammar_rejected_when_built(rules, axiom, message):
 
 def test_validate_accepts_simple_grammar():
     slp = Slp([(97, 98)], [256, 256])
-    assert slp.rules == ((97, 98),) and slp.axiom == (256, 256)
+    assert tuple(slp.rules) == ((97, 98),) and tuple(slp.axiom) == (256, 256)
     assert slp == Slp(((97, 98),), (256, 256))
 
 
@@ -91,22 +92,40 @@ def test_slp_is_immutable_and_survives_copy_and_pickle():
     for field in ("rules", "axiom"):
         with pytest.raises(AttributeError):
             setattr(slp, field, ())
-    assert slp.rules == ((97, 98),) and slp.axiom == (256, 256)
+    # The id arrays are seen read-only, and the rules' views cannot be swapped.
+    for ids in (slp.rules.firsts, slp.rules.seconds, slp.axiom):
+        with pytest.raises(TypeError):
+            ids[0] = 300
+    for field in ("firsts", "seconds"):
+        with pytest.raises(AttributeError):
+            setattr(slp.rules, field, array("H", [300]))
+    assert tuple(slp.rules) == ((97, 98),) and tuple(slp.axiom) == (256, 256)
     assert copy.copy(slp) == slp
     assert pickle.loads(pickle.dumps(slp)) == slp
     assert slp.short_expansions is slp.short_expansions
+    # Copy and pickle rebuild through the check: an unchecked bad grammar
+    # does not survive them.
+    bad = _checked_slp(array("H", [257]), array("H", [97]), array("H", [256]))
+    for rebuild in (copy.copy, lambda slp: pickle.loads(pickle.dumps(slp))):
+        with pytest.raises(InvalidGrammarError, match="^rule 1 references undefined/later symbol 257$"):
+            rebuild(bad)
 
 
-def test_slp_stores_rules_as_tuples():
-    # List pairs are copied into tuples, so the Slp hashes like one built
-    # from tuples and a later change to the caller's lists does not reach it.
+def test_slp_copies_its_input_into_arrays():
+    # List pairs are copied into id arrays, so the Slp equals and hashes
+    # like one built from tuples, also like one whose arrays hold 4-byte
+    # ids, and a later change to the caller's lists does not reach it.
     pairs = [[97, 98], [256, 99]]
     slp = Slp(pairs, [257])
     assert slp == Slp([(97, 98), (256, 99)], [257])
     assert hash(slp) == hash(Slp([(97, 98), (256, 99)], [257]))
+    wide = _checked_slp(*(array("I", ids) for ids in ([97, 256], [98, 99], [257])))
+    assert slp == wide and hash(slp) == hash(wide)
+    assert slp != Slp([(97, 98), (256, 98)], [257]) != Slp([(97, 98), (256, 99)], [257, 97])
     assert type(slp.rules[0]) is tuple and slp.rules[0] == (97, 98)
+    assert slp.rules.firsts.format == slp.axiom.format == "H"
     pairs[0][0] = 300
-    assert slp.rules == ((97, 98), (256, 99)) and expand(slp) == b"abc"
+    assert tuple(slp.rules) == ((97, 98), (256, 99)) and expand(slp) == b"abc"
 
 
 def test_slp_rebuilt_by_namedtuple_methods_is_checked():
@@ -447,14 +466,15 @@ def test_id_width_follows_the_largest_id(rule_count, width):
 
 def test_reader_streams_rules_in_order():
     # The reader's views are of data checked at construction: any order works.
-    # read_axiom gives the id array it read; only read_slp builds tuples.
+    # read_axiom gives the id array it read; read_slp views the same arrays.
     reader = ZslpReader(io.BytesIO(GOLDEN))
     assert reader.read_axiom() == array("H", [256, 256])
     assert list(reader.iter_rules()) == [(97, 98)]
     assert reader.read_axiom() == array("H", [256, 256])
     slp = reader.read_slp()
     assert slp == Slp([(97, 98)], [256, 256])
-    assert type(slp.axiom) is tuple and type(slp.rules[0]) is tuple
+    assert slp.axiom.obj is reader.read_axiom() and slp.axiom.readonly
+    assert type(slp.rules.firsts.obj) is array and slp.rules.seconds.readonly
 
 
 @settings(max_examples=150, deadline=None)
@@ -542,6 +562,40 @@ def test_stored_pieces_split_at_chunk_boundary():
     assert slp.short_expansions[257 + 8] and not slp.short_expansions[257 + 9]
     chunks = check_expansion(slp, slp.axiom)
     assert [len(chunk) for chunk in chunks] == [65536, 98305 - 65536]
+
+
+def test_blocks_of_stored_pieces_join_and_split_at_chunks():
+    # Rules double "a" and "b" up to runs of SHORT_LIMIT bytes, which are
+    # stored; a rule joining the two runs derives 2,048 bytes and is not.
+    pairs = []
+    runs = []
+    for byte in b"ab":
+        sym = byte
+        for _ in range(10):
+            pairs.append((sym, sym))
+            sym = FIRST_VARIABLE + len(pairs) - 1
+        runs.append(sym)
+    a, b = runs
+    pairs.append((a, b))
+    long = FIRST_VARIABLE + len(pairs) - 1
+    walked = [a] * 20 + [long] + [b] * 43  # 66,560 bytes
+    joined = [b, a] * 32  # 65,536 bytes
+    slp = Slp(pairs, [10] + [a] * 63 + joined + walked + joined + [97, 10])
+    assert zslp.slp._BLOCK == CHUNK_SIZE // SHORT_LIMIT == 64
+    assert len(slp.short_expansions[a]) == SHORT_LIMIT and slp.short_expansions[long] is None
+    # Blocks of 64 axiom symbols: a newline and 63 runs, joined to 64,513
+    # bytes; 64 runs, joined across the first chunk boundary; 64 symbols
+    # with the unstored one in the middle, walked; 64 runs joined across
+    # the fourth boundary; the last two bytes, joined. Without a split
+    # after each join the last chunk would outgrow CHUNK_SIZE.
+    chunks = check_expansion(slp, slp.axiom)
+    assert [len(chunk) for chunk in chunks] == [CHUNK_SIZE] * 4 + [3]
+    # A list of symbols, as a reporter batch passes it: 64,513 bytes
+    # joined, 66,560 walked, 64 runs joined across the third boundary,
+    # then two runs joined.
+    batch = [10] + [b] * 31 + [a, b] * 16 + walked + [b] * 64 + [a, b]
+    chunks = check_expansion(slp, batch)
+    assert [len(chunk) for chunk in chunks] == [CHUNK_SIZE] * 3 + [2 * SHORT_LIMIT + 1]
 
 
 def test_stored_bytes_stay_within_budget():
