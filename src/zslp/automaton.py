@@ -9,11 +9,13 @@ Supported dialect:
     atom         := literal | '.' | '(' pattern ')' | class | '\\' any-char
 
 '.' and negated classes match any byte except 0x0A. A backslash makes the
-next character a literal. '^' and '$' are ordinary characters (matching is
-factor-within-line by construction, so anchors have no role). Classes
-support ranges, a leading '^' for negation, and ']' as a literal when it is
-the first member. Bytes, not codepoints: every pattern character must have
-an ordinal below 256 and matching is case-sensitive.
+next character a literal. Matching is factor-within-line by construction
+and anchors are not supported: an unescaped '^' or '$' outside a class is a
+syntax error, so a grep user's anchored pattern is refused rather than
+silently read as literal characters; '\\^', '\\$' and '[$^]' match the
+characters. Classes support ranges, a leading '^' for negation, and ']' as a
+literal when it is the first member. Bytes, not codepoints: every pattern
+character must have an ordinal below 256 and matching is case-sensitive.
 
 Compilation is Glushkov's position automaton (Glushkov 1961; Berry & Sethi
 1986), epsilon-free by construction. One pass over the AST computes
@@ -204,6 +206,8 @@ class _Parser:
             return self._char_class(), 0
         if ch in "*+?{":
             self._fail(f"nothing to repeat before {ch!r}")
+        if ch in "^$":
+            self._fail(f"anchor {ch!r} is not supported (write '\\{ch}' to match the character)")
         if ch == ".":
             self.pos += 1
             return ByteSet(_LINE_BYTES), 0

@@ -55,7 +55,8 @@ expansion and boundary matches would be over-reported.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
+from itertools import chain
 from math import ceil
 
 from .automaton import NEWLINE, Fsa, PatternSyntaxError, iter_bits, union_rows
@@ -289,20 +290,24 @@ def contains_match(slp: Slp, fsa: Fsa) -> bool:
 class SearchStats(
     namedtuple(
         "SearchStats",
-        "s p axiom_len per_rule per_axiom_symbol rule_percentiles axiom_percentiles"
+        "s p axiom_len rule_costs axiom_costs rule_percentiles axiom_percentiles"
         " measured_ops",
     )
 ):
     """Operation counts of one counting run, derived from its relations.
 
-    ``per_rule`` and ``per_axiom_symbol`` are the paper's accounting in
-    transition pairs: for ``X -> A B``, B's pairs, plus s, plus one per pair
-    (q1, q) of A and one per pair leaving q in B; for an axiom symbol, its
-    pairs. ``measured_ops`` counts the word operations the engine performs:
-    one per counting update (a tuple combination for a rule, the line flags
-    and count for an axiom symbol) and one for the row of state 0 (when the
-    automaton has states), plus one per row of A and per middle bit of it
-    for a rule, and one per middle state reached before an axiom symbol.
+    ``rule_costs`` and ``axiom_costs`` are histograms, ``Counter``s of cost
+    -> number of rules or of axiom symbols with that cost, in the paper's
+    accounting in transition pairs: for ``X -> A B``, B's pairs, plus s,
+    plus one per pair (q1, q) of A and one per pair leaving q in B; for an
+    axiom symbol, its pairs. Iterating one yields each distinct cost, so a
+    bound on every cost is checked once per cost, and its size follows the
+    distinct costs, not the grammar. ``measured_ops`` counts the word
+    operations the engine performs: one per counting update (a tuple
+    combination for a rule, the line flags and count for an axiom symbol)
+    and one for the row of state 0 (when the automaton has states), plus one
+    per row of A and per middle bit of it for a rule, and one per middle
+    state reached before an axiom symbol.
     Those are the operations of a pass that composes and combines every
     rule on its own. ``saturate`` composes each distinct pair of relations
     once and combines line flags once per distinct pair of kinds; any other
@@ -315,19 +320,26 @@ class SearchStats(
 
     @property
     def op_budget(self) -> int:
-        return sum(self.per_rule) + sum(self.per_axiom_symbol) + self.p + self.axiom_len
+        costs = chain(self.rule_costs.items(), self.axiom_costs.items())
+        return sum(cost * n for cost, n in costs) + self.p + self.axiom_len
 
 
-def nearest_rank_percentiles(values) -> dict:
-    """Nearest-rank percentiles at PERCENTILE_POINTS; empty sequences report 0."""
-    ordered = sorted(values)
+def nearest_rank_percentiles(histogram: Counter) -> dict:
+    """Nearest-rank percentiles at PERCENTILE_POINTS of the values a histogram
+    (value -> occurrences) counts; an empty histogram reports 0."""
+    total = sum(histogram.values())
+    ordered = sorted(histogram.items())
     result = {}
     for point in PERCENTILE_POINTS:
-        if not ordered:
+        if not total:
             result[point] = 0
-        else:
-            rank = max(1, ceil(point / 100 * len(ordered)))
-            result[point] = ordered[rank - 1]
+            continue
+        rank = max(1, ceil(point / 100 * total))
+        for value, n in ordered:
+            rank -= n
+            if rank <= 0:
+                result[point] = value
+                break
     return result
 
 
@@ -345,38 +357,45 @@ def collect_stats(slp: Slp, fsa: Fsa) -> SearchStats:
     ids = [record[5] for record in table]  # kind -> relation id
     rels = {record[5]: record[0] for record in table}  # relation id -> relation
     pairs = {key: sum(map(int.bit_count, rel.values())) for key, rel in rels.items()}
-    # A rule's costs depend only on its pair of relations: each distinct
-    # pair is costed once.
-    costs: dict = {}  # (relation id of A, of B) -> (paper ops, measured)
-    per_rule = []
+    # A rule's costs depend only on its pair of relations: the rules are
+    # tallied by that pair and each distinct pair is costed once.
+    rel_of = ids.__getitem__
+    rule_pairs = Counter(
+        zip(
+            map(rel_of, map(kinds.__getitem__, slp.rules.firsts)),
+            map(rel_of, map(kinds.__getitem__, slp.rules.seconds)),
+        )
+    )
+    rule_costs: Counter = Counter()
     measured = 0
-    for first, second in slp.rules:
-        key = id_a, id_b = ids[kinds[first]], ids[kinds[second]]
-        cost = costs.get(key)
-        if cost is None:
-            rel_b = rels[id_b]
-            ops = pairs[id_b] + s
-            rule_measured = per_symbol
-            for m in rels[id_a].values():
-                ops += sum(1 + rel_b.get(q, 0).bit_count() for q in iter_bits(m))
-                rule_measured += 1 + (m & middle).bit_count()
-            cost = costs[key] = (ops, rule_measured)
-        per_rule.append(cost[0])
-        measured += cost[1]
-    per_axiom_symbol = []
+    for (id_a, id_b), n in rule_pairs.items():
+        rel_b = rels[id_b]
+        ops = pairs[id_b] + s
+        rule_measured = per_symbol
+        for m in rels[id_a].values():
+            ops += sum(1 + rel_b.get(q, 0).bit_count() for q in iter_bits(m))
+            rule_measured += 1 + (m & middle).bit_count()
+        rule_costs[ops] += n
+        measured += rule_measured * n
+    uses = [0] * len(table)  # kind -> axiom symbols of that kind
     reached = 0
     for sym in slp.axiom:
-        rel, row, _, _, _, rel_id = table[kinds[sym]]
+        kind = kinds[sym]
+        rel, row, _, _, _, _ = table[kind]
         measured += per_symbol + (reached & middle).bit_count()
-        per_axiom_symbol.append(pairs[rel_id])
+        uses[kind] += 1
         reached = union_rows(reached & middle, rel) | reached & final | row
+    axiom_costs: Counter = Counter()
+    for record, n in zip(table, uses):
+        if n:
+            axiom_costs[pairs[record[5]]] += n
     return SearchStats(
         s=s,
         p=len(slp.rules),
         axiom_len=len(slp.axiom),
-        per_rule=tuple(per_rule),
-        per_axiom_symbol=tuple(per_axiom_symbol),
-        rule_percentiles=nearest_rank_percentiles(per_rule),
-        axiom_percentiles=nearest_rank_percentiles(per_axiom_symbol),
+        rule_costs=rule_costs,
+        axiom_costs=axiom_costs,
+        rule_percentiles=nearest_rank_percentiles(rule_costs),
+        axiom_percentiles=nearest_rank_percentiles(axiom_costs),
         measured_ops=measured,
     )

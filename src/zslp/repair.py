@@ -2,8 +2,20 @@
 
 Pair frequencies are non-overlapping, scanned left to right, so "aaaa"
 contains "aa" twice and "aaa" only once. Among equally frequent pairs the
-one whose first live occurrence is leftmost wins, which makes the output a
-deterministic function of the input. A pair occurring once is never replaced.
+lowest wins: a pair's height is the taller of its two symbols' (a byte has
+height 0, a rule one more than its taller part). Among equally frequent,
+equally high pairs the one whose first live occurrence is leftmost wins, which
+makes the output a deterministic function of the input. A pair occurring once
+is never replaced.
+
+The height rule keeps grammars of periodic text shallow. Leftmost-first alone
+pairs each new variable with the next period's symbol, since that pair is
+again the leftmost, and so builds a left comb over the whole text: a grammar
+852 high on the benchmark's seed-1 256 KiB log corpus, 23 with the height
+rule, at the same size. Every walk down the grammar (expansion, the reporter) costs
+its height; Ganardi, Jez & Lohrey (*Balancing straight-line programs*, FOCS
+2019) show that an equivalent grammar of the same order of size and of height
+logarithmic in the text always exists.
 
 The bookkeeping follows Larsson & Moffat (*Off-line dictionary-based
 compression*, Proc. IEEE 2000), in plain lists:
@@ -23,10 +35,15 @@ compression*, Proc. IEEE 2000), in plain lists:
   positions, lists the new pair it formed. An unequal pair's live count is
   its entries minus its losses; a pair ``(a, a)`` is counted greedily over
   its live entries.
-- Candidate pairs sit in a lazy max-heap of ``(-count, first position,
-  key)`` snapshots, checked when popped. Only the newest variable's pairs
-  gain occurrences, so known counts only fall and first positions only move
-  right: a snapshot is an upper bound, and one that holds is the max.
+- Candidate pairs sit in a lazy min-heap of ``(-count, height, first
+  position, key)`` snapshots, checked when popped. Only the newest
+  variable's pairs gain occurrences, so known counts only fall and first
+  positions only move right, while a pair's height never changes: a
+  snapshot is a lower bound on its pair's key, and one that holds is the
+  minimum.
+- RePair's lists of ints and its dicts form no reference cycles, so the
+  cyclic garbage collector is paused while it runs; its passes over the
+  millions of live objects cost 5-10% of the time on the seed-1 corpora.
 
 On the benchmark's seed-1 256 KiB corpora this takes about 0.8 s/MiB of
 CPU on log lines and 1.5 s/MiB on English-like text (in-process
@@ -37,6 +54,7 @@ RSS by 69-97 bytes per input byte.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections import Counter, defaultdict
 from itertools import islice
@@ -60,13 +78,25 @@ def compress(text: bytes) -> Slp:
         raise ValueError("cannot compress empty input")
     if n > MAX_INPUT_BYTES:
         raise ValueError(f"input of {n} bytes exceeds {MAX_INPUT_BYTES} bytes")
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _repair(text)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _repair(text: bytes) -> Slp:
+    n = len(text)
     base = _KEY_BASE
     sym = [*text, -1]
     nxt = list(range(1, n + 1))
     prv = [-1, 0] + nxt[:-1]  # shares nxt's int objects
     occ: dict[int, list[int]] = {}
     lost: Counter = Counter()
-    heap: list[tuple[int, int, int]] = []
+    height = [0] * FIRST_VARIABLE  # by symbol id
+    heap: list[tuple[int, int, int, int]] = []
 
     def live_count(key: int, positions: list) -> int:
         a, b = divmod(key, base)
@@ -80,23 +110,23 @@ def compress(text: bytes) -> Slp:
                 barrier = nxt[i]
         return count
 
-    def offer(key: int, positions: list) -> None:
+    def offer(key: int, pair_height: int, positions: list) -> None:
         count = live_count(key, positions)
         if count >= 2:
             occ[key] = positions
-            heapq.heappush(heap, (-count, positions[0], key))
+            heapq.heappush(heap, (-count, pair_height, positions[0], key))
 
     # The first scan keys byte pairs as 16-bit ints, cheaper to build and hash.
     byte_pairs: dict[int, list[int]] = defaultdict(list)
     for i, first, second in zip(islice(prv, 1, None), text, text[1:]):
         byte_pairs[first << 8 | second].append(i)
     for pair, positions in byte_pairs.items():
-        offer((pair >> 8) * base + (pair & 0xFF), positions)
+        offer((pair >> 8) * base + (pair & 0xFF), 0, positions)
     del byte_pairs  # lists of replaced pairs are freed as they go
 
     rules: list[tuple[int, int]] = []
     while heap:
-        neg_count, pos, key = heapq.heappop(heap)
+        neg_count, pair_height, pos, key = heapq.heappop(heap)
         # Each listed pair has one snapshot in the heap; it is unlisted on a pop.
         positions = occ[key]
         count = live_count(key, positions)
@@ -112,13 +142,15 @@ def compress(text: bytes) -> Slp:
             del positions[:dead]
             lost[key] -= dead  # read only for unequal pairs
         if (-neg_count, pos) != (count, positions[0]):  # stale: re-queue
-            heapq.heappush(heap, (-count, positions[0], key))
+            heapq.heappush(heap, (-count, pair_height, positions[0], key))
             continue
 
         del occ[key]
         lost.pop(key, None)
         new_sym = FIRST_VARIABLE + len(rules)
         rules.append((a, b))
+        new_height = pair_height + 1
+        height.append(new_height)
         replaced = []
         for i in positions:
             if sym[i] != a:
@@ -146,14 +178,14 @@ def compress(text: bytes) -> Slp:
                 if x * base + a in occ:
                     lost[x * base + a] += len(group)
                 if len(group) > 1:
-                    offer(x * base + new_sym, group)
+                    offer(x * base + new_sym, max(height[x], new_height), group)
         for y, group in right_of.items():
             if y >= 0:
                 lost_key = b * base + (a if y == new_sym else y)
                 if lost_key in occ:
                     lost[lost_key] += len(group)
                 if len(group) > 1:
-                    offer(new_sym * base + y, group)
+                    offer(new_sym * base + y, max(new_height, height[y]), group)
 
     axiom = []
     i = 0

@@ -196,11 +196,13 @@ class Slp(namedtuple("Slp", "rules axiom")):
         return f"Slp({list(self.rules)!r}, {list(self.axiom)!r})"
 
     @cached_property
-    def short_expansions(self) -> tuple:
+    def short_expansions(self) -> list:
         """Per symbol id, its expansion if stored (see the module docstring), else None.
 
         Built on first use and cached on the instance. Concurrent first
-        uses may each build it; every build has the same content.
+        uses may each build it; every build has the same content. The list
+        is returned as built, with no tuple copy beside it, so callers only
+        read it.
         """
         short = list(_TERMINAL_BYTES)
         append = short.append
@@ -218,7 +220,7 @@ class Slp(namedtuple("Slp", "rules axiom")):
                     continue
             append(None)
         short += [None] * (FIRST_VARIABLE + len(self.rules) - len(short))
-        return tuple(short)
+        return short
 
 
 def _id_width(rule_count: int) -> int:

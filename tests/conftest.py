@@ -50,6 +50,8 @@ PATTERN_ERRORS = [
     ("*a", 0, "nothing to repeat before '*'"),
     ("(a", 2, "unclosed '('"),
     ("[ab", 3, "unclosed character class"),
+    ("^host", 0, "anchor '^' is not supported (write '\\^' to match the character)"),
+    ("[0-9]$", 5, "anchor '$' is not supported (write '\\$' to match the character)"),
 ]
 
 

@@ -171,8 +171,8 @@ def test_criterion_5_complexity_instrumentation():
         stats = collect_stats(slp, fsa)
         bound_rule = stats.s**3 + stats.s
         bound_axiom = stats.s**2
-        assert all(v <= bound_rule for v in stats.per_rule), pattern
-        assert all(v <= bound_axiom for v in stats.per_axiom_symbol), pattern
+        assert all(cost <= bound_rule for cost in stats.rule_costs), pattern
+        assert all(cost <= bound_axiom for cost in stats.axiom_costs), pattern
         assert stats.measured_ops <= 3 * stats.op_budget, pattern
         runs += 1
         if fsa.is_deterministic:

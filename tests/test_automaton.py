@@ -88,10 +88,20 @@ def test_escapes_are_literal():
     assert nfa_accepts(compile_pattern(r"\(x\)"), b"(x)")
 
 
-def test_anchors_are_ordinary_characters():
-    fsa = compile_pattern("^a$")
+def test_anchors_are_pattern_errors():
+    # An unescaped '^' or '$' outside a class is refused with its position,
+    # wherever it stands; escaped or in a class it is the character.
+    for pattern, position in (("^a", 0), ("a$", 1), ("(b|^a)", 3), ("a|$", 2), ("x*^", 2)):
+        with pytest.raises(PatternSyntaxError, match="anchor") as err:
+            compile_pattern(pattern)
+        assert err.value.position == position, pattern
+    fsa = compile_pattern(r"\^a\$")
     assert nfa_accepts(fsa, b"^a$")
     assert not nfa_accepts(fsa, b"a")
+    for pattern in ("[$^]", "[$]", "[a^]", "[^^]"):
+        fsa = compile_pattern(pattern)
+        assert nfa_accepts(fsa, b"$") == (pattern != "[a^]"), pattern
+        assert nfa_accepts(fsa, b"^") == (pattern not in ("[$]", "[^^]")), pattern
 
 
 def test_syntax_errors_carry_position():

@@ -3,6 +3,7 @@ import io
 import itertools
 import random
 import re
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from zslp.automaton import (
     union_rows,
 )
 from zslp.engine import (
+    PERCENTILE_POINTS,
     SearchStats,
     combine,
     collect_stats,
@@ -572,8 +574,8 @@ def test_collect_stats_shapes(example_slp, ab_ba_fsa):
     stats = collect_stats(example_slp, ab_ba_fsa)
     assert stats.p == 7
     assert stats.axiom_len == 2
-    assert len(stats.per_rule) == 7
-    assert len(stats.per_axiom_symbol) == 2
+    assert sum(stats.rule_costs.values()) == 7
+    assert sum(stats.axiom_costs.values()) == 2
     assert stats.s == 4
     assert set(stats.rule_percentiles) == {50, 75, 95, 98, 100}
 
@@ -589,8 +591,8 @@ def test_collect_stats_bounds_and_budget():
         stats = collect_stats(slp, fsa)
         bound_rule = stats.s**3 + stats.s
         bound_axiom = stats.s**2
-        assert all(v <= bound_rule for v in stats.per_rule)
-        assert all(v <= bound_axiom for v in stats.per_axiom_symbol)
+        assert all(cost <= bound_rule for cost in stats.rule_costs)
+        assert all(cost <= bound_axiom for cost in stats.axiom_costs)
         assert stats.measured_ops <= 3 * stats.op_budget
 
 
@@ -620,12 +622,21 @@ def reference_stats(slp, fsa):
         s=s,
         p=len(slp.rules),
         axiom_len=len(slp.axiom),
-        per_rule=tuple(per_rule),
-        per_axiom_symbol=tuple(per_axiom_symbol),
-        rule_percentiles=nearest_rank_percentiles(per_rule),
-        axiom_percentiles=nearest_rank_percentiles(per_axiom_symbol),
+        rule_costs=collections.Counter(per_rule),
+        axiom_costs=collections.Counter(per_axiom_symbol),
+        rule_percentiles=sorted_percentiles(per_rule),
+        axiom_percentiles=sorted_percentiles(per_axiom_symbol),
         measured_ops=measured,
     )
+
+
+def sorted_percentiles(values):
+    """Nearest-rank percentiles read off the sorted list of every value."""
+    ordered = sorted(values)
+    return {
+        point: ordered[max(1, ceil(point / 100 * len(ordered))) - 1] if ordered else 0
+        for point in PERCENTILE_POINTS
+    }
 
 
 def test_collect_stats_costs_each_relation_pair_once():
@@ -659,15 +670,20 @@ def test_collect_stats_reads_the_axiom_without_fold(monkeypatch):
 
 def test_collect_stats_zero_rules():
     stats = collect_stats(Slp([], [97, 98]), compile_pattern("q"))
-    assert stats.per_rule == ()
+    assert stats.rule_costs == collections.Counter()
     assert stats.rule_percentiles == {50: 0, 75: 0, 95: 0, 98: 0, 100: 0}
 
 
 def test_nearest_rank_percentiles():
     values = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-    result = nearest_rank_percentiles(values)
+    result = nearest_rank_percentiles(collections.Counter(values))
     assert result == {50: 5, 75: 8, 95: 10, 98: 10, 100: 10}
-    assert nearest_rank_percentiles([]) == {50: 0, 75: 0, 95: 0, 98: 0, 100: 0}
+    assert nearest_rank_percentiles(collections.Counter()) == {50: 0, 75: 0, 95: 0, 98: 0, 100: 0}
+    # From the histogram, the same ranks as from the sorted values.
+    rng = random.Random(98)
+    for _ in range(200):
+        values = [rng.randrange(6) for _ in range(rng.randrange(1, 60))]
+        assert nearest_rank_percentiles(collections.Counter(values)) == sorted_percentiles(values)
 
 
 def test_deterministic_rows_stay_narrow():

@@ -25,10 +25,20 @@ def test_compress_no_repeats():
 
 
 def test_compress_abcabc_tie_breaking():
-    # "ab" and "bc" both occur twice; "ab" occurs first, so it wins.
+    # "ab" and "bc" both occur twice and are both 0 high; "ab" occurs
+    # first, so it wins.
     slp = compress(b"abcabc")
     assert tuple(slp.rules) == ((97, 98), (256, 99))
     assert tuple(slp.axiom) == (257, 257)
+
+
+def test_compress_prefers_the_lower_pair():
+    # After "ab" -> 256, the pairs (256, c) and (c, d) both occur twice;
+    # (256, c) is leftmost but 1 high, so (c, d) wins and the grammar is
+    # 2 high, not a comb of 3.
+    slp = compress(b"abcdabcd")
+    assert tuple(slp.rules) == ((97, 98), (99, 100), (256, 257))
+    assert tuple(slp.axiom) == (258, 258)
 
 
 def test_compress_runs_count_nonoverlapping():
@@ -81,11 +91,14 @@ def reference_repair(data: bytes) -> tuple[list, list]:
     """RePair by brute force: recount every pair after every replacement.
 
     The winner is the pair with the most non-overlapping occurrences, ties
-    going to the pair whose first occurrence is leftmost; its occurrences
-    are then replaced greedily from the left.
+    going to the lower pair (the taller of its two symbols, a byte being 0
+    high and a rule one more than its taller part) and then to the pair
+    whose first occurrence is leftmost; its occurrences are then replaced
+    greedily from the left.
     """
     seq = list(data)
     rules = []
+    height = [0] * 256
     while True:
         counts = nonoverlap_pair_counts(seq)
         first_at = {}
@@ -94,9 +107,14 @@ def reference_repair(data: bytes) -> tuple[list, list]:
         frequent = [pair for pair, count in counts.items() if count >= 2]
         if not frequent:
             return rules, seq
-        best = max(frequent, key=lambda pair: (counts[pair], -first_at[pair]))
+
+        def rank(pair):
+            return counts[pair], -max(height[pair[0]], height[pair[1]]), -first_at[pair]
+
+        best = max(frequent, key=rank)
         new_sym = 256 + len(rules)
         rules.append(best)
+        height.append(1 + max(height[best[0]], height[best[1]]))
         out = []
         i = 0
         while i < len(seq):
@@ -129,11 +147,11 @@ def test_compress_matches_reference_repair(text):
 
 
 # SHA-256 of the version-1 ZSLP bytes of compress(corpus) for ~64 KB seeded
-# corpora. The tie-break fixes the output, so no change to RePair's
-# bookkeeping may move it.
+# corpora. The tie-break (count, then height, then first position) fixes the
+# output, so no change to RePair's bookkeeping may move it.
 PINNED_DIGESTS = {
-    "log": "ef6e9cc23f23ef3dacc6dd30b017fa03d5e25a98b7dd8f56471a0adc0e4b953f",
-    "english": "b3c9e1282d31201d4ca80b24578ed7e3c20f00cdda96a1e74d9e7c220e7d31e1",
+    "log": "fc770262319a16963cec9aa2f969805681fad6a99a711f4cf1613a081e0b45ad",
+    "english": "0f81177f2edcd532bd5181352602cbf05eca7ba651b808bf9b7f2893d30be433",
 }
 
 

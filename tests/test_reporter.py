@@ -192,6 +192,24 @@ def test_pruning_actually_skips_work():
         assert lookups[True] < lookups[False], pattern
 
 
+def test_templated_text_gives_a_shallow_grammar():
+    # RePair breaks ties by pair height, so the periodic text builds no comb
+    # (5,692 rules high with leftmost-first ties alone) and the walk to a few
+    # matching lines is as long as the log of the text, not the grammar.
+    text = b"".join(
+        b"%d: GET /item/%d HTTP/1.1 200\n" % (i % 97, i % 31) for i in range(20000)
+    )
+    slp = compress(text)
+    height = [0] * 256
+    for first, second in slp.rules:
+        height.append(1 + max(height[first], height[second]))
+    assert max(height[symbol] for symbol in slp.axiom) <= 32
+    counted = counting_slp(slp)
+    expected = b"".join(line + b"\n" for line in oracle_lines(text, "96: GET /item/7 "))
+    assert report(counted, compile_pattern("96: GET /item/7 ")) == (7, expected)
+    assert counted.rules.firsts.lookups < 1000
+
+
 def test_dense_patterns_match_oracle_and_count():
     # Texts over "ab\n" with runs of repeated lines, so that RePair builds
     # subtrees whose every line matches; patterns that match most lines.
