@@ -44,7 +44,6 @@ Inner parts stay: ``t.{0,200}g`` keeps its 203 states."""
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 
 NEWLINE = 0x0A
 _ALL_BYTES = frozenset(range(256))
@@ -328,10 +327,6 @@ class Fsa:
             for state, targets in row.items():
                 if targets:
                     yield state, byte, frozenset(iter_bits(targets))
-
-    @cached_property
-    def is_deterministic(self) -> bool:
-        return all(m & (m - 1) == 0 for row in self.rows for m in row.values())
 
     def __repr__(self) -> str:
         return f"Fsa(states={self.state_count}, matches_empty={self.matches_empty})"

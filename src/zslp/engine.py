@@ -6,10 +6,9 @@ Automaton states are bits of a Python int. Every symbol's expansion u has:
   newline, whether its first and its last line contain a match, and how
   many closed lines (newline on both sides) of u match; and
 * a relation ``{source: target-bitmask}``. Target q2 is in the row of q1
-  exactly when the automaton can move from q1 to q2 reading a factor of u
-  that is a prefix (unless q2 is the accept state), a suffix (unless q1 is
-  state 0), the whole of u, or any inner factor when q1 is state 0 and q2
-  the accept state.
+  exactly when the automaton can move from q1 to q2 reading the whole of
+  u, a prefix of u when q2 is the accept state, a suffix of u when q1 is
+  state 0, or any factor of u when both hold.
 
 ``saturate`` builds both for the 256 terminals straight from the automaton
 and then for every rule ``X -> A B`` in definition order, one pass: each row
@@ -22,29 +21,29 @@ Matching in Strings*) lifted from bytes to grammar symbols.
 
 A grammar's rules carry few distinct relations, and fewer distinct
 summaries still, so both are hash-consed (Filliatre & Conchon, *Type-Safe
-Modular Hash-Consing*). Equal relations are one shared, read-only dict with
-a small id. A symbol's summary minus its count, ``(relation id, nl, left,
-right)``, is its *kind*, also a small id; the count, which is unbounded,
-is kept per symbol. ``X``'s kind and the seam's addition to its count
-depend only on the kinds of A and B, so they are derived once per distinct
-pair of kinds; deriving composes the pair of relations only if no earlier
-pair had it. This is how per-nonterminal transition functions of an
-automaton over an SLP are usually computed (Lohrey, *Algorithmics on
-SLP-compressed strings: a survey*).
+Modular Hash-Consing*). Equal relations are one shared, read-only dict,
+interned for the run, so the dict itself names its relation. A symbol's
+summary minus its count, its relation and ``(nl, left, right)``, is its
+*kind*, a small id; the count, which is unbounded, is kept per symbol.
+``X``'s kind and the seam's addition to its count depend only on the kinds
+of A and B, so they are derived once per distinct pair of kinds; deriving
+composes the pair of relations only if no earlier pair had it. This is how
+per-nonterminal transition functions of an automaton over an SLP are
+usually computed (Lohrey, *Algorithmics on SLP-compressed strings: a
+survey*).
 
-Each kind has one record, ``(relation, row of state 0, nl, left, right,
-relation id)``; a ``Saturation`` holds every symbol's kind and count and
-the records, indexed by kind. The records are tuples, which CPython
-unpacks fastest, and ``saturate`` is the only code that builds them.
+Each kind has one record, ``(relation, row of state 0, nl, left, right)``;
+a ``Saturation`` holds every symbol's kind and count and the records,
+indexed by kind. The records are tuples, which CPython unpacks fastest, and
+``saturate`` is the only code that builds them.
 
 ``fold`` runs the axiom left to right carrying the reached states as one
 int (the states reachable from state 0 by reading some suffix of the prefix
 expanded so far; the accept state, once entered, is kept) and the counting
-tuple's fields as plain scalars, building the tuple once at the end.
-Counting and the match decision use this one saturate/fold path. The
-statistics saturate the same way and step only the reached mask over the
-axiom, in one pass; the reporter steps the same records over the axiom
-and, below it, reads which lines match from the counts alone.
+tuple's fields as plain scalars, building the tuple once at the end. Each
+of the three passes over the axiom reads one record per symbol: counting
+and the match decision fold; the reporter takes fold's step and decides
+each line as fold counts it; the statistics step only the reached mask.
 
 The engine requires automata with no transitions entering state 0 or
 leaving the accept state, the shape the pattern compiler produces and
@@ -56,7 +55,6 @@ expansion and boundary matches would be over-reported.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from itertools import chain
 from math import ceil
 
 from .automaton import NEWLINE, Fsa, PatternSyntaxError, iter_bits, union_rows
@@ -106,46 +104,44 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
 
     Relations are hash-consed: symbols whose relations have equal contents
     share one dict, so callers must treat the records' relations as
-    read-only. So are kinds: symbols with the same relation and line flags
-    share one kind and its record. A rule whose pair of kinds was seen
-    before takes the kind and seam increment found then. Otherwise the
-    pair of relations is looked up, and composed only if no earlier rule
-    had it; ``combine`` then runs once for the pair of kinds. The row
-    budget still counts every rule's rows, shared or not: the compiler's
-    "pattern too large" PatternSyntaxError is raised once they outgrow
-    MAX_RELATION_WORDS.
+    read-only. A relation is named by its interned dict: the memos key it
+    by ``id``, which stays valid because the interning table keeps every
+    interned dict alive for the run. Kinds are hash-consed too: symbols
+    with the same relation and line flags share one kind and its record. A
+    rule whose pair of kinds was seen before takes the kind and seam
+    increment found then. Otherwise the pair of relations is looked up, and
+    composed only if no earlier rule had it; ``combine`` then runs once for
+    the pair of kinds. The row budget still counts every rule's rows, shared
+    or not: the compiler's "pattern too large" PatternSyntaxError is raised
+    once they outgrow MAX_RELATION_WORDS.
     """
     final = fsa.final
     row_budget = MAX_RELATION_WORDS // (fsa.state_count // 64 + 1)
     rows = 0
 
-    canonical: dict = {}  # sorted rows -> relation id
-    distinct: list[dict] = []  # relation id -> the one dict with those rows
+    canonical: dict = {}  # sorted rows -> the one dict with those rows
 
-    def intern(rel: dict) -> int:
-        rel_id = canonical.setdefault(tuple(sorted(rel.items())), len(distinct))
-        if rel_id == len(distinct):
-            distinct.append(rel)
-        return rel_id
+    def intern(rel: dict) -> dict:
+        return canonical.setdefault(tuple(sorted(rel.items())), rel)
 
-    kind_ids: dict = {}  # (relation id, nl, left, right) -> kind
+    kind_ids: dict = {}  # (id of the relation, nl, left, right) -> kind
     table: list[tuple] = []  # kind -> record
 
-    def kind_of(rel_id: int, nl: bool, left: bool, right: bool) -> int:
-        kind = kind_ids.setdefault((rel_id, nl, left, right), len(table))
+    def kind_of(rel: dict, nl: bool, left: bool, right: bool) -> int:
+        kind = kind_ids.setdefault((id(rel), nl, left, right), len(table))
         if kind == len(table):
-            rel = distinct[rel_id]
-            table.append((rel, rel.get(0, 0), nl, left, right, rel_id))
+            table.append((rel, rel.get(0, 0), nl, left, right))
         return kind
 
-    # (relation id of A, relation id of B) -> (relation id, new_match, rows)
+    # (id of A's relation, id of B's relation) -> (relation, new_match, rows)
     composed: dict = {}
 
     def derive(kind_a: int, kind_b: int) -> tuple:
         """(kind, seam increment, rows) of a rule whose parts have these kinds."""
-        rel_a, _, nl_a, left_a, right_a, id_a = table[kind_a]
-        rel_b, row_b, nl_b, left_b, right_b, id_b = table[kind_b]
-        known = composed.get((id_a, id_b))
+        rel_a, _, nl_a, left_a, right_a = table[kind_a]
+        rel_b, row_b, nl_b, left_b, right_b = table[kind_b]
+        key = (id(rel_a), id(rel_b))
+        known = composed.get(key)
         if known is None:
             rel = {}
             new_match = False
@@ -158,20 +154,20 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
                         new_match = True
             if row_b:
                 rel[0] = rel.get(0, 0) | row_b
-            known = composed[id_a, id_b] = (intern(rel), new_match, len(rel))
-        rel_id, new_match, size = known
+            known = composed[key] = (intern(rel), new_match, len(rel))
+        rel, new_match, size = known
         nl, left, right, seam = combine(
             (nl_a, left_a, right_a, 0), (nl_b, left_b, right_b, 0), new_match
         )
-        return kind_of(rel_id, nl, left, right), seam, size
+        return kind_of(rel, nl, left, right), seam, size
 
     # The compiler shares one row map per byte class; intern each map once.
     maps = {id(rel): rel for rel in fsa.rows}
-    terminal_ids = {key: intern(rel) for key, rel in maps.items()}
+    interned = {key: intern(rel) for key, rel in maps.items()}
     kinds: list[int] = []
     for byte, rel in enumerate(fsa.rows):
         hit = rel.get(0, 0) & final != 0
-        kinds.append(kind_of(terminal_ids[id(rel)], byte == NEWLINE, hit, hit))
+        kinds.append(kind_of(interned[id(rel)], byte == NEWLINE, hit, hit))
     counts: list[int] = [0] * len(kinds)
 
     # (kind of A, kind of B) -> (kind of X, seam increment, rows)
@@ -214,7 +210,7 @@ def fold(axiom, saturation: Saturation, fsa: Fsa) -> tuple:
     nl = left = line = False
     count = reached = 0
     for sym in axiom:
-        rel, row, sym_nl, sym_left, sym_right, _ = table[kinds[sym]]
+        rel, row, sym_nl, sym_left, sym_right = table[kinds[sym]]
         if reached & middle:
             through = union_rows(reached & middle, rel)
             hit = through & final != 0
@@ -255,16 +251,18 @@ def line_facts(rule_pairs) -> list[int]:
 
 
 def run_count(rule_pairs, read_axiom, fsa: Fsa) -> int:
-    """Streaming form of ``count_matching_lines``.
+    """``count_matching_lines`` over rule pairs and an axiom callable.
 
-    ``rule_pairs`` yields valid pairs, as for ``saturate``, and is consumed
-    one rule at a time; ``read_axiom`` is a zero-argument callable that
-    returns a valid axiom, any sequence of ids (``ZslpReader.read_axiom``
-    gives its id array), and is invoked only after the last rule. The
-    benchmark's tracer (``perfbench/tracing.py``) relies on that order: it
-    times everything before the ``read_axiom`` call as ``engine.saturate``
-    and everything after it as ``engine.fold``. An empty axiom raises
-    InvalidGrammarError, whatever the pattern.
+    The CLI passes a ``ZslpReader``'s ``iter_rules`` and ``read_axiom``;
+    the reader has read and checked every id before either is called, so
+    this is not streaming. ``rule_pairs`` yields valid pairs, as for
+    ``saturate``, and is consumed once; ``read_axiom`` is a zero-argument
+    callable that returns a valid axiom, any sequence of ids, and is
+    invoked only after the last rule. The benchmark's tracer
+    (``perfbench/tracing.py``) relies on that order: it times everything
+    before the ``read_axiom`` call as ``engine.saturate`` and everything
+    after it as ``engine.fold``. An empty axiom raises InvalidGrammarError,
+    whatever the pattern.
     """
     every_line = fsa.matches_empty  # then newline counts alone give the count
     summary = line_facts(rule_pairs) if every_line else saturate(rule_pairs, fsa)
@@ -318,11 +316,6 @@ class SearchStats(
 
     __slots__ = ()
 
-    @property
-    def op_budget(self) -> int:
-        costs = chain(self.rule_costs.items(), self.axiom_costs.items())
-        return sum(cost * n for cost, n in costs) + self.p + self.axiom_len
-
 
 def nearest_rank_percentiles(histogram: Counter) -> dict:
     """Nearest-rank percentiles at PERCENTILE_POINTS of the values a histogram
@@ -346,49 +339,45 @@ def nearest_rank_percentiles(histogram: Counter) -> dict:
 def collect_stats(slp: Slp, fsa: Fsa) -> SearchStats:
     """Saturate the grammar and report its per-rule and per-axiom-symbol costs.
 
-    Each distinct pair of relations is costed once. One pass over the axiom
-    steps the reached mask as ``fold`` does, without the line flags.
+    Rules are tallied by their pair of kinds, and each distinct pair is
+    costed once. One pass over the axiom tallies its symbols by kind and
+    steps the reached mask as ``fold`` does, less the accept state, which
+    no cost reads, and without the line flags.
     """
     kinds, _, table = saturate(slp.rules, fsa)
     s = fsa.state_count
-    final = fsa.final
-    middle = ~final
+    middle = ~fsa.final
     per_symbol = 2 if s else 1
-    ids = [record[5] for record in table]  # kind -> relation id
-    rels = {record[5]: record[0] for record in table}  # relation id -> relation
-    pairs = {key: sum(map(int.bit_count, rel.values())) for key, rel in rels.items()}
-    # A rule's costs depend only on its pair of relations: the rules are
-    # tallied by that pair and each distinct pair is costed once.
-    rel_of = ids.__getitem__
-    rule_pairs = Counter(
-        zip(
-            map(rel_of, map(kinds.__getitem__, slp.rules.firsts)),
-            map(rel_of, map(kinds.__getitem__, slp.rules.seconds)),
-        )
-    )
+    pairs = [sum(map(int.bit_count, record[0].values())) for record in table]
+    # A rule's costs depend only on its parts' kinds: the rules are tallied
+    # by that pair and each distinct pair is costed once.
+    kind_of = kinds.__getitem__
+    rule_pairs = Counter(zip(map(kind_of, slp.rules.firsts), map(kind_of, slp.rules.seconds)))
     rule_costs: Counter = Counter()
     measured = 0
-    for (id_a, id_b), n in rule_pairs.items():
-        rel_b = rels[id_b]
-        ops = pairs[id_b] + s
+    for (kind_a, kind_b), n in rule_pairs.items():
+        rel_b = table[kind_b][0]
+        ops = pairs[kind_b] + s
         rule_measured = per_symbol
-        for m in rels[id_a].values():
+        for m in table[kind_a][0].values():
             ops += sum(1 + rel_b.get(q, 0).bit_count() for q in iter_bits(m))
             rule_measured += 1 + (m & middle).bit_count()
         rule_costs[ops] += n
         measured += rule_measured * n
     uses = [0] * len(table)  # kind -> axiom symbols of that kind
-    reached = 0
+    reached = 0  # fold's reached states, less the accept state
     for sym in slp.axiom:
         kind = kinds[sym]
-        rel, row, _, _, _, _ = table[kind]
-        measured += per_symbol + (reached & middle).bit_count()
+        rel, row, _, _, _ = table[kind]
         uses[kind] += 1
-        reached = union_rows(reached & middle, rel) | reached & final | row
+        reached &= middle
+        measured += reached.bit_count()
+        reached = union_rows(reached, rel) | row
+    measured += per_symbol * len(slp.axiom)
     axiom_costs: Counter = Counter()
-    for record, n in zip(table, uses):
+    for kind, n in enumerate(uses):
         if n:
-            axiom_costs[pairs[record[5]]] += n
+            axiom_costs[pairs[kind]] += n
     return SearchStats(
         s=s,
         p=len(slp.rules),

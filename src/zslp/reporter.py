@@ -5,20 +5,20 @@ kind, whose record holds the symbol's relation of state bitmasks and line
 flags, and its count of matching closed lines (lines with a newline on
 both sides). The reporter then works in two parts.
 
-The axiom pass walks the axiom only, keeping one line of state: the
-symbols of the current line so far, the mask of automaton states reachable
-from state 0 by reading some suffix of it, and whether the line already
-matched. A newline-free symbol joins the line whole, in one mask step
-through its relation. A symbol holding a newline is never descended here.
-Its first line ends the current line, which matches when the line already
-matched, the symbol's first line matches on its own, or a run from the
-line's suffix states completes a match inside it (one more mask step).
-Its last line opens the next line, with the states of its row of state 0
-and its last-line flag, and the symbol waits as that line's opener. The
+The axiom pass walks the axiom only and takes ``engine.fold``'s step on
+each symbol: the mask of states reachable from state 0 by reading some
+suffix of the text so far, and whether the current line matched so far.
+It also keeps the current line's newline-free symbols, each of which joins
+the line whole. A symbol holding a newline is never descended here. Its
+first line closes the current line, which matches as fold counts it: when
+the line already matched, the symbol's first line matches on its own, or a
+run from the line's suffix states completes a match inside it. Its last
+line opens the next line, and the symbol waits as that line's opener. The
 next symbol holding a newline decides whether the line matches; only then
-is the opener handed to line emission, told whether its first line and
-its last line are emitted. After the axiom the last opener is closed the
-same way. The pass tallies the emitted lines as it decides them.
+is the opener handed to line emission, told whether its first line and its
+last line are emitted. A newline byte after the axiom closes the last line
+the same way: its relation is empty, so it adds no match. The pass tallies
+the emitted lines as it decides them.
 
 Line emission then queues, for one symbol, its first line if that line
 matches, its matching closed lines, and its last line if that line
@@ -47,13 +47,16 @@ output is the same.
 The reporter builds no bytes: a matching line is recorded as symbols that
 ``iter_expand`` writes in batches. A pattern matching the empty string
 matches every line: the whole expansion is written, with a final newline
-if it lacks one, and nothing is saturated or walked.
+if it lacks one, and nothing is saturated or walked; the lines are counted
+in the written chunks.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .automaton import NEWLINE, Fsa, union_rows
-from .engine import count_matching_lines, line_facts, saturate
+from .engine import line_facts, saturate
 from .slp import FIRST_VARIABLE, Rules, Slp, iter_expand
 
 # Symbols of emitted lines gathered before one iter_expand pass writes them.
@@ -90,24 +93,28 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     Returns the number of emitted lines, which equals the counting result:
     the axiom pass tallies it with ``fold``'s arithmetic, per symbol holding
     a newline its first line if that matched and its count (added when it
-    is handed to line emission; one that is not has a count of 0), and after
-    the axiom the last line if it matched. The final line gains a terminating
-    newline even if the source text lacks one. No single write to the sink
-    exceeds ``iter_expand``'s chunk size. ``prune`` gates skipping parts
-    with nothing to emit and queueing a stretch of matching lines whole;
-    without it line emission descends to every newline, and the output is
-    the same. A pattern that matches the empty string matches every line,
-    so the whole expansion is written.
+    is handed to line emission; one that is not has a count of 0), the
+    newline byte after the axiom closing the last line. The final line gains
+    a terminating newline even if the source text lacks one. No single write
+    to the sink exceeds ``iter_expand``'s chunk size. ``prune`` gates
+    skipping parts with nothing to emit and queueing a stretch of matching
+    lines whole; without it line emission descends to every newline, and the
+    output is the same. A pattern that matches the empty string matches every line,
+    so the whole expansion is written and its lines are counted as written.
     """
     if fsa.matches_empty:
+        lines = 0
         chunk = b""
         for chunk in iter_expand(slp):
             sink.write(chunk)
+            lines += chunk.count(b"\n")
         if not chunk.endswith(b"\n"):
             sink.write(b"\n")
-        return count_matching_lines(slp, fsa)
+            lines += 1
+        return lines
     kinds, counts, table = saturate(slp.rules, fsa)
     final = fsa.final
+    middle = ~final
     rules = slp.rules
     firsts, seconds = rules.firsts, rules.seconds
 
@@ -116,17 +123,10 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     opener: int | None = None  # symbol whose last line opens the current one
     opened = False  # the line the opener ends matched
     parts: list[int] = []  # newline-free symbols of the current line, in order
-    reachable = 0
-    matched = False
+    reached = 0  # as in fold: the states a suffix of the text so far reaches
+    line = False  # the current line matched so far
     facts = enter = None  # built at the first line that will be emitted
     splits: tuple = ({}, {})  # at the first, at the last newline: symbol -> split
-
-    def line_tables() -> None:
-        nonlocal facts, enter
-        if facts is None:
-            facts = line_facts(rules)
-            # Unpruned, line emission enters every part holding a newline.
-            enter = counts if prune else facts
 
     def split(sym: int, last: bool) -> tuple[list, list]:
         memo = splits[last]
@@ -202,22 +202,31 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
                         break
                     sym, tail = first, seam
 
-    for sym in slp.axiom:
-        rel, row, nl, left, right, _ = table[kinds[sym]]
+    # Fold's step. The newline byte after the axiom closes the last line like
+    # any other newline: its relation is empty, its row 0 and its count 0.
+    for sym in chain(slp.axiom, (NEWLINE,)):
+        rel, row, nl, left, right = table[kinds[sym]]
+        if reached & middle:
+            through = union_rows(reached & middle, rel)
+            hit = through & final != 0
+            reached = through | reached & final | row
+        else:
+            hit = False
+            reached = reached & final | row
         if not nl:
-            # A newline-free symbol joins the line whole: one mask step.
+            # A newline-free symbol joins the current line whole.
             parts.append(sym)
-            if not matched:
-                if reachable:
-                    reachable = union_rows(reachable, rel)
-                reachable |= row
-                matched = reachable & final != 0
+            if not line:
+                line = left or hit
             continue
         # A symbol holding a newline is not descended here. Its first line
-        # ends the current one, which decides the opener's last line.
-        head = matched or left or reachable and union_rows(reachable, rel) & final
+        # closes the current one, which decides the opener's last line.
+        head = line or left or hit
         if opener is not None and (opened or head or counts[opener] or not prune):
-            line_tables()
+            if facts is None:
+                facts = line_facts(rules)
+                # Unpruned, line emission enters every part holding a newline.
+                enter = counts if prune else facts
             emitted += counts[opener]  # its matching closed lines
             # An empty last line joins its symbol's stretch as if emitted.
             queue_lines(opener, opened, head or facts[opener] & 1)
@@ -226,18 +235,8 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
             emitted += 1
         parts.clear()
         opener, opened = sym, head
-        reachable = row & ~final
-        matched = right
-
-    # The last opener is closed; the last line is emitted if it matched (a
-    # line that holds a match is not empty).
-    if opener is not None and (opened or matched or counts[opener] or not prune):
-        line_tables()
-        emitted += counts[opener]
-        queue_lines(opener, opened, matched or facts[opener] & 1)
-    if matched:
-        out.extend(parts)
+        line = right
+    if opened:  # the newline byte after the axiom ends the last line
         out.append(NEWLINE)
-        emitted += 1
     write()
     return emitted

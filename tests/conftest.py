@@ -255,10 +255,22 @@ def symbol_summaries(saturation) -> tuple[list, list]:
     kinds, counts, table = saturation
     infos, rels = [], []
     for kind, count in zip(kinds, counts):
-        rel, _, nl, left, right, _ = table[kind]
+        rel, _, nl, left, right = table[kind]
         infos.append((nl, left, right, count))
         rels.append(rel)
     return infos, rels
+
+
+def is_deterministic(fsa) -> bool:
+    """Whether every transition of the automaton has at most one target."""
+    return all(m & (m - 1) == 0 for row in fsa.rows for m in row.values())
+
+
+def op_budget(stats) -> int:
+    """The paper's operation budget of a ``SearchStats``: every rule's and
+    axiom symbol's cost, plus one per rule and per axiom symbol."""
+    costs = itertools.chain(stats.rule_costs.items(), stats.axiom_costs.items())
+    return sum(cost * n for cost, n in costs) + stats.p + stats.axiom_len
 
 
 def max_row_width(rels, fsa) -> int:

@@ -21,7 +21,9 @@ from conftest import (
     brute_anchored_pairs,
     brute_count_info,
     compiled_random_pattern,
+    is_deterministic,
     max_row_width,
+    op_budget,
     random_grammar,
     random_text,
     relation_pairs,
@@ -173,9 +175,9 @@ def test_criterion_5_complexity_instrumentation():
         bound_axiom = stats.s**2
         assert all(cost <= bound_rule for cost in stats.rule_costs), pattern
         assert all(cost <= bound_axiom for cost in stats.axiom_costs), pattern
-        assert stats.measured_ops <= 3 * stats.op_budget, pattern
+        assert stats.measured_ops <= 3 * op_budget(stats), pattern
         runs += 1
-        if fsa.is_deterministic:
+        if is_deterministic(fsa):
             _, rels = symbol_summaries(saturate(slp.rules, fsa))
             assert max_row_width(rels, fsa) <= 1, pattern
             det_runs += 1

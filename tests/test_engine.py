@@ -16,7 +16,9 @@ from conftest import (
     brute_count_info,
     compiled_random_pattern,
     fsa_from_cells,
+    is_deterministic,
     max_row_width,
+    op_budget,
     random_grammar,
     relation_pairs,
     symbol_summaries,
@@ -593,7 +595,7 @@ def test_collect_stats_bounds_and_budget():
         bound_axiom = stats.s**2
         assert all(cost <= bound_rule for cost in stats.rule_costs)
         assert all(cost <= bound_axiom for cost in stats.axiom_costs)
-        assert stats.measured_ops <= 3 * stats.op_budget
+        assert stats.measured_ops <= 3 * op_budget(stats)
 
 
 def reference_stats(slp, fsa):
@@ -690,7 +692,7 @@ def test_deterministic_rows_stay_narrow():
     # deterministic automaton: every row from a non-initial state holds at
     # most one target state
     fsa = compile_pattern("ab|ba")
-    assert fsa.is_deterministic
+    assert is_deterministic(fsa)
     rng = random.Random(4)
     for _ in range(25):
         text = bytes(rng.choice(b"ab\n") for _ in range(rng.randrange(1, 200)))

@@ -10,7 +10,7 @@ from conftest import (
 )
 from zslp.automaton import compile_line_pattern, compile_pattern
 from zslp.engine import count_matching_lines
-from zslp.oracle import oracle_lines
+from zslp.oracle import oracle_count, oracle_lines
 from zslp.repair import compress
 from zslp.reporter import report_matching_lines
 from zslp.slp import CHUNK_SIZE, Slp, _checked_slp, expand, iter_expand
@@ -406,6 +406,7 @@ def test_full_subtrees_skip_work(monkeypatch):
 
 
 def test_every_line_pattern_writes_the_text_without_saturating(monkeypatch):
+    import zslp.engine
     import zslp.reporter
 
     class RecordingSink:
@@ -422,18 +423,25 @@ def test_every_line_pattern_writes_the_text_without_saturating(monkeypatch):
         calls.append(1)
         return real(rule_pairs, fsa)
 
+    def refused(rule_pairs):
+        raise AssertionError("line facts built for a pattern matching every line")
+
     monkeypatch.setattr(zslp.reporter, "saturate", counted)
+    # The written chunks give the line count; no pass over the rules does.
+    monkeypatch.setattr(zslp.reporter, "line_facts", refused)
+    monkeypatch.setattr(zslp.engine, "line_facts", refused)
     fsas = (compile_pattern("x*"), compile_pattern("(a|)"), compile_line_pattern(""))
     # DOUBLING_TOP derives 98,304 bytes ending with a newline; a final "a"
     # leaves the text without one.
     for axiom, added in (([DOUBLING_TOP], b""), ([DOUBLING_TOP, 97], b"\n")):
         slp = Slp(DOUBLING_PAIRS, axiom)
+        text = expand(slp) + added
         for fsa in fsas:
             for prune in (True, False):
                 sink = RecordingSink()
                 emitted = report_matching_lines(slp, fsa, sink, prune=prune)
-                assert emitted == count_matching_lines(slp, fsa)
-                assert b"".join(sink.writes) == expand(slp) + added
+                assert emitted == text.count(b"\n") == oracle_count(text, "x*")
+                assert b"".join(sink.writes) == text
                 assert max(len(data) for data in sink.writes) <= CHUNK_SIZE
     assert calls == []
 
