@@ -161,13 +161,17 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
         )
         return kind_of(rel, nl, left, right), seam, size
 
-    # The compiler shares one row map per byte class; intern each map once.
-    maps = {id(rel): rel for rel in fsa.rows}
-    interned = {key: intern(rel) for key, rel in maps.items()}
+    # The compiler shares one row map per byte class: each map, and the
+    # newline byte's, is interned and given a kind once.
+    terminal_kinds: dict = {}  # (id of the row map, is newline) -> kind
     kinds: list[int] = []
     for byte, rel in enumerate(fsa.rows):
-        hit = rel.get(0, 0) & final != 0
-        kinds.append(kind_of(interned[id(rel)], byte == NEWLINE, hit, hit))
+        key = (id(rel), byte == NEWLINE)
+        kind = terminal_kinds.get(key)
+        if kind is None:
+            hit = rel.get(0, 0) & final != 0
+            kind = terminal_kinds[key] = kind_of(intern(rel), key[1], hit, hit)
+        kinds.append(kind)
     counts: list[int] = [0] * len(kinds)
 
     # (kind of A, kind of B) -> (kind of X, seam increment, rows)
