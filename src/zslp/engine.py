@@ -19,18 +19,15 @@ across the seam of A and B. This is bit-parallel NFA simulation
 (Baeza-Yates & Gonnet's Shift-Or; Navarro & Raffinot, *Flexible Pattern
 Matching in Strings*) lifted from bytes to grammar symbols.
 
-A grammar's rules carry few distinct relations, and fewer distinct
-summaries still, so both are hash-consed (Filliatre & Conchon, *Type-Safe
-Modular Hash-Consing*). Equal relations are one shared, read-only dict,
-interned for the run, so the dict itself names its relation. A symbol's
-summary minus its count, its relation and ``(nl, left, right)``, is its
-*kind*, a small id; the count, which is unbounded, is kept per symbol.
-``X``'s kind and the seam's addition to its count depend only on the kinds
-of A and B, so they are derived once per distinct pair of kinds; deriving
-composes the pair of relations only if no earlier pair had it. This is how
-per-nonterminal transition functions of an automaton over an SLP are
-usually computed (Lohrey, *Algorithmics on SLP-compressed strings: a
-survey*).
+A grammar's rules carry few distinct summaries, so they are hash-consed
+(Filliatre & Conchon, *Type-Safe Modular Hash-Consing*). A symbol's
+summary minus its count, its relation's contents and ``(nl, left, right)``,
+is its *kind*, a small id; the count, which is unbounded, is kept per
+symbol. ``X``'s kind and the seam's addition to its count depend only on
+the kinds of A and B, so they are derived once per distinct pair of kinds,
+by composing the pair's relations. This is how per-nonterminal transition
+functions of an automaton over an SLP are usually computed (Lohrey,
+*Algorithmics on SLP-compressed strings: a survey*).
 
 Each kind has one record, ``(relation, row of state 0, nl, left, right)``;
 a ``Saturation`` holds every symbol's kind and count and the records,
@@ -63,7 +60,7 @@ from .slp import InvalidGrammarError, Slp
 PERCENTILE_POINTS = (50, 75, 95, 98, 100)
 # Guard rail on the saturated relations: rows summed over all rules, times
 # the automaton's width in 64-bit words (state_count // 64 + 1). Every rule's
-# rows count, also when its relation is shared with an earlier rule's.
+# rows count, also when its kind is shared with an earlier rule's.
 MAX_RELATION_WORDS = 50_000_000
 
 # Per symbol its kind and closed-line count; per kind its record.
@@ -102,67 +99,51 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
     order (an ``Slp``'s rules or ``ZslpReader.iter_rules``, checked when
     the ``Slp`` or the reader was built) and is consumed once.
 
-    Relations are hash-consed: symbols whose relations have equal contents
-    share one dict, so callers must treat the records' relations as
-    read-only. A relation is named by its interned dict: the memos key it
-    by ``id``, which stays valid because the interning table keeps every
-    interned dict alive for the run. Kinds are hash-consed too: symbols
-    with the same relation and line flags share one kind and its record. A
-    rule whose pair of kinds was seen before takes the kind and seam
-    increment found then. Otherwise the pair of relations is looked up, and
-    composed only if no earlier rule had it; ``combine`` then runs once for
-    the pair of kinds. The row budget still counts every rule's rows, shared
-    or not: the compiler's "pattern too large" PatternSyntaxError is raised
-    once they outgrow MAX_RELATION_WORDS.
+    Kinds are hash-consed: symbols whose relations have equal contents and
+    whose line flags are equal share one kind and its record, so callers
+    must treat the records' relations as read-only. A rule whose pair of
+    kinds was seen before takes the kind and seam increment found then;
+    otherwise the pair's relations are composed, ``combine`` runs, and the
+    result is looked up as a kind by its sorted rows and flags. The row
+    budget still counts every rule's rows, shared or not: the compiler's
+    "pattern too large" PatternSyntaxError is raised once they outgrow
+    MAX_RELATION_WORDS.
     """
     final = fsa.final
     row_budget = MAX_RELATION_WORDS // (fsa.state_count // 64 + 1)
     rows = 0
 
-    canonical: dict = {}  # sorted rows -> the one dict with those rows
-
-    def intern(rel: dict) -> dict:
-        return canonical.setdefault(tuple(sorted(rel.items())), rel)
-
-    kind_ids: dict = {}  # (id of the relation, nl, left, right) -> kind
+    kind_ids: dict = {}  # (sorted rows, nl, left, right) -> kind
     table: list[tuple] = []  # kind -> record
 
     def kind_of(rel: dict, nl: bool, left: bool, right: bool) -> int:
-        kind = kind_ids.setdefault((id(rel), nl, left, right), len(table))
+        kind = kind_ids.setdefault((tuple(sorted(rel.items())), nl, left, right), len(table))
         if kind == len(table):
             table.append((rel, rel.get(0, 0), nl, left, right))
         return kind
-
-    # (id of A's relation, id of B's relation) -> (relation, new_match, rows)
-    composed: dict = {}
 
     def derive(kind_a: int, kind_b: int) -> tuple:
         """(kind, seam increment, rows) of a rule whose parts have these kinds."""
         rel_a, _, nl_a, left_a, right_a = table[kind_a]
         rel_b, row_b, nl_b, left_b, right_b = table[kind_b]
-        key = (id(rel_a), id(rel_b))
-        known = composed.get(key)
-        if known is None:
-            rel = {}
-            new_match = False
-            for q1, m in rel_a.items():
-                through = union_rows(m & ~final, rel_b)
-                out = through | m & final
-                if out:
-                    rel[q1] = out
-                    if through & final and q1 == 0:
-                        new_match = True
-            if row_b:
-                rel[0] = rel.get(0, 0) | row_b
-            known = composed[key] = (intern(rel), new_match, len(rel))
-        rel, new_match, size = known
+        rel = {}
+        new_match = False
+        for q1, m in rel_a.items():
+            through = union_rows(m & ~final, rel_b)
+            out = through | m & final
+            if out:
+                rel[q1] = out
+                if through & final and q1 == 0:
+                    new_match = True
+        if row_b:
+            rel[0] = rel.get(0, 0) | row_b
         nl, left, right, seam = combine(
             (nl_a, left_a, right_a, 0), (nl_b, left_b, right_b, 0), new_match
         )
-        return kind_of(rel, nl, left, right), seam, size
+        return kind_of(rel, nl, left, right), seam, len(rel)
 
     # The compiler shares one row map per byte class: each map, and the
-    # newline byte's, is interned and given a kind once.
+    # newline byte's, is given a kind once.
     terminal_kinds: dict = {}  # (id of the row map, is newline) -> kind
     kinds: list[int] = []
     for byte, rel in enumerate(fsa.rows):
@@ -170,7 +151,7 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
         kind = terminal_kinds.get(key)
         if kind is None:
             hit = rel.get(0, 0) & final != 0
-            kind = terminal_kinds[key] = kind_of(intern(rel), key[1], hit, hit)
+            kind = terminal_kinds[key] = kind_of(rel, key[1], hit, hit)
         kinds.append(kind)
     counts: list[int] = [0] * len(kinds)
 
@@ -311,11 +292,10 @@ class SearchStats(
     per row of A and per middle bit of it for a rule, and one per middle
     state reached before an axiom symbol.
     Those are the operations of a pass that composes and combines every
-    rule on its own. ``saturate`` composes each distinct pair of relations
-    once and combines line flags once per distinct pair of kinds; any other
-    rule costs it one lookup and one count addition. So ``measured_ops`` is
-    an upper bound on the operations it performs, and a loose one on
-    grammars with few kinds.
+    rule on its own. ``saturate`` composes relations and combines line
+    flags once per distinct pair of kinds; any other rule costs it one
+    lookup and one count addition. So ``measured_ops`` is an upper bound on
+    the operations it performs, and a loose one on grammars with few kinds.
     """
 
     __slots__ = ()

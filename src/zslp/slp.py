@@ -45,8 +45,9 @@ first expansion that is not empty, an ``Slp`` builds a table of them in one
 bottom-up pass over its rules: every terminal's byte, and the bytes of every
 rule whose expansion is at most SHORT_LIMIT (1,024) bytes, made as the
 concatenation of its two parts' stored bytes. At most SHORT_BUDGET (4 MiB)
-bytes are stored per grammar; rules after the one that would pass it are
-not stored. The walk takes its symbols a block of CHUNK_SIZE // SHORT_LIMIT
+is stored per grammar, each piece charged its bytes plus a bytes object's
+header (33 bytes on 64-bit CPython); rules after the one that would pass it
+are not stored. The walk takes its symbols a block of CHUNK_SIZE // SHORT_LIMIT
 (64) at a time: a block whose every symbol is stored is one join of at most
 CHUNK_SIZE bytes, and any other block is walked symbol by symbol, copying a
 stored symbol's bytes in one step and pushing only the symbols above them
@@ -73,9 +74,11 @@ _ID_TYPECODES = {array(code).itemsize: code for code in "LIH"}
 _BIG_ENDIAN = sys.byteorder == "big"
 # Bytes per chunk that ``iter_expand`` yields (all chunks but the last).
 CHUNK_SIZE = 65536
-# Longest expansion stored per symbol, and the most bytes stored per grammar.
+# Longest expansion stored per symbol, and the most bytes stored per grammar,
+# each piece's bytes object header included.
 SHORT_LIMIT = 1024
 SHORT_BUDGET = 4 << 20
+_BYTES_HEADER = sys.getsizeof(b"")
 # Symbols ``iter_expand`` takes at a time: their stored pieces fill at most a chunk.
 _BLOCK = CHUNK_SIZE // SHORT_LIMIT
 # Violations named in a grammar fault message before "and N more".
@@ -212,14 +215,14 @@ class Slp(namedtuple("Slp", "rules axiom")):
             b = short[second]
             if a and b:
                 piece = a + b
-                if len(piece) <= SHORT_LIMIT:
-                    room -= len(piece)
+                if (size := len(piece)) <= SHORT_LIMIT:
+                    room -= size + _BYTES_HEADER
                     if room < 0:
                         break
                     append(piece)
                     continue
             append(None)
-        short += [None] * (FIRST_VARIABLE + len(self.rules) - len(short))
+        short.extend(repeat(None, FIRST_VARIABLE + len(self.rules) - len(short)))
         return short
 
 

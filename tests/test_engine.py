@@ -401,7 +401,7 @@ def test_saturation_matches_brute_force_bulk():
 
 
 # ---------------------------------------------------------------------------
-# shared relations
+# shared kinds
 
 
 def reference_saturate(rule_pairs, fsa):
@@ -442,17 +442,20 @@ SHARING_PATTERNS = ("ab|ba", "a.*b", "b(a|b)a", "a[^b]*\n?b", "a.{0,6}b", "(ab){
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9), st.sampled_from(SHARING_PATTERNS))
 def test_saturate_shares_equal_relations(seed, pattern):
-    # One composition per distinct pair of relations gives what one per
-    # rule gives, and relations with equal contents are one object.
+    # One composition per distinct pair of kinds gives what one per rule
+    # gives, and symbols share a kind exactly when their relations have
+    # equal contents and their line flags are equal.
     fsa = compile_pattern(pattern)
     slp = random_grammar(random.Random(seed), max_rules=40)
-    infos, rels = symbol_summaries(saturate(slp.rules, fsa))
+    saturation = saturate(slp.rules, fsa)
+    infos, rels = symbol_summaries(saturation)
     ref_infos, ref_rels, _ = reference_saturate(slp.rules, fsa)
     assert infos == ref_infos
     assert rels == ref_rels
-    by_contents = {}
-    for rel in rels:
-        assert by_contents.setdefault(tuple(sorted(rel.items())), rel) is rel
+    by_summary = {}
+    for kind, rel, info in zip(saturation.kinds, rels, infos):
+        assert by_summary.setdefault((tuple(sorted(rel.items())), *info[:3]), kind) == kind
+    assert len(by_summary) == len(saturation.table)
 
 
 # The benchmark's seven regex-heavy patterns at seed 1 (21-43 states; 26-86
@@ -469,17 +472,15 @@ REGEX_HEAVY_SHAPES = (
 
 
 def memo_work(rule_pairs, fsa):
-    """(distinct kind pairs, rows of A summed over distinct relation pairs).
+    """(distinct kind pairs, rows of A summed over distinct kind pairs).
 
     A symbol's kind is its relation's contents and its line flags, taken
     from the reference saturation.
     """
     infos, rels, _ = reference_saturate(rule_pairs, fsa)
-    contents = [tuple(sorted(rel.items())) for rel in rels]
-    kinds = [(key, *info[:3]) for key, info in zip(contents, infos)]
-    kind_pairs = {(kinds[a], kinds[b]) for a, b in rule_pairs}
-    rel_pairs = {(contents[a], contents[b]): len(rels[a]) for a, b in rule_pairs}
-    return len(kind_pairs), sum(rel_pairs.values())
+    kinds = [(tuple(sorted(rel.items())), *info[:3]) for rel, info in zip(rels, infos)]
+    kind_pairs = {(kinds[a], kinds[b]): len(rels[a]) for a, b in rule_pairs}
+    return len(kind_pairs), sum(kind_pairs.values())
 
 
 def memo_cases():
@@ -514,8 +515,7 @@ def count_saturate_calls(monkeypatch) -> collections.Counter:
 
 def test_saturate_memo_levels_match_reference(monkeypatch):
     # Per-symbol values equal one composition and one combine per rule,
-    # while saturate combines once per distinct pair of kinds and composes
-    # once per distinct pair of relations.
+    # while saturate composes and combines once per distinct pair of kinds.
     calls = count_saturate_calls(monkeypatch)
     for fsa, rules in memo_cases():
         calls.clear()
@@ -526,10 +526,10 @@ def test_saturate_memo_levels_match_reference(monkeypatch):
         assert work == memo_work(rules, fsa)
 
 
-def test_saturate_kind_miss_relation_hit(monkeypatch):
-    # "b" and "b\n" share one relation but not the newline flag, so the
+def test_saturate_kind_miss_composes_again(monkeypatch):
+    # "b" and "b\n" share a relation but not the newline flag, so the
     # rules "b\n"+"a" and "b"+"a" share a pair of relations, not of kinds:
-    # the second misses the kind memo and hits the relation memo.
+    # the second misses the kind memo and composes the relations again.
     fsa = compile_pattern("ab")
     rules = [(98, 10), (256, 97), (98, 97), (98, 97)]
     infos, rels, _ = reference_saturate(rules, fsa)
@@ -537,8 +537,8 @@ def test_saturate_kind_miss_relation_hit(monkeypatch):
     calls = count_saturate_calls(monkeypatch)
     saturation = saturate(rules, fsa)
     assert symbol_summaries(saturation) == (infos, rels)
-    # Three pairs of kinds; two pairs of relations, each A with one row.
-    assert (calls["combine"], calls["union_rows"]) == (3, 2)
+    # Three pairs of kinds, each A with one row.
+    assert (calls["combine"], calls["union_rows"]) == (3, 3)
     assert saturation.kinds[257] != saturation.kinds[258] == saturation.kinds[259]
 
 
@@ -642,8 +642,8 @@ def sorted_percentiles(values):
 
 
 def test_collect_stats_costs_each_relation_pair_once():
-    # Costing each distinct pair of shared relations once gives the same
-    # stats as costing every rule, also for automata with inner repeats.
+    # Costing each distinct pair of kinds once gives the same stats as
+    # costing every rule, also for automata with inner repeats.
     rng = random.Random(1414)
     for _ in range(40):
         fsa = compile_pattern(rng.choice(SHARING_PATTERNS + ("b(a|b){2,5}a",)))

@@ -355,8 +355,16 @@ def test_decode_bad_magic():
 
 
 def test_decode_truncated():
-    for cut in (0, 3, 5, 7, len(GOLDEN) - 1):
-        with pytest.raises(TruncatedStreamError):
+    cuts = {
+        0: "inside the magic",
+        3: "inside the magic",
+        4: "before the version byte",
+        5: "inside a varint",
+        7: "before the id width byte",
+        len(GOLDEN) - 1: "inside the symbol ids",
+    }
+    for cut, where in cuts.items():
+        with pytest.raises(TruncatedStreamError, match=f"^stream ended {where}$"):
             decode_slp(GOLDEN[:cut])
 
 
@@ -620,6 +628,20 @@ def test_stored_bytes_stay_within_budget():
     assert max(map(len, stored)) == SHORT_LIMIT
     assert len(stored) < len(pairs)
     check_expansion(slp, slp.axiom)
+
+
+def test_stored_budget_counts_each_piece_object():
+    # Each stored piece is a bytes object: its header counts against the
+    # budget as well as its bytes, so many two-byte pieces stop well before
+    # SHORT_BUDGET // 2 of them.
+    n = 200_000
+    slp = Slp([(97, 10)] * n, [256, 255 + n])
+    stored = [piece for piece in slp.short_expansions[256:] if piece]
+    assert n * sys.getsizeof(b"a\n") > SHORT_BUDGET
+    assert sum(map(sys.getsizeof, stored)) <= SHORT_BUDGET
+    assert 0 < len(stored) < n
+    assert len(slp.short_expansions) == 256 + n
+    check_expansion(slp, [256, 255 + n, 256 + len(stored) - 1, 256 + len(stored)])
 
 
 def test_counting_and_silent_search_build_no_table():
