@@ -18,10 +18,12 @@ built, and converts its input to arrays once; ``ZslpReader`` checks them
 once, when it decodes a stream, and its ``read_slp`` wraps the arrays it
 read. Both name a fault with the same text, at most FAULTS_SHOWN (3)
 violations and then how many more. The reader checks the axiom's ids on
-the stream's bytes, so a valid axiom costs no int object per id. ``Slp``
-first refuses a rule that is not a pair of int ids and an axiom entry that
-is not an int id, naming the first. ``_checked_slp``, which wraps checked
-parts, is the only way to build an Slp without the check.
+the stream's bytes, and both check the rules' ids in big-int lanes,
+_RULE_BLOCK (1,024) rules at a time (``_any_forward_reference``), so a
+valid stream costs no int object per id. ``Slp`` first refuses a rule that
+is not a pair of int ids and an axiom entry that is not an int id, naming
+the first, and then an id its arrays cannot hold. ``_checked_slp``, which
+wraps checked parts, is the only way to build an Slp without the check.
 
 The "ZSLP" binary format (version 2):
 
@@ -62,7 +64,7 @@ import sys
 from array import array
 from collections import namedtuple
 from collections.abc import Iterator
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, islice, repeat
 from operator import ge, index, lt
 
@@ -91,6 +93,8 @@ _HEADER_LIMIT = len(MAGIC) + 1 + 10 + 10 + 1
 _TERMINAL_BYTES = [bytes((byte,)) for byte in range(FIRST_VARIABLE)]
 # Ids the reader's axiom check takes at a time.
 _CHECK_BLOCK = 1 << 16
+# Rules the rule check takes at a time, two ids each.
+_RULE_BLOCK = 1024
 
 
 class SlpFormatError(ValueError):
@@ -172,16 +176,20 @@ class Slp(namedtuple("Slp", "rules axiom")):
                 raise TypeError
         except (TypeError, ValueError):  # not all pairs, or not all ints
             raise InvalidGrammarError(_shape_fault(rules, axiom)) from None
-        negative = min(chain(firsts, seconds, axiom), default=0) < 0
+        code = _ID_TYPECODES[_id_width(len(rules))]
+        try:
+            rule_ids = array(code, chain.from_iterable(zip(firsts, seconds)))
+            axiom_ids = array(code, axiom)
+        except OverflowError:  # a negative id, or one too wide for any valid id
+            rule_ids = None
         if (
-            negative
+            rule_ids is None
             or not axiom
             or max(axiom) >= FIRST_VARIABLE + len(rules)
-            or _bad_rules(firsts, seconds)
+            or _any_forward_reference(rule_ids, sys.byteorder)
         ):
             raise InvalidGrammarError(_fault_message(firsts, seconds, axiom))
-        code = _ID_TYPECODES[_id_width(len(rules))]
-        firsts, seconds, axiom = (_read_only(array(code, ids)) for ids in (firsts, seconds, axiom))
+        firsts, seconds, axiom = map(_read_only, (rule_ids[0::2], rule_ids[1::2], axiom_ids))
         return super().__new__(cls, Rules(firsts, seconds), axiom)
 
     @classmethod
@@ -251,11 +259,57 @@ def _shape_fault(rules, axiom) -> str:
     return f"axiom position {pos} is not an integer symbol id"
 
 
-def _bad_rules(firsts, seconds) -> bool:
-    """Whether some rule i names symbol 256 + i or a later one. Ids are
-    taken to be >= 0."""
-    lefts = range(FIRST_VARIABLE, FIRST_VARIABLE + len(firsts))
-    return any(map(ge, firsts, lefts)) or any(map(ge, seconds, lefts))
+def _any_forward_reference(rule_ids: array, byteorder: str) -> bool:
+    """Whether some rule i names symbol 256 + i or a later one.
+
+    ``rule_ids`` holds each rule's first and second id in turn, stored in
+    ``byteorder``. The check compares ids many at a time in lanes of big
+    ints, as in Lamport's "Multiple byte processing with full-word
+    instructions" (CACM 1975), with no int object per id. It reads
+    _RULE_BLOCK rules at a time as one int, in which a rule's two w-byte
+    ids are one 2w-byte lane; a mask and a shift split it into the lanes'
+    low and high ids, each then alone in its lane. A lane of ``bounds``
+    holds 255 + i for the rule i it lines up with, plus the lane's top bit
+    as a guard. Subtracting an id up to the bound leaves the guard set; a
+    larger id clears it without borrowing from the next lane, since it is
+    below 2 ** 8w. So the test is exact. Only the block's bytes are copied.
+    """
+    width = rule_ids.itemsize
+    bounds, step, low, guards = _rule_lanes(width, _RULE_BLOCK, byteorder)
+    size = 2 * width * _RULE_BLOCK
+    with memoryview(rule_ids) as view, view.cast("B") as raw:
+        for start in range(0, len(raw), size):
+            block = raw[start : start + size]
+            ids = int.from_bytes(block, byteorder)
+            if byteorder == "big":  # a short last block's rules sit in the low lanes
+                ids <<= 8 * (size - len(block))
+            lows = bounds - (ids & low)
+            highs = bounds - (ids >> 8 * width & low)
+            if lows & highs & guards != guards:
+                return True
+            bounds += step
+    return False
+
+
+@cache
+def _rule_lanes(width: int, count: int, byteorder: str) -> tuple[int, int, int, int]:
+    """The rule check's ints for ``count`` rules of ``width``-byte ids.
+
+    Each has ``count`` lanes of 2 * width bytes, laid out in ``byteorder``
+    as the rules' ids are: the first block's bounds (rule j's lane holds
+    the guard plus 255 + j), the step from one block's bounds to the
+    next's, the mask of each lane's low half, and the guards, each lane's
+    top bit. Built once per width, on first use: 16 KiB at width 2.
+    """
+    size = 2 * width
+    top = 1 << 8 * size - 1
+    lanes = b"".join((top + FIRST_VARIABLE - 1 + j).to_bytes(size, byteorder) for j in range(count))
+
+    def every_lane(value: int) -> int:
+        return int.from_bytes(value.to_bytes(size, "little") * count, "little")
+
+    bounds = int.from_bytes(lanes, byteorder)
+    return bounds, every_lane(count), every_lane((1 << 8 * width) - 1), every_lane(top)
 
 
 def _any_at_least(ids: array, stop: int) -> bool:
@@ -445,8 +499,8 @@ class ZslpReader:
     the module docstring) into an array of rule ids and an array of axiom
     ids, splits the rule ids into an array of firsts and one of seconds,
     and checks the grammar's invariants, raising SlpFormatError with the
-    text ``Slp`` would give. The axiom's ids are checked on their bytes
-    before they are put in host order.
+    text ``Slp`` would give. All ids are checked on the stream's
+    little-endian bytes, before they are put in host order.
     ``iter_rules``, ``read_axiom`` and ``read_slp`` are views of the checked
     arrays, in any order and without a second check, so the consumers of
     the rules (``saturate``, the engine's line count) take valid pairs.
@@ -484,14 +538,17 @@ class ZslpReader:
         self._axiom, head = _read_ids(stream, head, width, axiom_len)
         if head or stream.read(1):
             raise SlpFormatError("trailing data after axiom")
-        stop = FIRST_VARIABLE + self.rule_count
-        bad_axiom = not axiom_len or _any_at_least(self._axiom, stop)
+        bad = (
+            not axiom_len
+            or _any_at_least(self._axiom, FIRST_VARIABLE + self.rule_count)
+            or _any_forward_reference(rule_ids, "little")
+        )
         if _BIG_ENDIAN:
             rule_ids.byteswap()
             self._axiom.byteswap()
         self._firsts = rule_ids[0::2]
         self._seconds = rule_ids[1::2]
-        if bad_axiom or _bad_rules(self._firsts, self._seconds):
+        if bad:
             raise SlpFormatError(_fault_message(self._firsts, self._seconds, self._axiom))
 
     def iter_rules(self) -> Iterator[tuple[int, int]]:

@@ -241,6 +241,93 @@ def test_reader_bound_check_is_exact(width, rule_count, monkeypatch):
             assert_reader_agrees(pairs, [bound - 1, 97, sym], width)
 
 
+def _lane_edges(rule_count, block):
+    """The first and the last rule of the last full block and of the
+    partial block after it."""
+    full = rule_count // block * block
+    return sorted({full - block, full - 1, full, rule_count - 1})
+
+
+# Rule counts that leave a partial last block of 1 or 2 rules, the 65,281
+# rules whose ids are 4 bytes wide in every stream, and the real block.
+@pytest.mark.parametrize(
+    "width, rule_count, block",
+    [(width, p, block) for width in (2, 4) for p, block in ((5, 2), (8, 3), (2_500, 1_024))]
+    + [(4, 65_281, 2)],
+)
+def test_rule_check_block_edges(width, rule_count, block, monkeypatch):
+    # The rule check compares ids in big-int lanes, a block of rules at a
+    # time. At each lane on a block's edge, in firsts and in seconds, rule
+    # i's id 255 + i passes; 256 + i, ids past it in a higher byte only,
+    # and the width's largest id fail, with the message naming that id.
+    # An Slp's ids are 2 bytes wide below 65,281 rules; there the wider ids
+    # do not fit its arrays, which is the same fault.
+    monkeypatch.setattr(zslp.slp, "_RULE_BLOCK", block)
+    largest = (1 << 8 * width) - 1
+    valid = raw_zslp([(97, 98)] * rule_count, [97], width)
+    first_id = len(valid) - width * (2 * rule_count + 1)
+    for i in _lane_edges(rule_count, block):
+        bound = FIRST_VARIABLE + i
+        refused = [bound, bound + 255, bound - 1 + (1 << 16), bound - 1 + (1 << 24), largest]
+        for side in (0, 1):
+            for sym in [bound - 1] + sorted({s for s in refused if s <= largest}):
+                pair = [97, 98]
+                pair[side] = sym
+                pairs = [(97, 98)] * rule_count
+                pairs[i] = tuple(pair)
+                data = bytearray(valid)
+                at = first_id + width * (2 * i + side)
+                data[at : at + width] = sym.to_bytes(width, "little")
+                data = bytes(data)
+                if sym < bound:
+                    assert decode_slp(data) == Slp(pairs, [97])
+                    continue
+                message = f"rule {i + 1} references undefined/later symbol {sym}"
+                with pytest.raises(SlpFormatError) as info:
+                    decode_slp(data)
+                assert str(info.value) == message
+                with pytest.raises(InvalidGrammarError) as info:
+                    Slp(pairs, [97])
+                assert str(info.value) == message
+
+
+# Offsets of a rule id from its rule's bound, 256 + i: below it, which
+# passes, and at or past it, which fails.
+BELOW_BOUND = st.sampled_from([-1, -2, -256])
+PAST_BOUND = st.sampled_from([0, 1, 255, 1 << 16, 1 << 24])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 9), st.sampled_from([2, 4]), st.sampled_from([1, 2, 3]))
+def test_rule_check_matches_a_per_id_loop(data, rule_count, width, block):
+    # Rule ids near their bounds, at most two of them past, against a plain
+    # loop over the ids, with blocks of 1-3 rules so that a grammar spans
+    # several. The reader and Slp share the lane check, so this test, not
+    # their agreement, is what checks it; the check itself is also run in
+    # both byte orders.
+    ids = [max(0, FIRST_VARIABLE + k // 2 + data.draw(BELOW_BOUND)) for k in range(2 * rule_count)]
+    if ids:
+        for k in data.draw(st.lists(st.integers(0, len(ids) - 1), max_size=2)):
+            ids[k] = min(FIRST_VARIABLE + k // 2 + data.draw(PAST_BOUND), (1 << 8 * width) - 1)
+    forward = any(sym >= FIRST_VARIABLE + k // 2 for k, sym in enumerate(ids))
+    pairs = list(zip(ids[0::2], ids[1::2]))
+    stream = raw_zslp(pairs, [97], width)
+    rule_ids = array(zslp.slp._ID_TYPECODES[width], ids)
+    other_order = "big" if sys.byteorder == "little" else "little"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zslp.slp, "_RULE_BLOCK", block)
+        assert zslp.slp._any_forward_reference(rule_ids, sys.byteorder) == forward
+        rule_ids.byteswap()
+        assert zslp.slp._any_forward_reference(rule_ids, other_order) == forward
+        if forward:
+            with pytest.raises(SlpFormatError):
+                decode_slp(stream)
+            with pytest.raises(InvalidGrammarError):
+                Slp(pairs, [97])
+        else:
+            assert decode_slp(stream) == Slp(pairs, [97])
+
+
 def test_expand_terminal(example_slp):
     assert expand(example_slp, (97,)) == b"a"
 
