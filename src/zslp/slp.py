@@ -17,13 +17,14 @@ read-only memoryview. ``Slp`` checks the invariants once, when it is
 built, and converts its input to arrays once; ``ZslpReader`` checks them
 once, when it decodes a stream, and its ``read_slp`` wraps the arrays it
 read. Both name a fault with the same text, at most FAULTS_SHOWN (3)
-violations and then how many more. The reader checks the axiom's ids on
-the stream's bytes, and both check the rules' ids in big-int lanes,
-_RULE_BLOCK (1,024) rules at a time (``_any_forward_reference``), so a
-valid stream costs no int object per id. ``Slp`` first refuses a rule that
-is not a pair of int ids and an axiom entry that is not an int id, naming
-the first, and then an id its arrays cannot hold. ``_checked_slp``, which
-wraps checked parts, is the only way to build an Slp without the check.
+violations and then how many more. Both compare ids with their bounds in
+big-int lanes, _LANE_BLOCK (1,024) pairs of ids at a time (``_any_above``):
+the reader every id, on the stream's bytes, and ``Slp`` the rules' ids, so
+a valid stream costs no int object per id. ``Slp`` first refuses a rule
+that is not a pair of int ids and an axiom entry that is not an int id,
+naming the first, and then an id its arrays cannot hold. ``_checked_slp``,
+which wraps checked parts, is the only way to build an Slp without the
+check.
 
 The "ZSLP" binary format (version 2):
 
@@ -91,10 +92,8 @@ MAX_INPUT_BYTES = 16 << 20
 # Longest header: magic, version byte, two 10-byte varints, id width byte.
 _HEADER_LIMIT = len(MAGIC) + 1 + 10 + 10 + 1
 _TERMINAL_BYTES = [bytes((byte,)) for byte in range(FIRST_VARIABLE)]
-# Ids the reader's axiom check takes at a time.
-_CHECK_BLOCK = 1 << 16
-# Rules the rule check takes at a time, two ids each.
-_RULE_BLOCK = 1024
+# Lanes the id check takes at a time, two ids each: 1,024 rules, or 2,048 axiom ids.
+_LANE_BLOCK = 1024
 
 
 class SlpFormatError(ValueError):
@@ -186,7 +185,7 @@ class Slp(namedtuple("Slp", "rules axiom")):
             rule_ids is None
             or not axiom
             or max(axiom) >= FIRST_VARIABLE + len(rules)
-            or _any_forward_reference(rule_ids, sys.byteorder)
+            or _any_above(rule_ids, sys.byteorder, FIRST_VARIABLE - 1, 1)
         ):
             raise InvalidGrammarError(_fault_message(firsts, seconds, axiom))
         firsts, seconds, axiom = map(_read_only, (rule_ids[0::2], rule_ids[1::2], axiom_ids))
@@ -259,32 +258,35 @@ def _shape_fault(rules, axiom) -> str:
     return f"axiom position {pos} is not an integer symbol id"
 
 
-def _any_forward_reference(rule_ids: array, byteorder: str) -> bool:
-    """Whether some rule i names symbol 256 + i or a later one.
+def _any_above(ids: array, byteorder: str, bound: int, rise: int) -> bool:
+    """Whether some ``ids[k]``, stored in ``byteorder``, is above
+    ``bound + rise * (k // 2)``: with bound 255 and rise 1, whether some
+    rule of interleaved (first, second) ids names its own or a later symbol.
 
-    ``rule_ids`` holds each rule's first and second id in turn, stored in
-    ``byteorder``. The check compares ids many at a time in lanes of big
-    ints, as in Lamport's "Multiple byte processing with full-word
-    instructions" (CACM 1975), with no int object per id. It reads
-    _RULE_BLOCK rules at a time as one int, in which a rule's two w-byte
-    ids are one 2w-byte lane; a mask and a shift split it into the lanes'
-    low and high ids, each then alone in its lane. A lane of ``bounds``
-    holds 255 + i for the rule i it lines up with, plus the lane's top bit
-    as a guard. Subtracting an id up to the bound leaves the guard set; a
-    larger id clears it without borrowing from the next lane, since it is
-    below 2 ** 8w. So the test is exact. Only the block's bytes are copied.
+    The check compares ids many at a time in lanes of big ints, as in
+    Lamport's "Multiple byte processing with full-word instructions" (CACM
+    1975), with no int object per id. It reads _LANE_BLOCK pairs of w-byte
+    ids at a time as one int, in which each pair is one 2w-byte lane; a
+    mask and a shift split it into the lanes' low and high ids, each then
+    alone in its lane. Pair j's lane of ``bounds`` holds its bound plus the
+    lane's top bit as a guard. Subtracting an id up to the bound leaves the
+    guard set; a larger id clears it without borrowing from the next lane,
+    since it is below 2 ** 8w. So the test is exact. Only a block's bytes
+    are copied.
     """
-    width = rule_ids.itemsize
-    bounds, step, low, guards = _rule_lanes(width, _RULE_BLOCK, byteorder)
-    size = 2 * width * _RULE_BLOCK
-    with memoryview(rule_ids) as view, view.cast("B") as raw:
+    width = ids.itemsize
+    unit, ramp, low, guards = _lanes(width, _LANE_BLOCK, byteorder)
+    bounds = guards + bound * unit + rise * ramp
+    step = rise * _LANE_BLOCK * unit
+    size = 2 * width * _LANE_BLOCK
+    with memoryview(ids) as view, view.cast("B") as raw:
         for start in range(0, len(raw), size):
             block = raw[start : start + size]
-            ids = int.from_bytes(block, byteorder)
-            if byteorder == "big":  # a short last block's rules sit in the low lanes
-                ids <<= 8 * (size - len(block))
-            lows = bounds - (ids & low)
-            highs = bounds - (ids >> 8 * width & low)
+            pairs = int.from_bytes(block, byteorder)
+            if byteorder == "big":  # a short last block's ids sit in the low lanes
+                pairs <<= 8 * (size - len(block))
+            lows = bounds - (pairs & low)
+            highs = bounds - (pairs >> 8 * width & low)
             if lows & highs & guards != guards:
                 return True
             bounds += step
@@ -292,55 +294,20 @@ def _any_forward_reference(rule_ids: array, byteorder: str) -> bool:
 
 
 @cache
-def _rule_lanes(width: int, count: int, byteorder: str) -> tuple[int, int, int, int]:
-    """The rule check's ints for ``count`` rules of ``width``-byte ids.
+def _lanes(width: int, count: int, byteorder: str) -> tuple[int, int, int, int]:
+    """``_any_above``'s ints for ``count`` lanes of two ``width``-byte ids.
 
-    Each has ``count`` lanes of 2 * width bytes, laid out in ``byteorder``
-    as the rules' ids are: the first block's bounds (rule j's lane holds
-    the guard plus 255 + j), the step from one block's bounds to the
-    next's, the mask of each lane's low half, and the guards, each lane's
-    top bit. Built once per width, on first use: 16 KiB at width 2.
+    Laid out in ``byteorder``, as the ids are: 1 in every lane, j in lane
+    j, the mask of each lane's low half, and the guards, each lane's top
+    bit. Built once per width, on first use: 16 KiB at width 2.
     """
     size = 2 * width
-    top = 1 << 8 * size - 1
-    lanes = b"".join((top + FIRST_VARIABLE - 1 + j).to_bytes(size, byteorder) for j in range(count))
+    ramp = int.from_bytes(b"".join(j.to_bytes(size, byteorder) for j in range(count)), byteorder)
 
     def every_lane(value: int) -> int:
         return int.from_bytes(value.to_bytes(size, "little") * count, "little")
 
-    bounds = int.from_bytes(lanes, byteorder)
-    return bounds, every_lane(count), every_lane((1 << 8 * width) - 1), every_lane(top)
-
-
-def _any_at_least(ids: array, stop: int) -> bool:
-    """Whether any of ``ids``, stored little-endian, is at least ``stop``.
-
-    Compares the ids' bytes with those of ``stop - 1`` from the most
-    significant down, a column of bytes at a time and with no int per id:
-    an id is too large at the first byte above the limit's byte, provided
-    it tied the limit in every byte before. ``ties`` holds bit 0 of byte i
-    while id i has tied. The ids are taken _CHECK_BLOCK at a time, so the
-    check's own buffers stay small whatever the stream's length.
-    """
-    width = ids.itemsize
-    step = width * _CHECK_BLOCK
-    top = stop - 1
-    with memoryview(ids) as view, view.cast("B") as raw:
-        for start in range(0, len(raw), step):
-            block = raw[start : start + step].tobytes()
-            ties = -1
-            for k in reversed(range(width)):
-                column = block[k::width]
-                limit = top >> 8 * k & 0xFF
-                # ``translate`` tables mapping to 1 the bytes above the limit and the limit.
-                above = bytes(limit + 1) + b"\x01" * (255 - limit)
-                if int.from_bytes(column.translate(above), "little") & ties:
-                    return True
-                if not k or limit not in column:
-                    break
-                equal = bytes(limit) + b"\x01" + bytes(255 - limit)
-                ties &= int.from_bytes(column.translate(equal), "little")
-    return False
+    return every_lane(1), ramp, every_lane((1 << 8 * width) - 1), every_lane(1 << 8 * size - 1)
 
 
 def _fault_message(firsts, seconds, axiom) -> str:
@@ -540,8 +507,8 @@ class ZslpReader:
             raise SlpFormatError("trailing data after axiom")
         bad = (
             not axiom_len
-            or _any_at_least(self._axiom, FIRST_VARIABLE + self.rule_count)
-            or _any_forward_reference(rule_ids, "little")
+            or _any_above(self._axiom, "little", FIRST_VARIABLE + self.rule_count - 1, 0)
+            or _any_above(rule_ids, "little", FIRST_VARIABLE - 1, 1)
         )
         if _BIG_ENDIAN:
             rule_ids.byteswap()

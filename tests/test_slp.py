@@ -219,25 +219,25 @@ def _ids_near(bound, width):
 
 # Bounds 256 + p whose low byte is 0 (p = 0, 256) or 255 (p = 255, 511),
 # and one past 16 bits (65,537), where an id that is below the bound in its
-# third byte but ties it in the second must not be compared in the first.
+# third byte but ties it in the second is still below it.
 @pytest.mark.parametrize(
     "width, rule_count",
     [(width, p) for width in (2, 4) for p in (0, 255, 256, 511)] + [(4, 65_281)],
 )
 def test_reader_bound_check_is_exact(width, rule_count, monkeypatch):
-    # The reader checks axiom ids on their bytes, the highest first, looking
-    # at a lower byte only for ids that tie the bound in every higher one.
-    # Each id goes once in the axiom, whose bound is 256 + p, and once in an
-    # extra rule p, whose bound is also 256 + p; beside it sit the bound's
-    # predecessor, which ties it, and 97.
+    # The reader checks ids on their bytes, in big-int lanes against the
+    # bound. Each id goes once in the axiom, whose bound is 256 + p, and
+    # once in an extra rule p, whose bound is also 256 + p; beside it sit
+    # the bound's predecessor, which ties it, and 97.
     pairs = [(97, 98)] * rule_count
     bound = FIRST_VARIABLE + rule_count
     for sym in _ids_near(bound, width):
         assert_reader_agrees(pairs, [bound - 1, sym, 97], width)
         assert_reader_agrees(pairs + [(bound - 1, sym)], [97], width)
-        # Two ids per block: the id is checked in a second, partial block.
+        # One lane of two ids per block: the id is checked in a second,
+        # partial block.
         with monkeypatch.context() as patch:
-            patch.setattr(zslp.slp, "_CHECK_BLOCK", 2)
+            patch.setattr(zslp.slp, "_LANE_BLOCK", 1)
             assert_reader_agrees(pairs, [bound - 1, 97, sym], width)
 
 
@@ -262,7 +262,7 @@ def test_rule_check_block_edges(width, rule_count, block, monkeypatch):
     # and the width's largest id fail, with the message naming that id.
     # An Slp's ids are 2 bytes wide below 65,281 rules; there the wider ids
     # do not fit its arrays, which is the same fault.
-    monkeypatch.setattr(zslp.slp, "_RULE_BLOCK", block)
+    monkeypatch.setattr(zslp.slp, "_LANE_BLOCK", block)
     largest = (1 << 8 * width) - 1
     valid = raw_zslp([(97, 98)] * rule_count, [97], width)
     first_id = len(valid) - width * (2 * rule_count + 1)
@@ -315,10 +315,10 @@ def test_rule_check_matches_a_per_id_loop(data, rule_count, width, block):
     rule_ids = array(zslp.slp._ID_TYPECODES[width], ids)
     other_order = "big" if sys.byteorder == "little" else "little"
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(zslp.slp, "_RULE_BLOCK", block)
-        assert zslp.slp._any_forward_reference(rule_ids, sys.byteorder) == forward
+        patch.setattr(zslp.slp, "_LANE_BLOCK", block)
+        assert zslp.slp._any_above(rule_ids, sys.byteorder, FIRST_VARIABLE - 1, 1) == forward
         rule_ids.byteswap()
-        assert zslp.slp._any_forward_reference(rule_ids, other_order) == forward
+        assert zslp.slp._any_above(rule_ids, other_order, FIRST_VARIABLE - 1, 1) == forward
         if forward:
             with pytest.raises(SlpFormatError):
                 decode_slp(stream)
@@ -326,6 +326,33 @@ def test_rule_check_matches_a_per_id_loop(data, rule_count, width, block):
                 Slp(pairs, [97])
         else:
             assert decode_slp(stream) == Slp(pairs, [97])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from([0, 255, 256, 511, 65_281]),
+    st.integers(0, 9),
+    st.sampled_from([2, 4]),
+    st.sampled_from([1, 2, 3]),
+)
+def test_axiom_check_matches_a_per_id_loop(data, rule_count, length, width, block):
+    # Axiom ids near the bound 256 + p, at most two of them past, against a
+    # plain loop, in both byte orders; odd lengths leave half a lane.
+    stop = FIRST_VARIABLE + rule_count
+    largest = (1 << 8 * width) - 1
+    ids = [min(max(0, stop + data.draw(BELOW_BOUND)), largest) for _ in range(length)]
+    if ids:
+        for k in data.draw(st.lists(st.integers(0, length - 1), max_size=2)):
+            ids[k] = min(stop + data.draw(PAST_BOUND), largest)
+    past = any(sym >= stop for sym in ids)
+    axiom = array(zslp.slp._ID_TYPECODES[width], ids)
+    other_order = "big" if sys.byteorder == "little" else "little"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zslp.slp, "_LANE_BLOCK", block)
+        assert zslp.slp._any_above(axiom, sys.byteorder, stop - 1, 0) == past
+        axiom.byteswap()
+        assert zslp.slp._any_above(axiom, other_order, stop - 1, 0) == past
 
 
 def test_expand_terminal(example_slp):
