@@ -299,7 +299,7 @@ def _lanes(width: int, count: int, byteorder: str) -> tuple[int, int, int, int]:
 
     Laid out in ``byteorder``, as the ids are: 1 in every lane, j in lane
     j, the mask of each lane's low half, and the guards, each lane's top
-    bit. Built once per width, on first use: 16 KiB at width 2.
+    bit. Built once per width and byte order, on first use: 16 KiB at width 2.
     """
     size = 2 * width
     ramp = int.from_bytes(b"".join(j.to_bytes(size, byteorder) for j in range(count)), byteorder)

@@ -278,7 +278,6 @@ def test_rule_check_block_edges(width, rule_count, block, monkeypatch):
                 data = bytearray(valid)
                 at = first_id + width * (2 * i + side)
                 data[at : at + width] = sym.to_bytes(width, "little")
-                data = bytes(data)
                 if sym < bound:
                     assert decode_slp(data) == Slp(pairs, [97])
                     continue
@@ -291,8 +290,8 @@ def test_rule_check_block_edges(width, rule_count, block, monkeypatch):
                 assert str(info.value) == message
 
 
-# Offsets of a rule id from its rule's bound, 256 + i: below it, which
-# passes, and at or past it, which fails.
+# Offsets of an id from its stop (256 + i for rule i, 256 + p for the
+# axiom): below it, which passes, and at or past it, which fails.
 BELOW_BOUND = st.sampled_from([-1, -2, -256])
 PAST_BOUND = st.sampled_from([0, 1, 255, 1 << 16, 1 << 24])
 
