@@ -40,12 +40,29 @@ at its last newline is memoised for the run. The counts-only tests read
 newline), gathered in one bottom-up pass the first time a line is about
 to be emitted, so a search that prints nothing never pays for it.
 
-``prune`` gates skipping parts with nothing to emit and every stretch
-queued whole; without it line emission descends to every newline, and the
-output is the same.
+A stored symbol (one whose expansion ``Slp.short_expansions`` holds, at
+most SHORT_LIMIT bytes) whose closed lines match only in part is not
+descended either. Its first and its last line are slices of its stored
+bytes, and its matching closed lines are one bytes entry of a memo kept for
+the run. ``_closed_lines`` builds an entry bottom-up from the counts of the
+symbol's parts, with entries for the symbols below it that match in part;
+it needs no recursion. The memo takes no other gate. On the bench corpora,
+the walk reached every such symbol at least twice, so an entry is used
+again: RePair makes a rule only for a pair that occurs twice. Entries
+exist only for stored symbols, and none is longer than its symbol's stored
+expansion. So the memo holds at most SHORT_BUDGET bytes, plus each entry's
+overhead: a bytes header and a dict slot.
 
-The reporter builds no bytes: a matching line is recorded as symbols that
-``iter_expand`` writes in batches. A pattern matching the empty string
+``prune`` gates skipping parts with nothing to emit, every stretch queued
+whole, and the memo. Without it, line emission descends to every newline,
+and the output is the same.
+
+The pending output is one list of symbols and memo entries, written in
+batches. A batch is written _BLOCK (64) pieces at a time. A block of
+stored symbols and memo entries, each at most SHORT_LIMIT bytes, is one
+join of at most CHUNK_SIZE bytes and one write. In any other block each
+piece is written on its own, and a symbol without a stored expansion
+streams through ``iter_expand``. A pattern matching the empty string
 matches every line: the whole expansion is written, with a final newline
 if it lacks one, and nothing is saturated or walked; the lines are counted
 in the written chunks.
@@ -57,10 +74,12 @@ from itertools import chain
 
 from .automaton import NEWLINE, Fsa, union_rows
 from .engine import line_facts, saturate
-from .slp import FIRST_VARIABLE, Rules, Slp, iter_expand
+from .slp import CHUNK_SIZE, FIRST_VARIABLE, SHORT_LIMIT, Rules, Slp, iter_expand
 
-# Symbols of emitted lines gathered before one iter_expand pass writes them.
+# Symbols and memo entries of emitted lines gathered before they are written.
 _BATCH = 4096
+# Pieces written as one join: stored pieces fill at most a chunk.
+_BLOCK = CHUNK_SIZE // SHORT_LIMIT
 
 
 def _split_at_newline(rules: Rules, facts: list, sym: int, last: bool) -> tuple[list, list]:
@@ -85,6 +104,86 @@ def _split_at_newline(rules: Rules, facts: list, sym: int, last: bool) -> tuple[
     through.append(sym)
     after.reverse()
     return through, after
+
+
+def _closed_lines(rules: Rules, facts: list, counts: list, short: list, memo: dict, sym: int) -> bytes:
+    """The matching closed lines of a stored symbol, each with its newline.
+
+    The symbol's closed lines must match in part (``0 < counts[sym] <
+    newlines - 1``). Its memo entry is built with one for every such symbol
+    below it that ``memo`` lacks, without recursion: an explicit stack
+    gathers them, and they are built in id order, so a rule's parts come
+    before it. For ``X -> A B`` the entry is A's matching closed lines, then
+    the line across the seam when it adds to X's count, then B's. A part
+    whose every closed line matches gives its stored bytes between its first
+    and its last newline, a part with none gives nothing, and X shares the
+    entry of a part when the other holds no newline. So an entry is never
+    longer than its symbol's stored expansion.
+    """
+    firsts, seconds = rules.firsts, rules.seconds
+    todo = [sym]
+    stack = [sym]
+    while stack:
+        rule = stack.pop() - FIRST_VARIABLE
+        for part in (firsts[rule], seconds[rule]):
+            if 0 < counts[part] < (facts[part] >> 1) - 1 and part not in memo:
+                memo[part] = None  # entered once, built below
+                todo.append(part)
+                stack.append(part)
+    todo.sort()
+    for top in todo:
+        rule = top - FIRST_VARIABLE
+        first = firsts[rule]
+        second = seconds[rule]
+        if facts[first] < 2:
+            memo[top] = memo[second]
+            continue
+        if facts[second] < 2:
+            memo[top] = memo[first]
+            continue
+        pieces = []
+        seam = counts[top] > counts[first] + counts[second]
+        for part in (first, second):
+            count = counts[part]
+            if count == (facts[part] >> 1) - 1:  # every closed line, or none
+                if count:
+                    piece = short[part]
+                    pieces.append(piece[piece.index(NEWLINE) + 1 : piece.rindex(NEWLINE) + 1])
+            elif count:
+                pieces.append(memo[part])
+            if seam:  # the line across the seam, after the first part's lines
+                seam = False
+                a = short[first]
+                b = short[second]
+                pieces += (a[a.rindex(NEWLINE) + 1 :], b[: b.index(NEWLINE) + 1])
+        memo[top] = b"".join(pieces)
+    return memo[sym]
+
+
+def _write_pending(slp: Slp, pending: list, sink) -> None:
+    """Write the pending symbols and memo pieces in order.
+
+    They are taken _BLOCK at a time. A block of stored symbols and memo
+    pieces, each at most SHORT_LIMIT bytes, is one join of at most
+    CHUNK_SIZE bytes and one write. In any other block each piece is
+    written on its own, and a symbol without a stored expansion streams
+    through ``iter_expand``.
+    """
+    if not pending:
+        return
+    short = slp.short_expansions
+    for start in range(0, len(pending), _BLOCK):
+        block = pending[start : start + _BLOCK]
+        pieces = [short[item] if item.__class__ is int else item for item in block]
+        if all(pieces):
+            sink.write(b"".join(pieces))
+            continue
+        for item, piece in zip(block, pieces):
+            if piece is None:
+                for chunk in iter_expand(slp, (item,)):
+                    sink.write(chunk)
+            else:
+                sink.write(piece)
 
 
 def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
@@ -119,13 +218,14 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     firsts, seconds = rules.firsts, rules.seconds
 
     emitted = 0
-    out: list[int] = []  # symbols of emitted lines not yet written
+    out: list = []  # symbols and memo entries of emitted lines not yet written
     opener: int | None = None  # symbol whose last line opens the current one
     opened = False  # the line the opener ends matched
     parts: list[int] = []  # newline-free symbols of the current line, in order
     reached = 0  # as in fold: the states a suffix of the text so far reaches
     line = False  # the current line matched so far
-    facts = enter = None  # built at the first line that will be emitted
+    facts = enter = short = None  # built at the first line that will be emitted
+    closed: dict = {}  # stored symbol -> its matching closed lines
     splits: tuple = ({}, {})  # at the first, at the last newline: symbol -> split
 
     def split(sym: int, last: bool) -> tuple[list, list]:
@@ -136,8 +236,7 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
         return found
 
     def write() -> None:
-        for chunk in iter_expand(slp, out):
-            sink.write(chunk)
+        _write_pending(slp, out, sink)
         out.clear()
 
     def queue_lines(sym: int, head: bool, tail: bool) -> None:
@@ -180,6 +279,19 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
                             out.extend(split(sym, False)[0])  # the first line
                         if tail:
                             out.extend(split(sym, True)[1])  # the last line
+                        break
+                    elif short[sym] is not None:
+                        # Stored: its first and last lines are slices of its
+                        # bytes, its matching closed lines one memo entry.
+                        piece = short[sym]
+                        if head:
+                            out.append(piece[: piece.index(NEWLINE) + 1])
+                        found = closed.get(sym)
+                        if found is None:
+                            found = _closed_lines(rules, facts, counts, short, closed, sym)
+                        out.append(found)
+                        if tail and not facts[sym] & 1:  # a last line that is not empty
+                            out.append(piece[piece.rindex(NEWLINE) + 1 :])
                         break
                 rule = sym - FIRST_VARIABLE
                 first = firsts[rule]
@@ -225,6 +337,7 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
         if opener is not None and (opened or head or counts[opener] or not prune):
             if facts is None:
                 facts = line_facts(rules)
+                short = slp.short_expansions
                 # Unpruned, line emission enters every part holding a newline.
                 enter = counts if prune else facts
             emitted += counts[opener]  # its matching closed lines

@@ -18,9 +18,11 @@ built, and converts its input to arrays once; ``ZslpReader`` checks them
 once, when it decodes a stream, and its ``read_slp`` wraps the arrays it
 read. Both name a fault with the same text, at most FAULTS_SHOWN (3)
 violations and then how many more. Both compare ids with their bounds in
-big-int lanes, _LANE_BLOCK (1,024) pairs of ids at a time (``_any_above``):
-the reader every id, on the stream's bytes, and ``Slp`` the rules' ids, so
-a valid stream costs no int object per id. ``Slp`` first refuses a rule
+big-int lanes, _LANE_BLOCK (1,024) pairs of ids at a time, or fewer for a
+short array (``_first_above``): the reader every id, on the stream's
+bytes, and ``Slp`` the rules' ids, so a valid stream costs no int object
+per id. The reader looks for the faults it names, and counts them, from
+the first block holding one. ``Slp`` first refuses a rule
 that is not a pair of int ids and an axiom entry that is not an int id,
 naming the first, and then an id its arrays cannot hold. ``_checked_slp``,
 which wraps checked parts, is the only way to build an Slp without the
@@ -259,26 +261,34 @@ def _shape_fault(rules, axiom) -> str:
 
 
 def _any_above(ids: array, byteorder: str, bound: int, rise: int) -> bool:
-    """Whether some ``ids[k]``, stored in ``byteorder``, is above
-    ``bound + rise * (k // 2)``: with bound 255 and rise 1, whether some
-    rule of interleaved (first, second) ids names its own or a later symbol.
+    """Whether some id is above its bound, as ``_first_above`` finds it."""
+    return _first_above(ids, byteorder, bound, rise) is not None
+
+
+def _first_above(ids: array, byteorder: str, bound: int, rise: int) -> int | None:
+    """Where the first ``ids[k]``, stored in ``byteorder``, that is above
+    ``bound + rise * (k // 2)`` lies: the index of the first id of its
+    block, or None if there is none. With bound 255 and rise 1, an id
+    above it names its own rule's or a later symbol.
 
     The check compares ids many at a time in lanes of big ints, as in
     Lamport's "Multiple byte processing with full-word instructions" (CACM
-    1975), with no int object per id. It reads _LANE_BLOCK pairs of w-byte
+    1975), with no int object per id. It reads a block of pairs of w-byte
     ids at a time as one int, in which each pair is one 2w-byte lane; a
     mask and a shift split it into the lanes' low and high ids, each then
-    alone in its lane. Pair j's lane of ``bounds`` holds its bound plus the
-    lane's top bit as a guard. Subtracting an id up to the bound leaves the
-    guard set; a larger id clears it without borrowing from the next lane,
-    since it is below 2 ** 8w. So the test is exact. Only a block's bytes
-    are copied.
+    alone in its lane. A block has _LANE_BLOCK lanes, or, for fewer ids,
+    the power of two that holds them. Pair j's lane of ``bounds`` holds its
+    bound plus the lane's top bit as a guard. Subtracting an id up to the
+    bound leaves the guard set; a larger id clears it without borrowing
+    from the next lane, since it is below 2 ** 8w. So the test is exact.
+    Only a block's bytes are copied.
     """
     width = ids.itemsize
-    unit, ramp, low, guards = _lanes(width, _LANE_BLOCK, byteorder)
+    count = min(_LANE_BLOCK, 1 << max((len(ids) + 1) // 2 - 1, 0).bit_length())
+    unit, ramp, low, guards = _lanes(width, count, byteorder)
     bounds = guards + bound * unit + rise * ramp
-    step = rise * _LANE_BLOCK * unit
-    size = 2 * width * _LANE_BLOCK
+    step = rise * count * unit
+    size = 2 * width * count
     with memoryview(ids) as view, view.cast("B") as raw:
         for start in range(0, len(raw), size):
             block = raw[start : start + size]
@@ -288,18 +298,20 @@ def _any_above(ids: array, byteorder: str, bound: int, rise: int) -> bool:
             lows = bounds - (pairs & low)
             highs = bounds - (pairs >> 8 * width & low)
             if lows & highs & guards != guards:
-                return True
+                return start // width
             bounds += step
-    return False
+    return None
 
 
 @cache
 def _lanes(width: int, count: int, byteorder: str) -> tuple[int, int, int, int]:
-    """``_any_above``'s ints for ``count`` lanes of two ``width``-byte ids.
+    """``_first_above``'s ints for ``count`` lanes of two ``width``-byte ids.
 
     Laid out in ``byteorder``, as the ids are: 1 in every lane, j in lane
     j, the mask of each lane's low half, and the guards, each lane's top
-    bit. Built once per width and byte order, on first use: 16 KiB at width 2.
+    bit. Built once per width, byte order and lane count, on first use;
+    the lane counts are the 11 powers of two up to _LANE_BLOCK, whose ints
+    take 16 KiB at width 2.
     """
     size = 2 * width
     ramp = int.from_bytes(b"".join(j.to_bytes(size, byteorder) for j in range(count)), byteorder)
@@ -310,20 +322,25 @@ def _lanes(width: int, count: int, byteorder: str) -> tuple[int, int, int, int]:
     return every_lane(1), ramp, every_lane((1 << 8 * width) - 1), every_lane(1 << 8 * size - 1)
 
 
-def _fault_message(firsts, seconds, axiom) -> str:
-    """The first FAULTS_SHOWN violations of a grammar, then how many more."""
+def _fault_message(firsts, seconds, axiom, rule_start: int = 0, axiom_start: int = 0) -> str:
+    """The first FAULTS_SHOWN violations of a grammar, then how many more.
+
+    The rules before ``rule_start`` and the axiom ids before
+    ``axiom_start`` must be valid; the search and the count start there.
+    """
     lefts = range(FIRST_VARIABLE, FIRST_VARIABLE + len(firsts))
+    firsts, seconds, lefts = firsts[rule_start:], seconds[rule_start:], lefts[rule_start:]
     faults = chain(
         (
             f"rule {i + 1} references undefined/later symbol {sym}"
-            for i, pair in enumerate(zip(firsts, seconds))
+            for i, pair in enumerate(zip(firsts, seconds), rule_start)
             for sym in pair
             if not 0 <= sym < FIRST_VARIABLE + i
         ),
         () if axiom else ("empty axiom",),
         (
             f"axiom position {pos} references undefined symbol {sym}"
-            for pos, sym in enumerate(axiom)
+            for pos, sym in enumerate(axiom[axiom_start:], axiom_start)
             if not 0 <= sym < lefts.stop
         ),
     )
@@ -334,7 +351,7 @@ def _fault_message(firsts, seconds, axiom) -> str:
         _outside(firsts, lefts)
         + _outside(seconds, lefts)
         + (not axiom)
-        + _outside(axiom, repeat(lefts.stop))
+        + _outside(axiom[axiom_start:], repeat(lefts.stop))
         - len(shown)
     )
     return f"{message}; and {more} more" if more else message
@@ -505,18 +522,24 @@ class ZslpReader:
         self._axiom, head = _read_ids(stream, head, width, axiom_len)
         if head or stream.read(1):
             raise SlpFormatError("trailing data after axiom")
-        bad = (
-            not axiom_len
-            or _any_above(self._axiom, "little", FIRST_VARIABLE + self.rule_count - 1, 0)
-            or _any_above(rule_ids, "little", FIRST_VARIABLE - 1, 1)
-        )
+        # Where the first bad block of each array starts; the ids before it are valid.
+        axiom_at = _first_above(self._axiom, "little", FIRST_VARIABLE + self.rule_count - 1, 0)
+        rules_at = _first_above(rule_ids, "little", FIRST_VARIABLE - 1, 1)
         if _BIG_ENDIAN:
             rule_ids.byteswap()
             self._axiom.byteswap()
         self._firsts = rule_ids[0::2]
         self._seconds = rule_ids[1::2]
-        if bad:
-            raise SlpFormatError(_fault_message(self._firsts, self._seconds, self._axiom))
+        if not axiom_len or axiom_at is not None or rules_at is not None:
+            raise SlpFormatError(
+                _fault_message(
+                    self._firsts,
+                    self._seconds,
+                    self._axiom,
+                    self.rule_count if rules_at is None else rules_at // 2,
+                    axiom_len if axiom_at is None else axiom_at,
+                )
+            )
 
     def iter_rules(self) -> Iterator[tuple[int, int]]:
         """Yield (first, second) for each rule, in definition order."""

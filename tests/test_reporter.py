@@ -13,7 +13,7 @@ from zslp.engine import count_matching_lines
 from zslp.oracle import oracle_count, oracle_lines
 from zslp.repair import compress
 from zslp.reporter import report_matching_lines
-from zslp.slp import CHUNK_SIZE, Slp, _checked_slp, expand, iter_expand
+from zslp.slp import CHUNK_SIZE, SHORT_LIMIT, Slp, _checked_slp, expand, iter_expand
 
 
 def report(slp, fsa, prune=True):
@@ -346,26 +346,41 @@ def test_empty_matching_patterns_emit_every_line():
             )
 
 
-def test_full_symbol_over_one_chunk_is_written_in_chunks(monkeypatch):
+class RecordingSink:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+
+def record_writing(monkeypatch):
+    """Lists of the pending lists the reporter writes and of the symbol
+    sequences it streams through ``iter_expand``."""
     import zslp.reporter
 
-    class RecordingSink:
-        def __init__(self):
-            self.writes = []
+    pending, streamed = [], []
+    real_write = zslp.reporter._write_pending
 
-        def write(self, data):
-            self.writes.append(bytes(data))
-
-    handed = []
+    def recording_write(slp, items, sink):
+        pending.append(list(items))
+        real_write(slp, items, sink)
 
     def recording_expand(slp, symbols):
-        handed.append(list(symbols))
+        streamed.append(list(symbols))
         return iter_expand(slp, symbols)
 
+    monkeypatch.setattr(zslp.reporter, "_write_pending", recording_write)
     monkeypatch.setattr(zslp.reporter, "iter_expand", recording_expand)
+    return pending, streamed
+
+
+def test_full_symbol_over_one_chunk_is_written_in_chunks(monkeypatch):
+    pending, streamed = record_writing(monkeypatch)
     # DOUBLING_TOP derives 98,304 bytes, every line "ab"; a final "a" opens
-    # one more line, which the reporter terminates. The full symbol goes to
-    # the expander whole.
+    # one more line, which the reporter terminates. The full symbol is
+    # queued whole and streams through the expander; the stored pieces
+    # after it are written as they are.
     cases = (
         ([DOUBLING_TOP], 2**15, [DOUBLING_TOP], b""),
         ([DOUBLING_TOP, 97], 2**15 + 1, [DOUBLING_TOP, 97, 10], b"\n"),
@@ -373,9 +388,11 @@ def test_full_symbol_over_one_chunk_is_written_in_chunks(monkeypatch):
     for axiom, lines, symbols, added in cases:
         slp = Slp(DOUBLING_PAIRS, axiom)
         sink = RecordingSink()
-        handed.clear()
+        pending.clear()
+        streamed.clear()
         assert report_matching_lines(slp, compile_pattern("a"), sink) == lines
-        assert handed == [symbols]
+        assert pending == [symbols]
+        assert streamed == [[DOUBLING_TOP]]
         assert b"".join(sink.writes) == expand(slp) + added
         assert max(len(data) for data in sink.writes) <= CHUNK_SIZE < len(expand(slp))
 
@@ -464,37 +481,47 @@ def test_count_skips_line_facts_unless_the_pattern_matches_empty(monkeypatch):
     assert calls == [1]
 
 
+def doubled_units(unit_pairs, doublings):
+    """Rules of a unit (its rules, the last deriving it), then of the unit
+    doubled ``doublings`` times; the last rule derives the whole."""
+    pairs = list(unit_pairs)
+    for _ in range(doublings):
+        top = 256 + len(pairs) - 1
+        pairs.append((top, top))
+    return pairs
+
+
 def test_batches_stay_bounded_when_a_symbol_holds_many_matching_lines(monkeypatch):
     import zslp.reporter
 
-    class RecordingSink:
-        def __init__(self):
-            self.writes = []
-
-        def write(self, data):
-            self.writes.append(bytes(data))
-
-    handed = []
-
-    def recording_expand(slp, symbols):
-        handed.append(list(symbols))
-        return iter_expand(slp, symbols)
-
-    monkeypatch.setattr(zslp.reporter, "iter_expand", recording_expand)
-    # DOUBLING_PAIRS with "ab\nc\n" at the bottom: one axiom symbol holds
-    # 2**16 lines, and "ab" matches every other one, so the lines are
-    # queued one by one inside that symbol.
-    pairs = [(97, 98), (256, 10), (99, 10), (257, 258)]
-    pairs += [(259 + i, 259 + i) for i in range(15)]
-    slp = Slp(pairs, [256 + len(pairs) - 1])
-    lines = oracle_lines(expand(slp), "ab")
+    pending, streamed = record_writing(monkeypatch)
+    # One axiom symbol holds 2**16 lines, and "ab" matches every other one.
+    # Lines "ab" and then 1,024 c's: no symbol holding two newlines is
+    # stored, so the lines are queued one by one inside that symbol, each
+    # as two symbols, "ab" and the newline.
+    cs = [(99, 99)] + [(257 + i, 257 + i) for i in range(9)]  # 266 = 1,024 c's
+    unit = [(97, 98), *cs, (266, 10), (256, 10), (268, 267)]  # "ab\n" + c's + "\n"
+    slp = Slp(doubled_units(unit, 15), [256 + len(unit) + 14])
     sink = RecordingSink()
-    assert report_matching_lines(slp, compile_pattern("ab"), sink) == len(lines) == 2**15
+    assert report_matching_lines(slp, compile_pattern("ab"), sink) == 2**15
     assert b"".join(sink.writes) == b"ab\n" * 2**15
-    # A line here is two symbols: "ab" and the newline.
-    assert len(handed) >= 2**16 // zslp.reporter._BATCH
-    assert max(len(symbols) for symbols in handed) <= zslp.reporter._BATCH + 2
+    assert len(pending) >= 2**16 // zslp.reporter._BATCH
+    assert max(len(items) for items in pending) <= zslp.reporter._BATCH + 2
     assert max(len(data) for data in sink.writes) <= CHUNK_SIZE
+    assert streamed == []
+    # Lines "ab" and "c": the symbols of up to 128 line pairs are stored,
+    # and each gives its matching lines as one memo entry. Every piece
+    # written is at most a stored expansion.
+    slp = Slp(doubled_units([(97, 98), (256, 10), (99, 10), (257, 258)], 15), [274])
+    pending.clear()
+    sink = RecordingSink()
+    assert report_matching_lines(slp, compile_pattern("ab"), sink) == 2**15
+    assert b"".join(sink.writes) == b"ab\n" * 2**15
+    memo_pieces = [item for items in pending for item in items if isinstance(item, bytes)]
+    assert memo_pieces and max(map(len, memo_pieces)) <= SHORT_LIMIT
+    assert max(len(items) for items in pending) <= zslp.reporter._BATCH + 2
+    assert max(len(data) for data in sink.writes) <= CHUNK_SIZE
+    assert streamed == []
 
 
 def test_alternating_lines_step_the_automaton_only_on_the_axiom(monkeypatch):
@@ -527,3 +554,74 @@ def test_alternating_lines_step_the_automaton_only_on_the_axiom(monkeypatch):
         assert len(calls) <= len(slp.axiom)
         lookups[prune] = counted_slp.rules.firsts.lookups
     assert lookups[True] < lookups[False] / 2
+
+
+def alternating_log(lines):
+    """Log lines where "GET" and "PUT" alternate, short enough that stored
+    symbols hold several of them."""
+    return b"".join(
+        b"k%d %s /x/%d\n" % (i % 13, b"PUT" if i % 2 else b"GET", i % 7) for i in range(lines)
+    )
+
+
+def closed_lines_calls(monkeypatch):
+    import zslp.reporter
+
+    calls = []
+    real = zslp.reporter._closed_lines
+
+    def counted(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(zslp.reporter, "_closed_lines", counted)
+    return calls
+
+
+def test_matches_alternating_inside_stored_symbols_come_from_the_memo(monkeypatch):
+    calls = closed_lines_calls(monkeypatch)
+    text = alternating_log(20000)
+    slp = compress(text)
+    expected = b"".join(line + b"\n" for line in oracle_lines(text, "GET"))
+    fsa = compile_pattern("GET")
+    lookups = {}
+    for prune in (True, False):
+        calls.clear()
+        counted = counting_slp(slp)
+        assert report(counted, fsa, prune=prune) == (10000, expected)
+        lookups[prune] = counted.rules.firsts.lookups
+        assert bool(calls) == prune  # the unpruned walk keeps no memo
+    # A walk down to every matching line looks up at least one rule per
+    # line; the memo builds each stored symbol's lines once per search.
+    assert lookups[True] < 10000 / 10 < lookups[False]
+
+
+def test_memo_is_built_without_recursion_on_a_comb_of_stored_symbols(monkeypatch):
+    calls = closed_lines_calls(monkeypatch)
+    # A left comb 1,019 rules high over lines "ab" and "b": each rule adds
+    # one byte, so every symbol is stored (at most 1,020 bytes), and "a"
+    # matches every other closed line of the top.
+    body = b"ab\nb\n" * 204
+    pairs = [(body[0], body[1])]
+    for byte in body[2:]:
+        pairs.append((256 + len(pairs) - 1, byte))
+    slp = Slp(pairs, [256 + len(pairs) - 1])
+    assert len(pairs) > 1000
+    assert assert_reports_oracle(slp, "a") == b"ab\n" * 204
+    assert calls == [256 + len(pairs) - 1]
+
+
+def test_a_search_leaves_no_reference_cycle(monkeypatch):
+    import gc
+
+    calls = closed_lines_calls(monkeypatch)
+    slp = compress(alternating_log(2000))
+    fsa = compile_pattern("GET")
+    gc.collect()
+    gc.disable()
+    try:
+        assert report(slp, fsa)[0] == 1000
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert calls

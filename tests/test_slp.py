@@ -354,6 +354,75 @@ def test_axiom_check_matches_a_per_id_loop(data, rule_count, length, width, bloc
         assert zslp.slp._any_above(axiom, other_order, stop - 1, 0) == past
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.data(),
+    st.integers(0, 40),
+    st.sampled_from([2, 4]),
+    st.sampled_from([1, 2, 3, 1024]),
+    st.sampled_from([0, 1]),
+)
+def test_first_bad_block_is_found(data, length, width, block, rise):
+    # Where the lane check reports the first id above its bound: the first
+    # id of the block that holds it. A block has ``block`` lanes of two ids,
+    # or, for fewer ids, the power of two that holds them.
+    bound = FIRST_VARIABLE + 40
+    stops = [bound + rise * (k // 2) for k in range(length)]
+    ids = [max(0, stop + data.draw(BELOW_BOUND)) for stop in stops]
+    for k in data.draw(st.lists(st.integers(0, max(length - 1, 0)), max_size=3)) if ids else ():
+        ids[k] = min(stops[k] + data.draw(PAST_BOUND), (1 << 8 * width) - 1)
+    bad = [k for k, sym in enumerate(ids) if sym > stops[k]]
+    lanes = min(block, 1 << max((length + 1) // 2 - 1, 0).bit_length())
+    expected = bad[0] // (2 * lanes) * 2 * lanes if bad else None
+    array_ids = array(zslp.slp._ID_TYPECODES[width], ids)
+    other_order = "big" if sys.byteorder == "little" else "little"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zslp.slp, "_LANE_BLOCK", block)
+        assert zslp.slp._first_above(array_ids, sys.byteorder, bound, rise) == expected
+        array_ids.byteswap()
+        assert zslp.slp._first_above(array_ids, other_order, bound, rise) == expected
+
+
+def test_lane_ints_are_kept_for_powers_of_two_only():
+    zslp.slp._lanes.cache_clear()
+    for width in (2, 4):
+        for length in range(5000):
+            ids = array(zslp.slp._ID_TYPECODES[width], [97]) * length
+            assert not zslp.slp._any_above(ids, sys.byteorder, FIRST_VARIABLE - 1, 1)
+    # 1, 2, 4, ..., 1,024 lanes, per width.
+    assert zslp.slp._lanes.cache_info().currsize == 2 * 11
+
+
+@pytest.mark.parametrize("block", [1, 3, 1024])
+def test_reader_names_faults_from_the_first_bad_block(block, monkeypatch):
+    # Faults in several blocks of the rules and of the axiom, after clean
+    # blocks: the reader starts its search and its count at the first bad
+    # block and names what the constructor names, "and N more" included.
+    monkeypatch.setattr(zslp.slp, "_LANE_BLOCK", block)
+    rule_count = 3000
+    pairs = [(97, 98)] * rule_count
+    for i, side in ((1500, 1), (1501, 0), (2999, 0), (2999, 1)):
+        pair = list(pairs[i])
+        pair[side] = FIRST_VARIABLE + i + side
+        pairs[i] = tuple(pair)
+    for axiom in ([97] * 5000, [97] * 4000 + [FIRST_VARIABLE + rule_count] * 3 + [97]):
+        with pytest.raises(InvalidGrammarError) as built:
+            Slp(pairs, axiom)
+        with pytest.raises(SlpFormatError) as read:
+            decode_slp(raw_zslp(pairs, axiom))
+        assert str(read.value) == str(built.value)
+    assert str(read.value) == (
+        "rule 1501 references undefined/later symbol 1757; "
+        "rule 1502 references undefined/later symbol 1757; "
+        "rule 3000 references undefined/later symbol 3255; and 4 more"
+    )
+    # Clean rules and a bad axiom.
+    axiom = [97] * 4000 + [FIRST_VARIABLE + 5] + [97]
+    with pytest.raises(SlpFormatError) as read:
+        decode_slp(raw_zslp([(97, 98)] * 5, axiom))
+    assert str(read.value) == "axiom position 4000 references undefined symbol 261"
+
+
 def test_expand_terminal(example_slp):
     assert expand(example_slp, (97,)) == b"a"
 
