@@ -106,30 +106,30 @@ def _split_at_newline(rules: Rules, facts: list, sym: int, last: bool) -> tuple[
     return through, after
 
 
-def _closed_lines(rules: Rules, facts: list, counts: list, short: list, memo: dict, sym: int) -> bytes:
+def _closed_lines(
+    rules: Rules, facts: list, counts: list, short: list, memo: dict, sym: int
+) -> bytes:
     """The matching closed lines of a stored symbol, each with its newline.
 
     The symbol's closed lines must match in part (``0 < counts[sym] <
     newlines - 1``). Its memo entry is built with one for every such symbol
-    below it that ``memo`` lacks, without recursion: an explicit stack
-    gathers them, and they are built in id order, so a rule's parts come
-    before it. For ``X -> A B`` the entry is A's matching closed lines, then
-    the line across the seam when it adds to X's count, then B's. A part
-    whose every closed line matches gives its stored bytes between its first
-    and its last newline, a part with none gives nothing, and X shares the
-    entry of a part when the other holds no newline. So an entry is never
-    longer than its symbol's stored expansion.
+    below it that ``memo`` lacks, without recursion: a list gathers them,
+    and they are built in id order, so a rule's parts come before it. For
+    ``X -> A B`` the entry is A's matching closed lines, then the line
+    across the seam when it adds to X's count, then B's. A part whose every
+    closed line matches gives its stored bytes between its first and its
+    last newline, a part with none gives nothing, and X shares the entry of
+    a part when the other holds no newline. So an entry is never longer
+    than its symbol's stored expansion.
     """
     firsts, seconds = rules.firsts, rules.seconds
     todo = [sym]
-    stack = [sym]
-    while stack:
-        rule = stack.pop() - FIRST_VARIABLE
+    for top in todo:  # the list grows as it is read: each symbol's parts join it
+        rule = top - FIRST_VARIABLE
         for part in (firsts[rule], seconds[rule]):
             if 0 < counts[part] < (facts[part] >> 1) - 1 and part not in memo:
                 memo[part] = None  # entered once, built below
                 todo.append(part)
-                stack.append(part)
     todo.sort()
     for top in todo:
         rule = top - FIRST_VARIABLE
@@ -161,10 +161,10 @@ def _closed_lines(rules: Rules, facts: list, counts: list, short: list, memo: di
 
 
 def _write_pending(slp: Slp, pending: list, sink) -> None:
-    """Write the pending symbols and memo pieces in order.
+    """Write the pending symbols and memo entries in order.
 
     They are taken _BLOCK at a time. A block of stored symbols and memo
-    pieces, each at most SHORT_LIMIT bytes, is one join of at most
+    entries, each at most SHORT_LIMIT bytes, is one join of at most
     CHUNK_SIZE bytes and one write. In any other block each piece is
     written on its own, and a symbol without a stored expansion streams
     through ``iter_expand``.
@@ -196,10 +196,11 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     newline byte after the axiom closing the last line. The final line gains
     a terminating newline even if the source text lacks one. No single write
     to the sink exceeds ``iter_expand``'s chunk size. ``prune`` gates
-    skipping parts with nothing to emit and queueing a stretch of matching
-    lines whole; without it line emission descends to every newline, and the
-    output is the same. A pattern that matches the empty string matches every line,
-    so the whole expansion is written and its lines are counted as written.
+    skipping parts with nothing to emit, queueing a stretch of matching
+    lines whole and the memo of matching closed lines; without it line
+    emission descends to every newline, and the output is the same. A
+    pattern that matches the empty string matches every line, so the whole
+    expansion is written and its lines are counted as written.
     """
     if fsa.matches_empty:
         lines = 0

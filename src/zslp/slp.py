@@ -309,9 +309,9 @@ def _lanes(width: int, count: int, byteorder: str) -> tuple[int, int, int, int]:
 
     Laid out in ``byteorder``, as the ids are: 1 in every lane, j in lane
     j, the mask of each lane's low half, and the guards, each lane's top
-    bit. Built once per width, byte order and lane count, on first use;
-    the lane counts are the 11 powers of two up to _LANE_BLOCK, whose ints
-    take 16 KiB at width 2.
+    bit. Built once per width, byte order and lane count, on first use.
+    ``_first_above`` asks for the 11 powers of two up to _LANE_BLOCK lanes;
+    the ints of 1,024 lanes take 16 KiB at width 2.
     """
     size = 2 * width
     ramp = int.from_bytes(b"".join(j.to_bytes(size, byteorder) for j in range(count)), byteorder)

@@ -22,6 +22,16 @@ def report(slp, fsa, prune=True):
     return count, sink.getvalue()
 
 
+class RecordingSink:
+    """A sink that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+
 def test_example_emission(example_slp, ab_ba_fsa):
     count, payload = report(example_slp, ab_ba_fsa)
     assert payload == b"ba\nab\naba\n"
@@ -55,13 +65,6 @@ def test_empty_matching_lines_emitted():
 
 
 def test_writes_stay_within_one_chunk():
-    class RecordingSink:
-        def __init__(self):
-            self.writes = []
-
-        def write(self, data):
-            self.writes.append(bytes(data))
-
     slp = Slp(DOUBLING_PAIRS, [DOUBLING_TOP])  # every line is "ab"
     for pattern in ("ab", "x*"):
         sink = RecordingSink()
@@ -346,14 +349,6 @@ def test_empty_matching_patterns_emit_every_line():
             )
 
 
-class RecordingSink:
-    def __init__(self):
-        self.writes = []
-
-    def write(self, data):
-        self.writes.append(bytes(data))
-
-
 def record_writing(monkeypatch):
     """Lists of the pending lists the reporter writes and of the symbol
     sequences it streams through ``iter_expand``."""
@@ -425,13 +420,6 @@ def test_full_subtrees_skip_work(monkeypatch):
 def test_every_line_pattern_writes_the_text_without_saturating(monkeypatch):
     import zslp.engine
     import zslp.reporter
-
-    class RecordingSink:
-        def __init__(self):
-            self.writes = []
-
-        def write(self, data):
-            self.writes.append(bytes(data))
 
     calls = []
     real = zslp.reporter.saturate
