@@ -22,50 +22,50 @@ the emitted lines as it decides them.
 
 Line emission then queues, for one symbol, its first line if that line
 matches, its matching closed lines, and its last line if that line
-matches; it reads the counts and steps no automaton. For ``X -> A B`` with
-a newline on both sides, the line across the seam, A's last line then B's
-first, matches exactly when ``counts[X] - counts[A] - counts[B]`` is 1, so
-each part is told whether its own first or last line is emitted. An
-explicit stack enters only parts with something to emit. A part without a
-matching closed line gives at most its first line and its last line, each
-from one spine descent. A part whose closed lines all match (its count is
-one less than its newline count) is queued as one stretch: the whole symbol
-when its first and last lines are emitted too, else its symbols through
-its last newline (one right-spine descent) or after its first newline (one
-left-spine descent). So an axiom symbol whose closed lines all match is
-written whole when its head line matches and the line after it, which its
-last line opens, matches or is empty. Each symbol's split at its first and
-at its last newline is memoised for the run. The counts-only tests read
+matches; it reads the counts and steps no automaton. One rule per symbol
+says how. A symbol whose every line is emitted (its first and last lines,
+and its closed lines, whose count is then one less than its newline count)
+is queued whole. Any other stored symbol (one whose expansion
+``Slp.short_expansions`` holds, at most SHORT_LIMIT bytes) is cut from its
+bytes: when its closed lines all match, as one slice from its start or
+just past its first newline to its end or through its last newline; else
+as its first line, its matching closed lines and its last line, each when
+emitted. No empty piece is queued. Any other symbol is walked. For ``X ->
+A B`` with a newline on both sides, the line across the seam, A's last
+line then B's first, matches exactly when ``counts[X] - counts[A] -
+counts[B]`` is 1, so each part is told whether its own first or last line
+is emitted, and an explicit stack enters only parts with something to
+emit. So an axiom symbol whose closed lines all match is written whole
+when its head line matches and the line after it, which its last line
+opens, matches or is empty. The counts-only tests read
 ``engine.line_facts`` (newline counts, and whether a symbol ends with a
 newline), gathered in one bottom-up pass the first time a line is about
 to be emitted, so a search that prints nothing never pays for it.
 
-A stored symbol (one whose expansion ``Slp.short_expansions`` holds, at
-most SHORT_LIMIT bytes) whose closed lines match only in part is not
-descended either. Its first and its last line are slices of its stored
-bytes, and its matching closed lines are one bytes entry of a memo kept for
-the run. ``_closed_lines`` builds an entry bottom-up from the counts of the
-symbol's parts, with entries for the symbols below it that match in part;
-it needs no recursion. The memo takes no other gate. On the bench corpora,
-the walk reached every such symbol at least twice, so an entry is used
-again: RePair makes a rule only for a pair that occurs twice. Entries
-exist only for stored symbols, and none is longer than its symbol's stored
-expansion. So the memo holds at most SHORT_BUDGET bytes, plus each entry's
-overhead: a bytes header and a dict slot.
+A stored symbol's matching closed lines, when they are not all of them,
+are one bytes entry of a memo kept for the run. ``_closed_lines`` builds
+an entry bottom-up from the counts of the symbol's parts, with entries for
+the symbols below it that match in part; it needs no recursion. The memo
+takes no other gate. On the bench corpora, the walk reached every such
+symbol at least twice, so an entry is used again: RePair makes a rule only
+for a pair that occurs twice. Entries exist only for stored symbols, and
+none is longer than its symbol's stored expansion. So the memo holds at
+most SHORT_BUDGET bytes, plus each entry's overhead: a bytes header and a
+dict slot.
 
-``prune`` gates skipping parts with nothing to emit, every stretch queued
-whole, and the memo. Without it, line emission descends to every newline,
-and the output is the same.
+``prune`` gates queueing a symbol whole, cutting a stored one from its
+bytes, and skipping parts with nothing to emit. Without it, line emission
+walks every symbol down to every newline, and the output is the same.
 
-The pending output is one list of symbols and memo entries, written in
-batches. A batch is written _BLOCK (64) pieces at a time. A block of
-stored symbols and memo entries, each at most SHORT_LIMIT bytes, is one
-join of at most CHUNK_SIZE bytes and one write. In any other block each
-piece is written on its own, and a symbol without a stored expansion
-streams through ``iter_expand``. A pattern matching the empty string
-matches every line: the whole expansion is written, with a final newline
-if it lacks one, and nothing is saturated or walked; the lines are counted
-in the written chunks.
+The pending output is one list of symbols and byte pieces (slices of
+stored bytes and memo entries), written in batches. A batch is written
+_BLOCK (64) pieces at a time. A block of stored symbols and byte pieces,
+each at most SHORT_LIMIT bytes, is one join of at most CHUNK_SIZE bytes
+and one write. In any other block each piece is written on its own, and a
+symbol without a stored expansion streams through ``iter_expand``. A
+pattern matching the empty string matches every line: the whole expansion
+is written, with a final newline if it lacks one, and nothing is saturated
+or walked; the lines are counted in the written chunks.
 """
 
 from __future__ import annotations
@@ -76,34 +76,10 @@ from .automaton import NEWLINE, Fsa, union_rows
 from .engine import line_facts, saturate
 from .slp import CHUNK_SIZE, FIRST_VARIABLE, SHORT_LIMIT, Rules, Slp, iter_expand
 
-# Symbols and memo entries of emitted lines gathered before they are written.
+# Symbols and byte pieces of emitted lines gathered before they are written.
 _BATCH = 4096
 # Pieces written as one join: stored pieces fill at most a chunk.
 _BLOCK = CHUNK_SIZE // SHORT_LIMIT
-
-
-def _split_at_newline(rules: Rules, facts: list, sym: int, last: bool) -> tuple[list, list]:
-    """Symbols deriving the expansion through its first (or last) newline,
-    and the symbols after it.
-
-    The expansion must hold a newline (``facts[sym] > 1``): the descent
-    follows the part holding that newline down to the newline byte.
-    """
-    firsts, seconds = rules.firsts, rules.seconds
-    through, after = [], []  # after: right to left
-    while sym >= FIRST_VARIABLE:
-        rule = sym - FIRST_VARIABLE
-        first = firsts[rule]
-        second = seconds[rule]
-        if facts[second] < 2 if last else facts[first] > 1:
-            after.append(second)
-            sym = first
-        else:
-            through.append(first)
-            sym = second
-    through.append(sym)
-    after.reverse()
-    return through, after
 
 
 def _closed_lines(
@@ -161,10 +137,10 @@ def _closed_lines(
 
 
 def _write_pending(slp: Slp, pending: list, sink) -> None:
-    """Write the pending symbols and memo entries in order.
+    """Write the pending symbols and byte pieces in order.
 
-    They are taken _BLOCK at a time. A block of stored symbols and memo
-    entries, each at most SHORT_LIMIT bytes, is one join of at most
+    They are taken _BLOCK at a time. A block of stored symbols and byte
+    pieces, each at most SHORT_LIMIT bytes, is one join of at most
     CHUNK_SIZE bytes and one write. In any other block each piece is
     written on its own, and a symbol without a stored expansion streams
     through ``iter_expand``.
@@ -196,9 +172,9 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     newline byte after the axiom closing the last line. The final line gains
     a terminating newline even if the source text lacks one. No single write
     to the sink exceeds ``iter_expand``'s chunk size. ``prune`` gates
-    skipping parts with nothing to emit, queueing a stretch of matching
-    lines whole and the memo of matching closed lines; without it line
-    emission descends to every newline, and the output is the same. A
+    queueing a symbol whole, cutting a stored symbol's lines from its bytes
+    and skipping parts with nothing to emit; without it line emission walks
+    every symbol down to every newline, and the output is the same. A
     pattern that matches the empty string matches every line, so the whole
     expansion is written and its lines are counted as written.
     """
@@ -219,7 +195,7 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     firsts, seconds = rules.firsts, rules.seconds
 
     emitted = 0
-    out: list = []  # symbols and memo entries of emitted lines not yet written
+    out: list = []  # symbols and byte pieces of emitted lines not yet written
     opener: int | None = None  # symbol whose last line opens the current one
     opened = False  # the line the opener ends matched
     parts: list[int] = []  # newline-free symbols of the current line, in order
@@ -227,14 +203,6 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     line = False  # the current line matched so far
     facts = enter = short = None  # built at the first line that will be emitted
     closed: dict = {}  # stored symbol -> its matching closed lines
-    splits: tuple = ({}, {})  # at the first, at the last newline: symbol -> split
-
-    def split(sym: int, last: bool) -> tuple[list, list]:
-        memo = splits[last]
-        found = memo.get(sym)
-        if found is None:
-            found = memo[sym] = _split_at_newline(rules, facts, sym, last)
-        return found
 
     def write() -> None:
         _write_pending(slp, out, sink)
@@ -263,36 +231,28 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
                     break
                 if prune:
                     count = counts[sym]
-                    if count == (facts[sym] >> 1) - 1:
-                        # Every closed line matches: queue a stretch whole,
-                        # or descend to the seam that holds its ends.
-                        if head and tail:
-                            out.append(sym)
-                            break
-                        if head:
-                            out.extend(split(sym, True)[0])  # through the last newline
-                            break
-                        if tail:
-                            out.extend(split(sym, False)[1])  # after the first newline
-                            break
-                    elif not count:
-                        if head:
-                            out.extend(split(sym, False)[0])  # the first line
-                        if tail:
-                            out.extend(split(sym, True)[1])  # the last line
+                    every = count == (facts[sym] >> 1) - 1
+                    if every and head and tail:
+                        out.append(sym)  # every line matches: queue it whole
                         break
-                    elif short[sym] is not None:
-                        # Stored: its first and last lines are slices of its
-                        # bytes, its matching closed lines one memo entry.
-                        piece = short[sym]
+                    if (piece := short[sym]) is not None:
+                        # Stored: its emitted lines are cut from its bytes.
+                        start = piece.index(NEWLINE) + 1
+                        end = piece.rindex(NEWLINE) + 1
+                        if every:  # one stretch of matching lines
+                            piece = piece[0 if head else start : None if tail else end]
+                            if piece:
+                                out.append(piece)
+                            break
                         if head:
-                            out.append(piece[: piece.index(NEWLINE) + 1])
-                        found = closed.get(sym)
-                        if found is None:
-                            found = _closed_lines(rules, facts, counts, short, closed, sym)
-                        out.append(found)
-                        if tail and not facts[sym] & 1:  # a last line that is not empty
-                            out.append(piece[piece.rindex(NEWLINE) + 1 :])
+                            out.append(piece[:start])
+                        if count:
+                            found = closed.get(sym)
+                            if found is None:
+                                found = _closed_lines(rules, facts, counts, short, closed, sym)
+                            out.append(found)
+                        if tail and end < len(piece):  # a last line that is not empty
+                            out.append(piece[end:])
                         break
                 rule = sym - FIRST_VARIABLE
                 first = firsts[rule]

@@ -187,7 +187,7 @@ class Slp(namedtuple("Slp", "rules axiom")):
             rule_ids is None
             or not axiom
             or max(axiom) >= FIRST_VARIABLE + len(rules)
-            or _any_above(rule_ids, sys.byteorder, FIRST_VARIABLE - 1, 1)
+            or _first_above(rule_ids, sys.byteorder, FIRST_VARIABLE - 1, 1) is not None
         ):
             raise InvalidGrammarError(_fault_message(firsts, seconds, axiom))
         firsts, seconds, axiom = map(_read_only, (rule_ids[0::2], rule_ids[1::2], axiom_ids))
@@ -258,11 +258,6 @@ def _shape_fault(rules, axiom) -> str:
         return f"rule {i + 1} is not a pair of integer symbol ids"
     pos = next(pos for pos, sym in enumerate(axiom) if not isinstance(sym, int))
     return f"axiom position {pos} is not an integer symbol id"
-
-
-def _any_above(ids: array, byteorder: str, bound: int, rise: int) -> bool:
-    """Whether some id is above its bound, as ``_first_above`` finds it."""
-    return _first_above(ids, byteorder, bound, rise) is not None
 
 
 def _first_above(ids: array, byteorder: str, bound: int, rise: int) -> int | None:

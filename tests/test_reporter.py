@@ -8,6 +8,7 @@ from conftest import (
     random_text,
     sample_from_pattern,
 )
+from test_acceptance import _english_like
 from zslp.automaton import compile_line_pattern, compile_pattern
 from zslp.engine import count_matching_lines
 from zslp.oracle import oracle_count, oracle_lines
@@ -133,32 +134,6 @@ def test_emission_matches_oracle_and_count():
         )
         assert count == len(expected_lines)
         assert count == count_matching_lines(slp, fsa)
-
-
-def test_tail_extraction_matches_expansion():
-    from conftest import random_grammar
-    from zslp.engine import line_facts
-    from zslp.reporter import _split_at_newline
-
-    rng = random.Random(97)
-    checked = 0
-    for _ in range(40):
-        slp = random_grammar(rng)
-        facts = line_facts(slp.rules)
-        for sym in range(256, 256 + len(slp.rules)):
-            if facts[sym] < 2:
-                continue
-            expansion = expand(slp, (sym,))
-            # the head: through the first newline, then the rest
-            through, after = _split_at_newline(slp.rules, facts, sym, last=False)
-            head, rest = expansion.split(b"\n", 1)
-            assert (expand(slp, through), expand(slp, after)) == (head + b"\n", rest)
-            # the tail: through the last newline, then the rest
-            through, tail = _split_at_newline(slp.rules, facts, sym, last=True)
-            rest, expected = expansion.rsplit(b"\n", 1)
-            assert (expand(slp, through), expand(slp, tail)) == (rest + b"\n", expected)
-            checked += 1
-    assert checked > 50
 
 
 class CountingIds(tuple):
@@ -296,26 +271,17 @@ def test_adjacent_empty_lines():
             assert_reports_oracle(slp, pattern)
 
 
-def test_opener_completed_by_the_next_symbol_is_written_whole(monkeypatch):
-    import zslp.reporter
-
+def test_opener_completed_by_the_next_symbol_is_written_whole():
     # X = "ab\nab\na" and Y = "b\n": every line of X Y X Y is "ab". Each X
-    # opens a line that Y completes, so it is queued whole, with no descent
-    # to its last newline.
+    # opens a line that Y completes, so it is queued whole, and Y's stored
+    # bytes hold no other line to emit. No rule is descended.
     pairs = [(97, 98), (256, 10), (257, 257), (258, 97), (98, 10)]
     slp = Slp(pairs, [259, 260, 259, 260])
-    splits = []
-    real = zslp.reporter._split_at_newline
-
-    def counted(*args):
-        splits.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(zslp.reporter, "_split_at_newline", counted)
-    count, payload = report(slp, compile_pattern("ab"))
+    counted = counting_slp(slp)
+    count, payload = report(counted, compile_pattern("ab"))
     assert (count, payload) == (6, b"ab\n" * 6)
     assert payload == b"".join(line + b"\n" for line in oracle_lines(expand(slp), "ab"))
-    assert splits == []
+    assert counted.rules.firsts.lookups == 0
 
 
 def test_search_printing_nothing_never_builds_line_facts(monkeypatch):
@@ -486,14 +452,14 @@ def test_batches_stay_bounded_when_a_symbol_holds_many_matching_lines(monkeypatc
     # One axiom symbol holds 2**16 lines, and "ab" matches every other one.
     # Lines "ab" and then 1,024 c's: no symbol holding two newlines is
     # stored, so the lines are queued one by one inside that symbol, each
-    # as two symbols, "ab" and the newline.
+    # as one slice of the stored "ab\n".
     cs = [(99, 99)] + [(257 + i, 257 + i) for i in range(9)]  # 266 = 1,024 c's
     unit = [(97, 98), *cs, (266, 10), (256, 10), (268, 267)]  # "ab\n" + c's + "\n"
     slp = Slp(doubled_units(unit, 15), [256 + len(unit) + 14])
     sink = RecordingSink()
     assert report_matching_lines(slp, compile_pattern("ab"), sink) == 2**15
     assert b"".join(sink.writes) == b"ab\n" * 2**15
-    assert len(pending) >= 2**16 // zslp.reporter._BATCH
+    assert len(pending) >= 2**15 // zslp.reporter._BATCH
     assert max(len(items) for items in pending) <= zslp.reporter._BATCH + 2
     assert max(len(data) for data in sink.writes) <= CHUNK_SIZE
     assert streamed == []
@@ -613,3 +579,20 @@ def test_a_search_leaves_no_reference_cycle(monkeypatch):
     finally:
         gc.enable()
     assert calls
+
+
+def test_prose_openers_are_cut_from_their_bytes():
+    # On English-like text every symbol that holds a newline is stored, so
+    # search cuts each opener's matching lines from its bytes and the walk
+    # descends no rule.
+    text = _english_like(16384, random.Random(20260809))
+    slp = compress(text)
+    for pattern in ("the", "river", "I .* you"):
+        expected = oracle_lines(text, pattern)
+        counted = counting_slp(slp)
+        assert report(counted, compile_pattern(pattern)) == (
+            len(expected),
+            b"".join(line + b"\n" for line in expected),
+        )
+        assert expected, pattern
+        assert counted.rules.firsts.lookups == 0, pattern

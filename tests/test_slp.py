@@ -315,9 +315,11 @@ def test_rule_check_matches_a_per_id_loop(data, rule_count, width, block):
     other_order = "big" if sys.byteorder == "little" else "little"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zslp.slp, "_LANE_BLOCK", block)
-        assert zslp.slp._any_above(rule_ids, sys.byteorder, FIRST_VARIABLE - 1, 1) == forward
+        at = zslp.slp._first_above(rule_ids, sys.byteorder, FIRST_VARIABLE - 1, 1)
+        assert (at is not None) == forward
         rule_ids.byteswap()
-        assert zslp.slp._any_above(rule_ids, other_order, FIRST_VARIABLE - 1, 1) == forward
+        at = zslp.slp._first_above(rule_ids, other_order, FIRST_VARIABLE - 1, 1)
+        assert (at is not None) == forward
         if forward:
             with pytest.raises(SlpFormatError):
                 decode_slp(stream)
@@ -349,9 +351,9 @@ def test_axiom_check_matches_a_per_id_loop(data, rule_count, length, width, bloc
     other_order = "big" if sys.byteorder == "little" else "little"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zslp.slp, "_LANE_BLOCK", block)
-        assert zslp.slp._any_above(axiom, sys.byteorder, stop - 1, 0) == past
+        assert (zslp.slp._first_above(axiom, sys.byteorder, stop - 1, 0) is not None) == past
         axiom.byteswap()
-        assert zslp.slp._any_above(axiom, other_order, stop - 1, 0) == past
+        assert (zslp.slp._first_above(axiom, other_order, stop - 1, 0) is not None) == past
 
 
 @settings(max_examples=200, deadline=None)
@@ -388,7 +390,7 @@ def test_lane_ints_are_kept_for_powers_of_two_only():
     for width in (2, 4):
         for length in range(5000):
             ids = array(zslp.slp._ID_TYPECODES[width], [97]) * length
-            assert not zslp.slp._any_above(ids, sys.byteorder, FIRST_VARIABLE - 1, 1)
+            assert zslp.slp._first_above(ids, sys.byteorder, FIRST_VARIABLE - 1, 1) is None
     # 1, 2, 4, ..., 1,024 lanes, per width.
     assert zslp.slp._lanes.cache_info().currsize == 2 * 11
 
