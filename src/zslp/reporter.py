@@ -74,12 +74,10 @@ from itertools import chain
 
 from .automaton import NEWLINE, Fsa, union_rows
 from .engine import line_facts, saturate
-from .slp import CHUNK_SIZE, FIRST_VARIABLE, SHORT_LIMIT, Rules, Slp, iter_expand
+from .slp import _BLOCK, FIRST_VARIABLE, Rules, Slp, iter_expand
 
 # Symbols and byte pieces of emitted lines gathered before they are written.
 _BATCH = 4096
-# Pieces written as one join: stored pieces fill at most a chunk.
-_BLOCK = CHUNK_SIZE // SHORT_LIMIT
 
 
 def _closed_lines(
@@ -201,7 +199,7 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
     parts: list[int] = []  # newline-free symbols of the current line, in order
     reached = 0  # as in fold: the states a suffix of the text so far reaches
     line = False  # the current line matched so far
-    facts = enter = short = None  # built at the first line that will be emitted
+    facts = short = None  # built at the first line that will be emitted
     closed: dict = {}  # stored symbol -> its matching closed lines
 
     def write() -> None:
@@ -269,9 +267,9 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
                     # The line across the seam matches exactly when it adds
                     # to the count.
                     seam = counts[sym] > counts[first] + counts[second]
-                    if tail or seam or enter[second]:
+                    if tail or seam or counts[second] or not prune:
                         stack.append((second, seam, tail))
-                    if not (head or seam or enter[first]):
+                    if not (head or seam or counts[first] or not prune):
                         break
                     sym, tail = first, seam
 
@@ -299,8 +297,6 @@ def report_matching_lines(slp: Slp, fsa: Fsa, sink, prune: bool = True) -> int:
             if facts is None:
                 facts = line_facts(rules)
                 short = slp.short_expansions
-                # Unpruned, line emission enters every part holding a newline.
-                enter = counts if prune else facts
             emitted += counts[opener]  # its matching closed lines
             # An empty last line joins its symbol's stretch as if emitted.
             queue_lines(opener, opened, head or facts[opener] & 1)

@@ -13,16 +13,16 @@ A grammar is held as three id arrays, from the stream to every consumer:
 the rules' firsts, the rules' seconds and the axiom. ``Slp`` is a
 namedtuple ``(rules, axiom)`` that sees them read-only: ``rules`` is a
 ``Rules``, a sequence of pairs over the two rule arrays, and ``axiom`` a
-read-only memoryview. ``Slp`` checks the invariants once, when it is
-built, and converts its input to arrays once; ``ZslpReader`` checks them
-once, when it decodes a stream, and its ``read_slp`` wraps the arrays it
-read. Both name a fault with the same text, at most FAULTS_SHOWN (3)
-violations and then how many more. Both compare ids with their bounds in
-big-int lanes, _LANE_BLOCK (1,024) pairs of ids at a time, or fewer for a
-short array (``_first_above``): the reader every id, on the stream's
-bytes, and ``Slp`` the rules' ids, so a valid stream costs no int object
-per id. The reader looks for the faults it names, and counts them, from
-the first block holding one. ``Slp`` first refuses a rule
+read-only memoryview. One function, ``_checked_ids``, checks the
+invariants: for ``Slp`` once, when it is built, and for ``ZslpReader``
+once, when it decodes a stream, whose ``read_slp`` wraps the arrays it
+read. It takes the rule ids and the axiom ids as little-endian arrays, as
+a stream holds them (``Slp`` converts its input to such arrays once), and
+compares every id with its bound in big-int lanes, _LANE_BLOCK (1,024)
+pairs of ids at a time, or fewer for a short array (``_first_above``), so
+the check makes no int object per id. It names a fault with one text, at
+most FAULTS_SHOWN (3) violations and then how many more, looked for and
+counted from the first block holding one. ``Slp`` first refuses a rule
 that is not a pair of int ids and an axiom entry that is not an int id,
 naming the first, and then an id its arrays cannot hold. ``_checked_slp``,
 which wraps checked parts, is the only way to build an Slp without the
@@ -161,9 +161,10 @@ class Slp(namedtuple("Slp", "rules axiom")):
     whatever pair the caller gave, is ``(rules.firsts[i], rules.seconds[i])``
     and defines symbol ``256 + i``; ``axiom`` is a memoryview of the axiom's
     ids. Building an Slp, also by ``_make``, ``_replace``, copy or pickle,
-    checks every invariant and raises InvalidGrammarError naming the
-    violations, so an Slp that exists is valid and its consumers need not
-    check it again. ``_checked_slp``, the one way to skip the check, wraps
+    puts its ids in little-endian arrays and checks them with
+    ``_checked_ids``, the reader's check, raising InvalidGrammarError naming
+    the violations, so an Slp that exists is valid and its consumers need
+    not check it again. ``_checked_slp``, the one way to skip the check, wraps
     parts ``ZslpReader`` has checked. Expansion caches ``short_expansions``
     on it, a table fixed by the rules.
     """
@@ -182,15 +183,12 @@ class Slp(namedtuple("Slp", "rules axiom")):
             rule_ids = array(code, chain.from_iterable(zip(firsts, seconds)))
             axiom_ids = array(code, axiom)
         except OverflowError:  # a negative id, or one too wide for any valid id
-            rule_ids = None
-        if (
-            rule_ids is None
-            or not axiom
-            or max(axiom) >= FIRST_VARIABLE + len(rules)
-            or _first_above(rule_ids, sys.byteorder, FIRST_VARIABLE - 1, 1) is not None
-        ):
-            raise InvalidGrammarError(_fault_message(firsts, seconds, axiom))
-        firsts, seconds, axiom = map(_read_only, (rule_ids[0::2], rule_ids[1::2], axiom_ids))
+            raise InvalidGrammarError(_fault_message(firsts, seconds, axiom, 0, 0)) from None
+        if _BIG_ENDIAN:  # the check reads ids little-endian, as a stream holds them
+            rule_ids.byteswap()
+            axiom_ids.byteswap()
+        ids = _checked_ids(rule_ids, axiom_ids, InvalidGrammarError)
+        firsts, seconds, axiom = map(_read_only, ids)
         return super().__new__(cls, Rules(firsts, seconds), axiom)
 
     @classmethod
@@ -260,11 +258,38 @@ def _shape_fault(rules, axiom) -> str:
     return f"axiom position {pos} is not an integer symbol id"
 
 
-def _first_above(ids: array, byteorder: str, bound: int, rise: int) -> int | None:
-    """Where the first ``ids[k]``, stored in ``byteorder``, that is above
+def _checked_ids(rule_ids: array, axiom: array, error: type) -> tuple[array, array, array]:
+    """A grammar's firsts, seconds and axiom ids, in host order, if they are valid.
+
+    The one check of a grammar's ids, for ``Slp`` and ``ZslpReader`` alike.
+    ``rule_ids`` holds each rule's first and second id, and ``axiom`` the
+    axiom's ids, both little-endian, as a stream holds them; both arrays
+    are put in host order. Every rule must name terminals and earlier rules
+    only, and the axiom must be non-empty and name defined symbols only;
+    otherwise raises ``error`` naming the faults, searched and counted from
+    the first bad block of each array.
+    """
+    rule_count = len(rule_ids) // 2
+    # Where the first bad block of each array starts; the ids before it are valid.
+    rules_at = _first_above(rule_ids, FIRST_VARIABLE - 1, 1)
+    axiom_at = _first_above(axiom, FIRST_VARIABLE + rule_count - 1, 0)
+    if _BIG_ENDIAN:
+        rule_ids.byteswap()
+        axiom.byteswap()
+    firsts, seconds = rule_ids[0::2], rule_ids[1::2]
+    if not axiom or rules_at is not None or axiom_at is not None:
+        rule_start = rule_count if rules_at is None else rules_at // 2
+        axiom_start = len(axiom) if axiom_at is None else axiom_at
+        raise error(_fault_message(firsts, seconds, axiom, rule_start, axiom_start))
+    return firsts, seconds, axiom
+
+
+def _first_above(ids: array, bound: int, rise: int) -> int | None:
+    """Where the first ``ids[k]``, stored little-endian, that is above
     ``bound + rise * (k // 2)`` lies: the index of the first id of its
     block, or None if there is none. With bound 255 and rise 1, an id
-    above it names its own rule's or a later symbol.
+    above it names its own rule's or a later symbol. ``_checked_ids``, the
+    one grammar check, runs it on both of a grammar's arrays.
 
     The check compares ids many at a time in lanes of big ints, as in
     Lamport's "Multiple byte processing with full-word instructions" (CACM
@@ -280,16 +305,13 @@ def _first_above(ids: array, byteorder: str, bound: int, rise: int) -> int | Non
     """
     width = ids.itemsize
     count = min(_LANE_BLOCK, 1 << max((len(ids) + 1) // 2 - 1, 0).bit_length())
-    unit, ramp, low, guards = _lanes(width, count, byteorder)
+    unit, ramp, low, guards = _lanes(width, count)
     bounds = guards + bound * unit + rise * ramp
     step = rise * count * unit
     size = 2 * width * count
     with memoryview(ids) as view, view.cast("B") as raw:
         for start in range(0, len(raw), size):
-            block = raw[start : start + size]
-            pairs = int.from_bytes(block, byteorder)
-            if byteorder == "big":  # a short last block's ids sit in the low lanes
-                pairs <<= 8 * (size - len(block))
+            pairs = int.from_bytes(raw[start : start + size], "little")
             lows = bounds - (pairs & low)
             highs = bounds - (pairs >> 8 * width & low)
             if lows & highs & guards != guards:
@@ -299,17 +321,17 @@ def _first_above(ids: array, byteorder: str, bound: int, rise: int) -> int | Non
 
 
 @cache
-def _lanes(width: int, count: int, byteorder: str) -> tuple[int, int, int, int]:
+def _lanes(width: int, count: int) -> tuple[int, int, int, int]:
     """``_first_above``'s ints for ``count`` lanes of two ``width``-byte ids.
 
-    Laid out in ``byteorder``, as the ids are: 1 in every lane, j in lane
-    j, the mask of each lane's low half, and the guards, each lane's top
-    bit. Built once per width, byte order and lane count, on first use.
-    ``_first_above`` asks for the 11 powers of two up to _LANE_BLOCK lanes;
-    the ints of 1,024 lanes take 16 KiB at width 2.
+    Laid out little-endian, as the ids are: 1 in every lane, j in lane j,
+    the mask of each lane's low half, and the guards, each lane's top bit.
+    Built once per width and lane count, on first use. ``_first_above``
+    asks for the 11 powers of two up to _LANE_BLOCK lanes; the ints of
+    1,024 lanes take 16 KiB at width 2.
     """
     size = 2 * width
-    ramp = int.from_bytes(b"".join(j.to_bytes(size, byteorder) for j in range(count)), byteorder)
+    ramp = int.from_bytes(b"".join(j.to_bytes(size, "little") for j in range(count)), "little")
 
     def every_lane(value: int) -> int:
         return int.from_bytes(value.to_bytes(size, "little") * count, "little")
@@ -317,7 +339,7 @@ def _lanes(width: int, count: int, byteorder: str) -> tuple[int, int, int, int]:
     return every_lane(1), ramp, every_lane((1 << 8 * width) - 1), every_lane(1 << 8 * size - 1)
 
 
-def _fault_message(firsts, seconds, axiom, rule_start: int = 0, axiom_start: int = 0) -> str:
+def _fault_message(firsts, seconds, axiom, rule_start: int, axiom_start: int) -> str:
     """The first FAULTS_SHOWN violations of a grammar, then how many more.
 
     The rules before ``rule_start`` and the axiom ids before
@@ -474,12 +496,12 @@ def encode_slp(slp: Slp) -> bytes:
 class ZslpReader:
     """ZSLP reader: the whole stream is decoded and checked on construction.
 
-    The constructor checks the header, reads only the ids it states (see
-    the module docstring) into an array of rule ids and an array of axiom
-    ids, splits the rule ids into an array of firsts and one of seconds,
-    and checks the grammar's invariants, raising SlpFormatError with the
-    text ``Slp`` would give. All ids are checked on the stream's
-    little-endian bytes, before they are put in host order.
+    The constructor checks the header and reads only the ids it states
+    (see the module docstring) into an array of rule ids and an array of
+    axiom ids. ``_checked_ids``, the check ``Slp`` runs too, checks them on
+    the stream's little-endian bytes, puts them in host order and splits
+    the rule ids into an array of firsts and one of seconds, or raises
+    SlpFormatError with the text ``Slp`` would give.
     ``iter_rules``, ``read_axiom`` and ``read_slp`` are views of the checked
     arrays, in any order and without a second check, so the consumers of
     the rules (``saturate``, the engine's line count) take valid pairs.
@@ -514,27 +536,10 @@ class ZslpReader:
         # The header read may have taken the first ids, or all of them and more.
         head = data[pos + 1 :]
         rule_ids, head = _read_ids(stream, head, width, 2 * self.rule_count)
-        self._axiom, head = _read_ids(stream, head, width, axiom_len)
+        axiom, head = _read_ids(stream, head, width, axiom_len)
         if head or stream.read(1):
             raise SlpFormatError("trailing data after axiom")
-        # Where the first bad block of each array starts; the ids before it are valid.
-        axiom_at = _first_above(self._axiom, "little", FIRST_VARIABLE + self.rule_count - 1, 0)
-        rules_at = _first_above(rule_ids, "little", FIRST_VARIABLE - 1, 1)
-        if _BIG_ENDIAN:
-            rule_ids.byteswap()
-            self._axiom.byteswap()
-        self._firsts = rule_ids[0::2]
-        self._seconds = rule_ids[1::2]
-        if not axiom_len or axiom_at is not None or rules_at is not None:
-            raise SlpFormatError(
-                _fault_message(
-                    self._firsts,
-                    self._seconds,
-                    self._axiom,
-                    self.rule_count if rules_at is None else rules_at // 2,
-                    axiom_len if axiom_at is None else axiom_at,
-                )
-            )
+        self._firsts, self._seconds, self._axiom = _checked_ids(rule_ids, axiom, SlpFormatError)
 
     def iter_rules(self) -> Iterator[tuple[int, int]]:
         """Yield (first, second) for each rule, in definition order."""

@@ -290,6 +290,13 @@ def test_rule_check_block_edges(width, rule_count, block, monkeypatch):
                 assert str(info.value) == message
 
 
+def little_endian(ids: array) -> array:
+    """The id array stored little-endian, as a stream holds it and the lane check reads it."""
+    if sys.byteorder == "big":
+        ids.byteswap()
+    return ids
+
+
 # Offsets of an id from its stop (256 + i for rule i, 256 + p for the
 # axiom): below it, which passes, and at or past it, which fails.
 BELOW_BOUND = st.sampled_from([-1, -2, -256])
@@ -302,8 +309,7 @@ def test_rule_check_matches_a_per_id_loop(data, rule_count, width, block):
     # Rule ids near their bounds, at most two of them past, against a plain
     # loop over the ids, with blocks of 1-3 rules so that a grammar spans
     # several. The reader and Slp share the lane check, so this test, not
-    # their agreement, is what checks it; the check itself is also run in
-    # both byte orders.
+    # their agreement, is what checks it.
     ids = [max(0, FIRST_VARIABLE + k // 2 + data.draw(BELOW_BOUND)) for k in range(2 * rule_count)]
     if ids:
         for k in data.draw(st.lists(st.integers(0, len(ids) - 1), max_size=2)):
@@ -311,14 +317,10 @@ def test_rule_check_matches_a_per_id_loop(data, rule_count, width, block):
     forward = any(sym >= FIRST_VARIABLE + k // 2 for k, sym in enumerate(ids))
     pairs = list(zip(ids[0::2], ids[1::2]))
     stream = raw_zslp(pairs, [97], width)
-    rule_ids = array(zslp.slp._ID_TYPECODES[width], ids)
-    other_order = "big" if sys.byteorder == "little" else "little"
+    rule_ids = little_endian(array(zslp.slp._ID_TYPECODES[width], ids))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zslp.slp, "_LANE_BLOCK", block)
-        at = zslp.slp._first_above(rule_ids, sys.byteorder, FIRST_VARIABLE - 1, 1)
-        assert (at is not None) == forward
-        rule_ids.byteswap()
-        at = zslp.slp._first_above(rule_ids, other_order, FIRST_VARIABLE - 1, 1)
+        at = zslp.slp._first_above(rule_ids, FIRST_VARIABLE - 1, 1)
         assert (at is not None) == forward
         if forward:
             with pytest.raises(SlpFormatError):
@@ -339,7 +341,7 @@ def test_rule_check_matches_a_per_id_loop(data, rule_count, width, block):
 )
 def test_axiom_check_matches_a_per_id_loop(data, rule_count, length, width, block):
     # Axiom ids near the bound 256 + p, at most two of them past, against a
-    # plain loop, in both byte orders; odd lengths leave half a lane.
+    # plain loop; odd lengths leave half a lane.
     stop = FIRST_VARIABLE + rule_count
     largest = (1 << 8 * width) - 1
     ids = [min(max(0, stop + data.draw(BELOW_BOUND)), largest) for _ in range(length)]
@@ -347,13 +349,10 @@ def test_axiom_check_matches_a_per_id_loop(data, rule_count, length, width, bloc
         for k in data.draw(st.lists(st.integers(0, length - 1), max_size=2)):
             ids[k] = min(stop + data.draw(PAST_BOUND), largest)
     past = any(sym >= stop for sym in ids)
-    axiom = array(zslp.slp._ID_TYPECODES[width], ids)
-    other_order = "big" if sys.byteorder == "little" else "little"
+    axiom = little_endian(array(zslp.slp._ID_TYPECODES[width], ids))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zslp.slp, "_LANE_BLOCK", block)
-        assert (zslp.slp._first_above(axiom, sys.byteorder, stop - 1, 0) is not None) == past
-        axiom.byteswap()
-        assert (zslp.slp._first_above(axiom, other_order, stop - 1, 0) is not None) == past
+        assert (zslp.slp._first_above(axiom, stop - 1, 0) is not None) == past
 
 
 @settings(max_examples=200, deadline=None)
@@ -376,21 +375,18 @@ def test_first_bad_block_is_found(data, length, width, block, rise):
     bad = [k for k, sym in enumerate(ids) if sym > stops[k]]
     lanes = min(block, 1 << max((length + 1) // 2 - 1, 0).bit_length())
     expected = bad[0] // (2 * lanes) * 2 * lanes if bad else None
-    array_ids = array(zslp.slp._ID_TYPECODES[width], ids)
-    other_order = "big" if sys.byteorder == "little" else "little"
+    array_ids = little_endian(array(zslp.slp._ID_TYPECODES[width], ids))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zslp.slp, "_LANE_BLOCK", block)
-        assert zslp.slp._first_above(array_ids, sys.byteorder, bound, rise) == expected
-        array_ids.byteswap()
-        assert zslp.slp._first_above(array_ids, other_order, bound, rise) == expected
+        assert zslp.slp._first_above(array_ids, bound, rise) == expected
 
 
 def test_lane_ints_are_kept_for_powers_of_two_only():
     zslp.slp._lanes.cache_clear()
     for width in (2, 4):
         for length in range(5000):
-            ids = array(zslp.slp._ID_TYPECODES[width], [97]) * length
-            assert zslp.slp._first_above(ids, sys.byteorder, FIRST_VARIABLE - 1, 1) is None
+            ids = little_endian(array(zslp.slp._ID_TYPECODES[width], [97]) * length)
+            assert zslp.slp._first_above(ids, FIRST_VARIABLE - 1, 1) is None
     # 1, 2, 4, ..., 1,024 lanes, per width.
     assert zslp.slp._lanes.cache_info().currsize == 2 * 11
 
@@ -398,21 +394,39 @@ def test_lane_ints_are_kept_for_powers_of_two_only():
 @pytest.mark.parametrize("block", [1, 3, 1024])
 def test_reader_names_faults_from_the_first_bad_block(block, monkeypatch):
     # Faults in several blocks of the rules and of the axiom, after clean
-    # blocks: the reader starts its search and its count at the first bad
-    # block and names what the constructor names, "and N more" included.
+    # blocks: the reader and the constructor both start their search and
+    # their count at the first bad block, and name the same faults, "and N
+    # more" included.
     monkeypatch.setattr(zslp.slp, "_LANE_BLOCK", block)
+    starts = []
+    fault_message = zslp.slp._fault_message
+
+    def recorded(firsts, seconds, axiom, *start):
+        starts.append(start)
+        return fault_message(firsts, seconds, axiom, *start)
+
+    monkeypatch.setattr(zslp.slp, "_fault_message", recorded)
     rule_count = 3000
     pairs = [(97, 98)] * rule_count
     for i, side in ((1500, 1), (1501, 0), (2999, 0), (2999, 1)):
         pair = list(pairs[i])
         pair[side] = FIRST_VARIABLE + i + side
         pairs[i] = tuple(pair)
-    for axiom in ([97] * 5000, [97] * 4000 + [FIRST_VARIABLE + rule_count] * 3 + [97]):
+    # Rule 1501's second id is id 3,001, in the block of ``block`` rules
+    # from rule 1500 // block * block; axiom id 4,000 is in the block of
+    # 2 * block ids holding it.
+    rule_start = 1500 // block * block
+    for axiom, axiom_start in (
+        ([97] * 5000, 5000),
+        ([97] * 4000 + [FIRST_VARIABLE + rule_count] * 3 + [97], 4000 // (2 * block) * 2 * block),
+    ):
+        starts.clear()
         with pytest.raises(InvalidGrammarError) as built:
             Slp(pairs, axiom)
         with pytest.raises(SlpFormatError) as read:
             decode_slp(raw_zslp(pairs, axiom))
         assert str(read.value) == str(built.value)
+        assert starts == [(rule_start, axiom_start)] * 2
     assert str(read.value) == (
         "rule 1501 references undefined/later symbol 1757; "
         "rule 1502 references undefined/later symbol 1757; "
