@@ -164,9 +164,9 @@ class Slp(namedtuple("Slp", "rules axiom")):
     puts its ids in little-endian arrays and checks them with
     ``_checked_ids``, the reader's check, raising InvalidGrammarError naming
     the violations, so an Slp that exists is valid and its consumers need
-    not check it again. ``_checked_slp``, the one way to skip the check, wraps
-    parts ``ZslpReader`` has checked. Expansion caches ``short_expansions``
-    on it, a table fixed by the rules.
+    not check it again. ``_checked_slp``, the one way to skip the check,
+    wraps parts ``ZslpReader`` has checked. Expansion caches
+    ``short_expansions`` on it, a table fixed by the rules.
     """
 
     def __new__(cls, rules, axiom):
@@ -259,15 +259,14 @@ def _shape_fault(rules, axiom) -> str:
 
 
 def _checked_ids(rule_ids: array, axiom: array, error: type) -> tuple[array, array, array]:
-    """A grammar's firsts, seconds and axiom ids, in host order, if they are valid.
+    """The one check of a grammar's ids, for ``Slp`` and ``ZslpReader``.
 
-    The one check of a grammar's ids, for ``Slp`` and ``ZslpReader`` alike.
-    ``rule_ids`` holds each rule's first and second id, and ``axiom`` the
-    axiom's ids, both little-endian, as a stream holds them; both arrays
-    are put in host order. Every rule must name terminals and earlier rules
-    only, and the axiom must be non-empty and name defined symbols only;
-    otherwise raises ``error`` naming the faults, searched and counted from
-    the first bad block of each array.
+    ``rule_ids`` (each rule's first and second) and ``axiom`` are
+    little-endian, as a stream holds them, and are put in host order.
+    Returns the rules' firsts, their seconds and the axiom if every rule
+    names terminals and earlier rules only and the axiom is non-empty and
+    names defined symbols only; otherwise raises ``error`` naming the
+    faults, searched and counted from the first bad block of each array.
     """
     rule_count = len(rule_ids) // 2
     # Where the first bad block of each array starts; the ids before it are valid.
@@ -288,8 +287,8 @@ def _first_above(ids: array, bound: int, rise: int) -> int | None:
     """Where the first ``ids[k]``, stored little-endian, that is above
     ``bound + rise * (k // 2)`` lies: the index of the first id of its
     block, or None if there is none. With bound 255 and rise 1, an id
-    above it names its own rule's or a later symbol. ``_checked_ids``, the
-    one grammar check, runs it on both of a grammar's arrays.
+    above it names its own rule's or a later symbol. ``_checked_ids`` runs
+    it on both of a grammar's arrays.
 
     The check compares ids many at a time in lanes of big ints, as in
     Lamport's "Multiple byte processing with full-word instructions" (CACM
