@@ -58,9 +58,9 @@ from .automaton import NEWLINE, Fsa, PatternSyntaxError, iter_bits, union_rows
 from .slp import InvalidGrammarError, Slp
 
 PERCENTILE_POINTS = (50, 75, 95, 98, 100)
-# Guard rail on the saturated relations: rows summed over all rules, times
-# the automaton's width in 64-bit words (state_count // 64 + 1). Every rule's
-# rows count, also when its kind is shared with an earlier rule's.
+# Guard rail on the relations ``saturate`` builds: the rows of each distinct
+# pair of kinds' composition, summed, times the automaton's width in 64-bit
+# words (state_count // 64 + 1). A rule whose pair was seen builds none.
 MAX_RELATION_WORDS = 50_000_000
 
 # Per symbol its kind and closed-line count; per kind its record.
@@ -104,10 +104,10 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
     must treat the records' relations as read-only. A rule whose pair of
     kinds was seen before takes the kind and seam increment found then;
     otherwise the pair's relations are composed, ``combine`` runs, and the
-    result is looked up as a kind by its sorted rows and flags. The row
-    budget still counts every rule's rows, shared or not: the compiler's
-    "pattern too large" PatternSyntaxError is raised once they outgrow
-    MAX_RELATION_WORDS.
+    result is looked up as a kind by its sorted rows and flags. Only a
+    composition adds its rows to the budget, so it bounds the relations
+    saturate builds: the compiler's "pattern too large" PatternSyntaxError
+    is raised once they outgrow MAX_RELATION_WORDS.
     """
     final = fsa.final
     row_budget = MAX_RELATION_WORDS // (fsa.state_count // 64 + 1)
@@ -123,7 +123,8 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
         return kind
 
     def derive(kind_a: int, kind_b: int) -> tuple:
-        """(kind, seam increment, rows) of a rule whose parts have these kinds."""
+        """(kind, seam increment) of a rule whose parts have these kinds."""
+        nonlocal rows
         rel_a, _, nl_a, left_a, right_a = table[kind_a]
         rel_b, row_b, nl_b, left_b, right_b = table[kind_b]
         rel = {}
@@ -137,10 +138,15 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
                     new_match = True
         if row_b:
             rel[0] = rel.get(0, 0) | row_b
+        rows += len(rel)
+        if rows > row_budget:
+            raise PatternSyntaxError(
+                f"pattern too large: over {MAX_RELATION_WORDS} relation words"
+            )
         nl, left, right, seam = combine(
             (nl_a, left_a, right_a, 0), (nl_b, left_b, right_b, 0), new_match
         )
-        return kind_of(rel, nl, left, right), seam, len(rel)
+        return kind_of(rel, nl, left, right), seam
 
     # The compiler shares one row map per byte class: each map, and the
     # newline byte's, is given a kind once.
@@ -155,21 +161,16 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
         kinds.append(kind)
     counts: list[int] = [0] * len(kinds)
 
-    # (kind of A, kind of B) -> (kind of X, seam increment, rows)
+    # (kind of A, kind of B) -> (kind of X, seam increment)
     derived: dict = {}
     for first, second in rule_pairs:
         pair = (kinds[first], kinds[second])
         try:
-            kind, seam, size = derived[pair]
+            kind, seam = derived[pair]
         except KeyError:
-            kind, seam, size = derived[pair] = derive(*pair)
+            kind, seam = derived[pair] = derive(*pair)
         kinds.append(kind)
         counts.append(counts[first] + counts[second] + seam)
-        rows += size
-        if rows > row_budget:
-            raise PatternSyntaxError(
-                f"pattern too large: over {MAX_RELATION_WORDS} relation words"
-            )
     return Saturation(kinds, counts, table)
 
 
@@ -292,10 +293,11 @@ class SearchStats(
     per row of A and per middle bit of it for a rule, and one per middle
     state reached before an axiom symbol.
     Those are the operations of a pass that composes and combines every
-    rule on its own. ``saturate`` composes relations and combines line
-    flags once per distinct pair of kinds; any other rule costs it one
-    lookup and one count addition. So ``measured_ops`` is an upper bound on
-    the operations it performs, and a loose one on grammars with few kinds.
+    rule on its own. ``saturate`` composes relations, combines line flags
+    and charges the relation budget once per distinct pair of kinds; any
+    other rule costs it one lookup and one count addition. So
+    ``measured_ops`` is an upper bound on the operations it performs, and a
+    loose one on grammars with few kinds.
     """
 
     __slots__ = ()

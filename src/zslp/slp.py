@@ -172,18 +172,18 @@ class Slp(namedtuple("Slp", "rules axiom")):
     def __new__(cls, rules, axiom):
         rules, axiom = tuple(rules), tuple(axiom)
         try:
-            firsts, seconds = tuple(zip(*rules, strict=True)) or ((), ())
-            types = set(map(type, chain(firsts, seconds, axiom)))
-            if not all(issubclass(t, int) for t in types):
+            ids = tuple(chain.from_iterable(rules))
+            # array would take __index__-only ids too, so the types are checked.
+            types = set(map(type, chain(ids, axiom)))
+            if set(map(len, rules)) - {2} or not all(issubclass(t, int) for t in types):
                 raise TypeError
         except (TypeError, ValueError):  # not all pairs, or not all ints
             raise InvalidGrammarError(_shape_fault(rules, axiom)) from None
         code = _ID_TYPECODES[_id_width(len(rules))]
         try:
-            rule_ids = array(code, chain.from_iterable(zip(firsts, seconds)))
-            axiom_ids = array(code, axiom)
+            rule_ids, axiom_ids = array(code, ids), array(code, axiom)
         except OverflowError:  # a negative id, or one too wide for any valid id
-            raise InvalidGrammarError(_fault_message(firsts, seconds, axiom, 0, 0)) from None
+            raise InvalidGrammarError(_fault_message(ids[::2], ids[1::2], axiom, 0, 0)) from None
         if _BIG_ENDIAN:  # the check reads ids little-endian, as a stream holds them
             rule_ids.byteswap()
             axiom_ids.byteswap()
@@ -248,8 +248,7 @@ def _shape_fault(rules, axiom) -> str:
     axiom position that is not an int id."""
     for i, rule in enumerate(rules):
         try:
-            first, second = rule
-            if isinstance(first, int) and isinstance(second, int):
+            if len(rule) == 2 and all(isinstance(sym, int) for sym in rule):
                 continue
         except (TypeError, ValueError):
             pass

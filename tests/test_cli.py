@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 
 from conftest import EXAMPLE_AXIOM, EXAMPLE_PAIRS, PATTERN_ERRORS, raw_zslp
 from test_acceptance import _english_like
+from test_engine import charged_rows
 import zslp.cli
+import zslp.engine
 import zslp.repair
+from zslp.automaton import compile_line_pattern
 from zslp.cli import run_cli
 from zslp.oracle import oracle_count, oracle_lines
 from zslp.repair import compress
@@ -594,6 +597,27 @@ def test_edge_reduced_patterns_agree_with_the_oracle(log_file, capsysbinary, pat
     assert run_cli(["count", "-e", pattern, log_file]) == code
     assert capsysbinary.readouterr().out == b"%d\n" % len(lines)
     assert run_cli(["search", "-e", pattern, log_file]) == code
+    assert capsysbinary.readouterr().out == b"".join(line + b"\n" for line in lines)
+
+
+def test_budget_between_built_and_every_rule_rows_answers(log_file, capsysbinary, monkeypatch):
+    # The budget charges the rows saturate builds, each distinct pair of
+    # kinds once. Set between those and the rows of every rule, which it
+    # charged before, it lets count and search answer as the oracle does.
+    pattern = "host-(alpha|gamma) .*(html|js)"
+    with open(log_file, "rb") as stream:
+        slp = decode_slp(stream.read())
+    fsa = compile_line_pattern(pattern)
+    assert fsa.state_count < 64  # rows are words
+    rule_rows, charged = charged_rows(slp.rules, fsa)
+    budget = (sum(charged) + sum(rule_rows)) // 2
+    assert sum(charged) <= budget < sum(rule_rows)
+    monkeypatch.setattr(zslp.engine, "MAX_RELATION_WORDS", budget)
+    lines = oracle_lines(expand(slp), pattern)
+    assert lines
+    assert run_cli(["count", "-e", pattern, log_file]) == 0
+    assert capsysbinary.readouterr().out == b"%d\n" % len(lines)
+    assert run_cli(["search", "-e", pattern, log_file]) == 0
     assert capsysbinary.readouterr().out == b"".join(line + b"\n" for line in lines)
 
 

@@ -407,7 +407,7 @@ def test_saturation_matches_brute_force_bulk():
 def reference_saturate(rule_pairs, fsa):
     """Saturation with one composition per rule and no sharing, for comparison.
 
-    Also returns each rule's row count, which the relation budget adds up.
+    Also returns each rule's row count.
     """
     final = fsa.final
     rels = list(fsa.rows)
@@ -542,20 +542,34 @@ def test_saturate_kind_miss_composes_again(monkeypatch):
     assert saturation.kinds[257] != saturation.kinds[258] == saturation.kinds[259]
 
 
-@pytest.mark.parametrize("shape", ["one-shared-relation", "random"])
-def test_relation_budget_counts_every_rule(monkeypatch, shape):
-    # The budget adds each rule's rows, shared or not, so it raises at the
-    # same rule as a saturation that composes every rule on its own.
-    fsa = compile_pattern("a.{0,6}b")
-    if shape == "random":
-        rules = random_grammar(random.Random(77), max_rules=60).rules
-    else:
-        rules = [(97, 98)] + [(97, 98), (256, 256)] * 30
-    rule_rows = reference_saturate(rules, fsa)[2]
-    budget = sum(rule_rows) // 2  # rows as words: the automaton is under 64 states
-    totals = itertools.accumulate(rule_rows)
-    expected = next(i for i, total in enumerate(totals) if total > budget)
-    monkeypatch.setattr(zslp.engine, "MAX_RELATION_WORDS", budget)
+def charged_rows(rule_pairs, fsa):
+    """Per rule, (its relation's rows, the rows the relation budget charges it).
+
+    A rule is charged its rows when its pair of kinds is new, and nothing
+    when the pair was seen. Kinds come from the reference saturation, as in
+    ``memo_work``.
+    """
+    infos, rels, rule_rows = reference_saturate(rule_pairs, fsa)
+    kinds = [(tuple(sorted(rel.items())), *info[:3]) for rel, info in zip(rels, infos)]
+    seen = set()
+    charged = []
+    for (a, b), rows in zip(rule_pairs, rule_rows):
+        pair = (kinds[a], kinds[b])
+        charged.append(0 if pair in seen else rows)
+        seen.add(pair)
+    return rule_rows, charged
+
+
+def first_over(rows, budget):
+    """Index of the rule whose rows take the running total over budget, or None."""
+    return next((i for i, total in enumerate(itertools.accumulate(rows)) if total > budget), None)
+
+
+def refused_at(rules, fsa, budget):
+    """Index of the rule saturate refuses at under this budget, or None.
+
+    The automaton must have under 64 states, so that rows are words.
+    """
     consumed = []
 
     def feed():
@@ -563,9 +577,65 @@ def test_relation_budget_counts_every_rule(monkeypatch, shape):
             consumed.append(i)
             yield pair
 
-    with pytest.raises(PatternSyntaxError, match=f"pattern too large: over {budget} "):
-        saturate(feed(), fsa)
-    assert consumed[-1] == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zslp.engine, "MAX_RELATION_WORDS", budget)
+        try:
+            saturate(feed(), fsa)
+        except PatternSyntaxError as exc:
+            assert str(exc) == f"pattern too large: over {budget} relation words"
+            return consumed[-1]
+    return None
+
+
+def test_relation_budget_charges_each_new_pair_once():
+    # saturate raises at the first rule whose pair of kinds is new and takes
+    # the rows built so far over the budget, later than a budget that adds
+    # every rule's rows would.
+    fsa = compile_pattern("a.{0,6}b")
+    later = 0
+    for seed in range(77, 87):
+        rules = random_grammar(random.Random(seed), max_rules=60).rules
+        rule_rows, charged = charged_rows(rules, fsa)
+        budget = sum(charged) // 2
+        expected = first_over(charged, budget)
+        assert charged[expected] == rule_rows[expected] > 0
+        assert refused_at(rules, fsa, budget) == expected
+        later += first_over(rule_rows, budget) < expected
+    assert later >= 5
+
+
+def test_repeated_pair_is_answered_under_a_budget_below_rules_times_rows():
+    # 100 rules of one pair of kinds build one relation: they are answered
+    # under a budget of its rows, a hundredth of the rows the rules hold.
+    fsa = compile_pattern("a.{0,6}b")
+    rules = [(97, 98)] * 100
+    rule_rows, charged = charged_rows(rules, fsa)
+    budget = sum(charged)
+    assert budget == rule_rows[0] > 0 and sum(rule_rows) == 100 * budget
+    assert refused_at(rules, fsa, budget) is None
+    assert refused_at(rules, fsa, budget - 1) == 0
+    infos, rels, _ = reference_saturate(rules, fsa)
+    assert symbol_summaries(saturate(rules, fsa)) == (infos, rels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.sampled_from(SHARING_PATTERNS),
+    st.floats(min_value=0, max_value=1),
+)
+def test_relation_budget_refuses_no_earlier_than_every_rule_rows(seed, pattern, share):
+    # After every rule the rows built are at most the rows of all rules so
+    # far, so a grammar the per-rule total admits is answered, and saturate
+    # refuses exactly where the rows built first pass the budget.
+    fsa = compile_pattern(pattern)
+    rules = random_grammar(random.Random(seed), max_rules=40).rules
+    rule_rows, charged = charged_rows(rules, fsa)
+    built_totals = itertools.accumulate(charged)
+    rule_totals = itertools.accumulate(rule_rows)
+    assert all(built <= total for built, total in zip(built_totals, rule_totals))
+    budget = int(share * sum(rule_rows))
+    assert refused_at(rules, fsa, budget) == first_over(charged, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,16 @@ from zslp.slp import (
 )
 
 
+class IndexOnly:
+    """Not an int, though ``array`` would store it: it has ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 @pytest.mark.parametrize(
     "rules, axiom, message",
     [
@@ -60,6 +70,10 @@ from zslp.slp import (
         (((97, 98),), (256, 98.0), "axiom position 1 is not an integer symbol id"),
         (((97, 98), (97, 98, 99), (97,)), (258,), "rule 2 is not a pair of integer symbol ids"),
         (((97, 98),), ("a", 256.0), "axiom position 0 is not an integer symbol id"),
+        (((IndexOnly(97), 98),), (256,), "rule 1 is not a pair of integer symbol ids"),
+        (((97, 98),), (IndexOnly(256),), "axiom position 0 is not an integer symbol id"),
+        (((97, -1),), (256.0,), "axiom position 0 is not an integer symbol id"),
+        ((iter((97, 98)),), (256,), "rule 1 is not a pair of integer symbol ids"),
     ],
     ids=[
         "forward-reference",
@@ -73,6 +87,10 @@ from zslp.slp import (
         "float-axiom-id",
         "first-of-many-rules",
         "first-of-many-axiom-entries",
+        "index-only-rule-id",
+        "index-only-axiom-id",
+        "shape-before-bad-id",
+        "rule-without-length",
     ],
 )
 def test_invalid_grammar_rejected_when_built(rules, axiom, message):
