@@ -293,11 +293,10 @@ class SearchStats(
     per row of A and per middle bit of it for a rule, and one per middle
     state reached before an axiom symbol.
     Those are the operations of a pass that composes and combines every
-    rule on its own. ``saturate`` composes relations, combines line flags
-    and charges the relation budget once per distinct pair of kinds; any
-    other rule costs it one lookup and one count addition. So
-    ``measured_ops`` is an upper bound on the operations it performs, and a
-    loose one on grammars with few kinds.
+    rule on its own. ``saturate`` composes, combines and charges its row
+    budget once per distinct pair of kinds; any other rule costs it one
+    lookup and one count addition. So ``measured_ops`` is an upper bound on
+    the operations it performs, and a loose one on grammars with few kinds.
     """
 
     __slots__ = ()
