@@ -300,8 +300,8 @@ class Fsa:
     apart share one dict. Immutable after construction. ``matches_empty``
     records whether the source pattern accepted the empty string (the
     automaton itself only accepts non-empty strings). The constructor
-    rejects moves on the newline byte, moves leaving the accept state and
-    moves entering state 0.
+    rejects a ``rows`` list of other than 256 row maps, moves on the
+    newline byte, moves leaving the accept state and moves entering state 0.
     """
 
     def __init__(self, state_count: int, rows: list, matches_empty: bool):
@@ -309,6 +309,8 @@ class Fsa:
         self.rows = rows
         self.matches_empty = matches_empty
         self.final = 1 << state_count >> 1
+        if len(rows) != 256:
+            raise ValueError(f"automaton must have 256 row maps, one per byte, not {len(rows)}")
         if any(rows[NEWLINE].values()):
             raise ValueError("automaton must not move on the newline byte")
         for row in {id(row): row for row in rows}.values():

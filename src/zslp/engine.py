@@ -12,27 +12,33 @@ Automaton states are bits of a Python int. Every symbol's expansion u has:
 
 ``saturate`` builds both for the 256 terminals straight from the automaton
 and then for every rule ``X -> A B`` in definition order, one pass: each row
-``(q1, m)`` of A keeps ``m & final`` and ORs in B's row of every other bit
-of m; B's row from state 0 is ORed in as it is (the match may start inside
-B). State 0 reaching the accept state through a middle state marks a match
-across the seam of A and B. This is bit-parallel NFA simulation
-(Baeza-Yates & Gonnet's Shift-Or; Navarro & Raffinot, *Flexible Pattern
-Matching in Strings*) lifted from bytes to grammar symbols.
+``(q1, m)`` of A, state 0's included, keeps ``m & final`` and ORs in B's row
+of every other bit of m; X's row of state 0 also takes B's as it is (the
+match may start inside B). State 0 reaching the accept state through a
+middle state marks a match across the seam of A and B. This is bit-parallel
+NFA simulation (Baeza-Yates & Gonnet's Shift-Or; Navarro & Raffinot,
+*Flexible Pattern Matching in Strings*) lifted from bytes to grammar
+symbols.
 
 A grammar's rules carry few distinct summaries, so they are hash-consed
 (Filliatre & Conchon, *Type-Safe Modular Hash-Consing*). A symbol's
-summary minus its count, its relation's contents and ``(nl, left, right)``,
-is its *kind*, a small id; the count, which is unbounded, is kept per
-symbol. ``X``'s kind and the seam's addition to its count depend only on
-the kinds of A and B, so they are derived once per distinct pair of kinds,
-by composing the pair's relations. This is how per-nonterminal transition
-functions of an automaton over an SLP are usually computed (Lohrey,
-*Algorithmics on SLP-compressed strings: a survey*).
+summary minus its count, its relation's contents (state 0's row included)
+and ``(nl, left, right)``, is its *kind*, a small id; the count, which is
+unbounded, is kept per symbol. ``X``'s kind and the seam's addition to its
+count depend only on the kinds of A and B, so they are derived once per
+distinct pair of kinds, by composing the pair's relations. This is how
+per-nonterminal transition functions of an automaton over an SLP are
+usually computed (Lohrey, *Algorithmics on SLP-compressed strings: a
+survey*).
 
 Each kind has one record, ``(relation, row of state 0, nl, left, right)``;
 a ``Saturation`` holds every symbol's kind and count and the records,
-indexed by kind. The records are tuples, which CPython unpacks fastest, and
-``saturate`` is the only code that builds them.
+indexed by kind. A record's relation holds the rows of the middle states
+(neither state 0 nor the accept state, which has none), in ascending state
+order; state 0's row is kept once, in the record. No transition enters
+state 0, so no step looks its row up in a relation. The records are tuples,
+which CPython unpacks fastest, and ``saturate`` is the only code that
+builds them.
 
 ``fold`` runs the axiom left to right carrying the reached states as one
 int (the states reachable from state 0 by reading some suffix of the prefix
@@ -44,9 +50,10 @@ each line as fold counts it; the statistics step only the reached mask.
 
 The engine requires automata with no transitions entering state 0 or
 leaving the accept state, the shape the pattern compiler produces and
-``Fsa`` enforces; the terminals' relations are the automaton's rows. Without
-it, saturated rows could stand for non-contiguous fragments of the
-expansion and boundary matches would be over-reported.
+``Fsa`` enforces; the terminals' relations are the automaton's row maps
+less state 0's row, which goes to the record. Without it, saturated rows
+could stand for non-contiguous fragments of the expansion and boundary
+matches would be over-reported.
 """
 
 from __future__ import annotations
@@ -99,65 +106,69 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
     order (an ``Slp``'s rules or ``ZslpReader.iter_rules``, checked when
     the ``Slp`` or the reader was built) and is consumed once.
 
-    Kinds are hash-consed: symbols whose relations have equal contents and
-    whose line flags are equal share one kind and its record, so callers
-    must treat the records' relations as read-only. A rule whose pair of
-    kinds was seen before takes the kind and seam increment found then;
-    otherwise the pair's relations are composed, ``combine`` runs, and the
-    result is looked up as a kind by its sorted rows and flags. Only a
-    composition adds its rows to the budget, so it bounds the relations
-    saturate builds: the compiler's "pattern too large" PatternSyntaxError
-    is raised once they outgrow MAX_RELATION_WORDS.
+    Kinds are hash-consed: symbols whose relations and rows of state 0 are
+    equal and whose line flags are equal share one kind and its record, so
+    callers must treat the records' relations as read-only. A rule whose
+    pair of kinds was seen before takes the kind and seam increment found
+    then; otherwise the pair's relations are composed, ``combine`` runs,
+    and the result is looked up as a kind by its states, their rows, its
+    row of state 0 and its flags, as built. Every relation holds its states
+    in ascending order (a terminal's row map is sorted once per byte class,
+    a composition keeps A's order), so equal relations give equal keys
+    without a sort. Only a composition adds its rows, state 0's row
+    included when not 0, to the budget, so it bounds the relations saturate
+    builds: the compiler's "pattern too large" PatternSyntaxError is raised
+    once they outgrow MAX_RELATION_WORDS.
     """
     final = fsa.final
     row_budget = MAX_RELATION_WORDS // (fsa.state_count // 64 + 1)
     rows = 0
 
-    kind_ids: dict = {}  # (sorted rows, nl, left, right) -> kind
+    kind_ids: dict = {}  # (states, their rows, row of state 0, nl, left, right) -> kind
     table: list[tuple] = []  # kind -> record
 
-    def kind_of(rel: dict, nl: bool, left: bool, right: bool) -> int:
-        kind = kind_ids.setdefault((tuple(sorted(rel.items())), nl, left, right), len(table))
+    def kind_of(rel: dict, *fields) -> int:
+        """Kind of a relation and the record's other fields (row, nl, left, right)."""
+        kind = kind_ids.setdefault((tuple(rel), tuple(rel.values()), *fields), len(table))
         if kind == len(table):
-            table.append((rel, rel.get(0, 0), nl, left, right))
+            table.append((rel, *fields))
         return kind
 
     def derive(kind_a: int, kind_b: int) -> tuple:
         """(kind, seam increment) of a rule whose parts have these kinds."""
         nonlocal rows
-        rel_a, _, nl_a, left_a, right_a = table[kind_a]
+        rel_a, row_a, nl_a, left_a, right_a = table[kind_a]
         rel_b, row_b, nl_b, left_b, right_b = table[kind_b]
         rel = {}
-        new_match = False
         for q1, m in rel_a.items():
-            through = union_rows(m & ~final, rel_b)
-            out = through | m & final
+            out = union_rows(m & ~final, rel_b) | m & final
             if out:
                 rel[q1] = out
-                if through & final and q1 == 0:
-                    new_match = True
-        if row_b:
-            rel[0] = rel.get(0, 0) | row_b
-        rows += len(rel)
+        through = union_rows(row_a & ~final, rel_b) if row_a else 0
+        row = through | row_a & final | row_b
+        rows += len(rel) + (row != 0)
         if rows > row_budget:
             raise PatternSyntaxError(
                 f"pattern too large: over {MAX_RELATION_WORDS} relation words"
             )
         nl, left, right, seam = combine(
-            (nl_a, left_a, right_a, 0), (nl_b, left_b, right_b, 0), new_match
+            (nl_a, left_a, right_a, 0), (nl_b, left_b, right_b, 0), through & final != 0
         )
-        return kind_of(rel, nl, left, right), seam
+        return kind_of(rel, row, nl, left, right), seam
 
     # The compiler shares one row map per byte class: each map, and the
-    # newline byte's, is given a kind once.
+    # newline byte's, is given a kind once, its rows of middle states
+    # ordered by state and its row of state 0 kept in the record.
     terminal_kinds: dict = {}  # (id of the row map, is newline) -> kind
     kinds: list[int] = []
     for byte, rel in enumerate(fsa.rows):
         key = (id(rel), byte == NEWLINE)
         kind = terminal_kinds.get(key)
         if kind is None:
-            hit = rel.get(0, 0) & final != 0
-            kind = terminal_kinds[key] = kind_of(rel, key[1], hit, hit)
+            row = rel.get(0, 0)
+            hit = row & final != 0
+            middle_rows = {q: m for q, m in sorted(rel.items()) if q}
+            kind = terminal_kinds[key] = kind_of(middle_rows, row, key[1], hit, hit)
         kinds.append(kind)
     counts: list[int] = [0] * len(kinds)
 
@@ -284,14 +295,15 @@ class SearchStats(
     -> number of rules or of axiom symbols with that cost, in the paper's
     accounting in transition pairs: for ``X -> A B``, B's pairs, plus s,
     plus one per pair (q1, q) of A and one per pair leaving q in B; for an
-    axiom symbol, its pairs. Iterating one yields each distinct cost, so a
-    bound on every cost is checked once per cost, and its size follows the
-    distinct costs, not the grammar. ``measured_ops`` counts the word
-    operations the engine performs: one per counting update (a tuple
-    combination for a rule, the line flags and count for an axiom symbol)
-    and one for the row of state 0 (when the automaton has states), plus one
-    per row of A and per middle bit of it for a rule, and one per middle
-    state reached before an axiom symbol.
+    axiom symbol, its pairs. A symbol's pairs and rows are its relation's
+    and its record's row of state 0 when that row is not 0. Iterating one
+    yields each distinct cost, so a bound on every cost is checked once per
+    cost, and its size follows the distinct costs, not the grammar.
+    ``measured_ops`` counts the word operations the engine performs: one
+    per counting update (a tuple combination for a rule, the line flags and
+    count for an axiom symbol) and one for the row of state 0 (when the
+    automaton has states), plus one per row of A and per middle bit of it
+    for a rule, and one per middle state reached before an axiom symbol.
     Those are the operations of a pass that composes and combines every
     rule on its own. ``saturate`` composes, combines and charges its row
     budget once per distinct pair of kinds; any other rule costs it one
@@ -333,7 +345,7 @@ def collect_stats(slp: Slp, fsa: Fsa) -> SearchStats:
     s = fsa.state_count
     middle = ~fsa.final
     per_symbol = 2 if s else 1
-    pairs = [sum(map(int.bit_count, record[0].values())) for record in table]
+    pairs = [sum(map(int.bit_count, rel.values())) + row.bit_count() for rel, row, *_ in table]
     # A rule's costs depend only on its parts' kinds: the rules are tallied
     # by that pair and each distinct pair is costed once.
     kind_of = kinds.__getitem__
@@ -341,10 +353,10 @@ def collect_stats(slp: Slp, fsa: Fsa) -> SearchStats:
     rule_costs: Counter = Counter()
     measured = 0
     for (kind_a, kind_b), n in rule_pairs.items():
-        rel_b = table[kind_b][0]
+        (rel_a, row_a, *_), rel_b = table[kind_a], table[kind_b][0]
         ops = pairs[kind_b] + s
         rule_measured = per_symbol
-        for m in table[kind_a][0].values():
+        for m in (row_a, *rel_a.values()) if row_a else rel_a.values():
             ops += sum(1 + rel_b.get(q, 0).bit_count() for q in iter_bits(m))
             rule_measured += 1 + (m & middle).bit_count()
         rule_costs[ops] += n

@@ -250,14 +250,17 @@ def symbol_summaries(saturation) -> tuple[list, list]:
     """Per symbol its counting tuple ``(nl, left, right, count)`` and relation.
 
     Rebuilt from a ``Saturation``'s per-symbol kinds and counts and its
-    per-kind records, for the tests that check per-symbol values.
+    per-kind records, for the tests that check per-symbol values. A record
+    keeps state 0's row apart from its relation; the relation returned
+    holds it again when it is not 0, so whole relations compare.
     """
     kinds, counts, table = saturation
+    whole = [{0: row, **rel} if row else rel for rel, row, *_ in table]
     infos, rels = [], []
     for kind, count in zip(kinds, counts):
-        rel, _, nl, left, right = table[kind]
+        _, _, nl, left, right = table[kind]
         infos.append((nl, left, right, count))
-        rels.append(rel)
+        rels.append(whole[kind])
     return infos, rels
 
 

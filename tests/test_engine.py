@@ -26,6 +26,7 @@ from conftest import (
 from test_acceptance import _log_like
 from zslp.automaton import (
     NEWLINE,
+    Fsa,
     PatternSyntaxError,
     compile_pattern,
     iter_bits,
@@ -446,7 +447,8 @@ def test_saturate_shares_equal_relations(seed, pattern):
     # gives, and symbols share a kind exactly when their relations have
     # equal contents and their line flags are equal.
     fsa = compile_pattern(pattern)
-    slp = random_grammar(random.Random(seed), max_rules=40)
+    rng = random.Random(seed)
+    slp = random_grammar(rng, max_rules=40)
     saturation = saturate(slp.rules, fsa)
     infos, rels = symbol_summaries(saturation)
     ref_infos, ref_rels, _ = reference_saturate(slp.rules, fsa)
@@ -456,6 +458,18 @@ def test_saturate_shares_equal_relations(seed, pattern):
     for kind, rel, info in zip(saturation.kinds, rels, infos):
         assert by_summary.setdefault((tuple(sorted(rel.items())), *info[:3]), kind) == kind
     assert len(by_summary) == len(saturation.table)
+    # Kinds are keyed by their rows in the order built, so every relation
+    # holds its states in ascending order, and state 0's row only in the
+    # record. An automaton with a row map per byte, filled in shuffled
+    # order, gives the same kinds.
+    for rel, *_ in saturation.table:
+        assert 0 not in rel and list(rel) == sorted(rel)
+    cells = [((q, byte), targets) for q, byte, targets in fsa.iter_transitions()]
+    rng.shuffle(cells)
+    shuffled = fsa_from_cells(fsa.state_count, dict(cells), fsa.matches_empty)
+    shuffled_saturation = saturate(slp.rules, shuffled)
+    assert len(shuffled_saturation.table) == len(saturation.table)
+    assert symbol_summaries(shuffled_saturation) == (infos, rels)
 
 
 # The benchmark's seven regex-heavy patterns at seed 1 (21-43 states; 26-86
@@ -779,6 +793,12 @@ def test_engine_rejects_nonnormalised_automata():
         fsa_from_cells(2, {(0, 97): {0, 1}})
     with pytest.raises(ValueError, match="newline byte"):
         fsa_from_cells(2, {(0, 10): {1}})
+    # One row map per byte: with more, every rule's kind would be read off
+    # the wrong terminal; with fewer, some byte would have no row map.
+    fsa = compile_pattern("ab")
+    for rows in (fsa.rows + [{}] * 10, fsa.rows[:200]):
+        with pytest.raises(ValueError, match=f"256 row maps, one per byte, not {len(rows)}"):
+            Fsa(fsa.state_count, rows, fsa.matches_empty)
 
 
 def test_run_count_reads_the_axiom_after_the_last_rule(example_slp, ab_ba_fsa):
