@@ -196,7 +196,7 @@ def fold(axiom, saturation: Saturation, fsa: Fsa) -> tuple:
     line matched so far), ``count`` (closed lines matched) and ``reached``
     (the states state 0 can reach by reading a suffix of the expansion so
     far, the accept state included once entered). Each symbol's record
-    gives its relation, the relation's row of state 0 and its line flags;
+    gives its relation, its row of state 0 and its line flags;
     its count is read only when it holds a newline. Rows are looked up only
     for the middle states of ``reached``. The counting tuple is built once,
     at the end; without a newline the first line is the current one.
