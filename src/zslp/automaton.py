@@ -28,7 +28,12 @@ So no transition enters state 0 or leaves the accept state, the shape the
 search engine's saturation relies on (otherwise composed transitions could
 stand for non-contiguous fragments and the counts would drift). Two mask
 sweeps trim the rest, and bytes that enter the same positions share one row
-map (RE2's byte classes).
+map (RE2's byte classes). Rows are built in state space: each kept
+position's follow mask, and each byte class's set of entered positions, is
+renumbered to state bits once, so a state's row on a class is the AND of the
+two, plus the accept bit when the follow mask meets a last position the
+class enters (that position may itself be trimmed). Rows list their states
+in ascending order.
 
 ``compile_pattern`` compiles the pattern's whole-string language, which
 ``nfa_accepts`` and the oracle use. Line matching asks only whether some
@@ -351,8 +356,14 @@ def _check_budget(used: int, budget: int, what: str) -> None:
         raise PatternSyntaxError(f"pattern too large: over {budget} {what}")
 
 
-def _glushkov(ast) -> Fsa:
-    """Trimmed position automaton of the AST, plus a fresh accept state."""
+def _positions(ast) -> tuple:
+    """``(matches_empty, follow, entered, last)`` of the AST's positions.
+
+    Position 0 is the start and every atom occurrence another, numbered in
+    the order the walk meets them; ``follow[p]`` masks the positions that
+    may come after p, ``entered`` maps each byte set to the positions that
+    read it and ``last`` masks the positions a match may end on.
+    """
     follow = [0]  # per position, the positions that may come next
     entered: dict = {}  # per byte set, the positions that read it
     pairs = visits = 0
@@ -412,6 +423,12 @@ def _glushkov(ast) -> Fsa:
         return then(result, tail)
 
     matches_empty, follow[0], last = visit(ast)
+    return matches_empty, follow, entered, last
+
+
+def _glushkov(ast) -> Fsa:
+    """Trimmed position automaton of the AST, plus a fresh accept state."""
+    matches_empty, follow, entered, last = _positions(ast)
     accept = len(follow)
     succ = [m | (1 << accept if m & last else 0) for m in follow] + [0]
     pred = [0] * len(succ)
@@ -421,25 +438,39 @@ def _glushkov(ast) -> Fsa:
     keep = _sweep(1, succ) & _sweep(1 << accept, pred)
     if not keep >> accept & 1:
         return Fsa(0, [{}] * 256, matches_empty)
-    number = {q: i for i, q in enumerate(iter_bits(keep))}
-    final = 1 << number[accept]
+    # States number the kept positions in order, the accept state last.
+    state_bit = [0] * (accept + 1)
+    for i, q in enumerate(iter_bits(keep)):
+        state_bit[q] = 1 << i
+    final = state_bit[accept]
+
+    def states(positions: int) -> int:
+        """The kept positions of a mask as state bits."""
+        out = 0
+        while positions:
+            low = positions & -positions
+            out |= state_bit[low.bit_length() - 1]
+            positions ^= low
+        return out
 
     # A byte's signature is the positions it enters; one row map per signature.
     signature = [0] * 256
     for label, mask in entered.items():
         for byte in label:
             signature[byte] |= mask
+    # ahead[i] holds state i's follow mask in state bits, and in positions
+    # its last ones, which may have been trimmed.
+    ahead = [(states(follow[q]), follow[q] & last) for q in iter_bits(keep ^ 1 << accept)]
     rows: dict = {}
     for sig in set(signature):
         row = rows[sig] = {}
-        for q in iter_bits(keep ^ 1 << accept):
-            m = follow[q] & sig
-            targets = sum(1 << number[t] for t in iter_bits(m & keep))
-            targets |= final if m & last else 0
+        entering, ending = states(sig), sig & last
+        for i, (mask, ends) in enumerate(ahead):
+            targets = mask & entering | (final if ends & ending else 0)
             if targets:
-                row[number[q]] = targets
+                row[i] = targets
     rows_by_byte = [rows[sig] for sig in signature]
-    return Fsa(len(number), rows_by_byte, matches_empty)
+    return Fsa(keep.bit_count(), rows_by_byte, matches_empty)
 
 
 def _nullable(node) -> bool:

@@ -29,7 +29,11 @@ count depend only on the kinds of A and B, so they are derived once per
 distinct pair of kinds, by composing the pair's relations. This is how
 per-nonterminal transition functions of an automaton over an SLP are
 usually computed (Lohrey, *Algorithmics on SLP-compressed strings: a
-survey*).
+survey*). The pair memo holds one dict per kind of A, keyed by the kind of
+B, one int: two pairs never share an entry, for any grammar and any number
+of kinds, and no key is built per rule. A composition walks the bits of
+each row of A inline, looking a single-bit row's one row of B up with one
+``get``.
 
 Each kind has one record, ``(relation, row of state 0, nl, left, right)``;
 a ``Saturation`` holds every symbol's kind and count and the records,
@@ -59,7 +63,9 @@ matches would be over-reported.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from itertools import chain, repeat
 from math import ceil
+from operator import mul
 
 from .automaton import NEWLINE, Fsa, PatternSyntaxError, iter_bits, union_rows
 from .slp import InvalidGrammarError, Slp
@@ -110,7 +116,10 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
     equal and whose line flags are equal share one kind and its record, so
     callers must treat the records' relations as read-only. A rule whose
     pair of kinds was seen before takes the kind and seam increment found
-    then; otherwise the pair's relations are composed, ``combine`` runs,
+    then, from the memo's dict for the kind of A under the kind of B (kinds
+    are dense ids, so the memo is a list of dicts, one per kind, and no pair
+    of kinds is packed into one key: there is no bound on the kinds to keep);
+    otherwise the pair's relations are composed, ``combine`` runs,
     and the result is looked up as a kind by its states, their rows, its
     row of state 0 and its flags, as built. Every relation holds its states
     in ascending order (a terminal's row map is sorted once per byte class,
@@ -126,12 +135,16 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
 
     kind_ids: dict = {}  # (states, their rows, row of state 0, nl, left, right) -> kind
     table: list[tuple] = []  # kind -> record
+    # kind of A -> {kind of B: (kind of X, seam increment)}
+    derived: list[dict] = []
 
-    def kind_of(rel: dict, *fields) -> int:
-        """Kind of a relation and the record's other fields (row, nl, left, right)."""
-        kind = kind_ids.setdefault((tuple(rel), tuple(rel.values()), *fields), len(table))
+    def kind_of(rel: dict, row: int, nl: bool, left: bool, right: bool) -> int:
+        """Kind of a relation and the record's other fields."""
+        key = (tuple(rel), tuple(rel.values()), row, nl, left, right)
+        kind = kind_ids.setdefault(key, len(table))
         if kind == len(table):
-            table.append((rel, *fields))
+            table.append((rel, row, nl, left, right))
+            derived.append({})
         return kind
 
     def derive(kind_a: int, kind_b: int) -> tuple:
@@ -139,12 +152,23 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
         nonlocal rows
         rel_a, row_a, nl_a, left_a, right_a = table[kind_a]
         rel_b, row_b, nl_b, left_b, right_b = table[kind_b]
+        get = rel_b.get
         rel = {}
-        for q1, m in rel_a.items():
-            out = union_rows(m & ~final, rel_b) | m & final
-            if out:
+        # Each row of A becomes the union of B's rows of its bits (the
+        # accept state has none) plus its accept bit. State 0's row comes
+        # last, so ``through`` is left as its union.
+        for q1, m in (*rel_a.items(), (0, row_a)):
+            if m & (m - 1):
+                through = 0
+                bits = m
+                while bits:
+                    low = bits & -bits
+                    through |= get(low.bit_length() - 1, 0)
+                    bits ^= low
+            else:  # one bit or none (get(-1) misses)
+                through = get(m.bit_length() - 1, 0)
+            if q1 and (out := through | m & final):
                 rel[q1] = out
-        through = union_rows(row_a & ~final, rel_b) if row_a else 0
         row = through | row_a & final | row_b
         rows += len(rel) + (row != 0)
         if rows > row_budget:
@@ -172,14 +196,12 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
         kinds.append(kind)
     counts: list[int] = [0] * len(kinds)
 
-    # (kind of A, kind of B) -> (kind of X, seam increment)
-    derived: dict = {}
     for first, second in rule_pairs:
-        pair = (kinds[first], kinds[second])
         try:
-            kind, seam = derived[pair]
+            kind, seam = derived[kinds[first]][kinds[second]]
         except KeyError:
-            kind, seam = derived[pair] = derive(*pair)
+            kind_a, kind_b = kinds[first], kinds[second]
+            kind, seam = derived[kind_a][kind_b] = derive(kind_a, kind_b)
         kinds.append(kind)
         counts.append(counts[first] + counts[second] + seam)
     return Saturation(kinds, counts, table)
@@ -337,9 +359,12 @@ def collect_stats(slp: Slp, fsa: Fsa) -> SearchStats:
     """Saturate the grammar and report its per-rule and per-axiom-symbol costs.
 
     Rules are tallied by their pair of kinds, and each distinct pair is
-    costed once. One pass over the axiom tallies its symbols by kind and
-    steps the reached mask as ``fold`` does, less the accept state, which
-    no cost reads, and without the line flags.
+    costed once: its per-bit term is the sum, over the states q that rows of
+    A hold, of how many rows hold q times one plus the bits of B's row of q.
+    Those counts, and a rule's measured operations, depend on A alone and
+    are taken once per kind of A. One pass over the axiom tallies its
+    symbols by kind and steps the reached mask as ``fold`` does, less the
+    accept state, which no cost reads, and without the line flags.
     """
     kinds, _, table = saturate(slp.rules, fsa)
     s = fsa.state_count
@@ -350,17 +375,27 @@ def collect_stats(slp: Slp, fsa: Fsa) -> SearchStats:
     # by that pair and each distinct pair is costed once.
     kind_of = kinds.__getitem__
     rule_pairs = Counter(zip(map(kind_of, slp.rules.firsts), map(kind_of, slp.rules.seconds)))
+    # The pairs by kind of A, whose rows are counted once per kind: how
+    # many hold each state, so each pair sums over A's states, not its bits.
+    by_a: dict = {}
+    for (kind_a, kind_b), n in rule_pairs.items():
+        by_a.setdefault(kind_a, []).append((kind_b, n))
     rule_costs: Counter = Counter()
     measured = 0
-    for (kind_a, kind_b), n in rule_pairs.items():
-        (rel_a, row_a, *_), rel_b = table[kind_a], table[kind_b][0]
-        ops = pairs[kind_b] + s
-        rule_measured = per_symbol
-        for m in (row_a, *rel_a.values()) if row_a else rel_a.values():
-            ops += sum(1 + rel_b.get(q, 0).bit_count() for q in iter_bits(m))
-            rule_measured += 1 + (m & middle).bit_count()
-        rule_costs[ops] += n
-        measured += rule_measured * n
+    for kind_a, uses_b in by_a.items():
+        rel, row, *_ = table[kind_a]
+        rows = (row, *rel.values()) if row else tuple(rel.values())
+        held = Counter(chain.from_iterable(map(iter_bits, rows)))
+        states, held_by = tuple(held), tuple(held.values())
+        bits = sum(held_by)
+        # One per row and per middle bit: all bits but the accept state's.
+        rule_measured = per_symbol + len(rows) + bits - held[s - 1]
+        for kind_b, n in uses_b:
+            # One per bit q of a row of A, plus the bits of B's row of q.
+            rel_b = table[kind_b][0]
+            through = sum(map(mul, held_by, map(int.bit_count, map(rel_b.get, states, repeat(0)))))
+            rule_costs[pairs[kind_b] + s + bits + through] += n
+            measured += rule_measured * n
     uses = [0] * len(table)  # kind -> axiom symbols of that kind
     reached = 0  # fold's reached states, less the accept state
     for sym in slp.axiom:

@@ -126,6 +126,56 @@ def compiled_random_pattern(rng, depth=3, alphabet="ab", max_states=None):
         return pattern, fsa
 
 
+def reference_automaton(ast) -> tuple:
+    """``(state_count, rows, matches_empty)`` of the trimmed position
+    automaton, built cell by cell, for comparison with the compiler's.
+
+    Positions come from the compiler's walk (``_positions``). A position is
+    kept when it is reachable from position 0 and reaches the accept state;
+    states number the kept ones in order, the accept state last. Each
+    (byte signature, kept position) cell renumbers every kept target it
+    reaches and adds the accept state when a target is a last position.
+    Bytes with one signature share one row map.
+    """
+    from zslp.automaton import _positions, iter_bits
+
+    matches_empty, follow, entered, last = _positions(ast)
+    accept = len(follow)
+    succ = [set(iter_bits(m)) | ({accept} if m & last else set()) for m in follow] + [set()]
+    pred = [set() for _ in succ]
+    for q, targets in enumerate(succ):
+        for t in targets:
+            pred[t].add(q)
+
+    def reachable(start, step) -> set:
+        seen, todo = {start}, [start]
+        while todo:
+            for t in step[todo.pop()] - seen:
+                seen.add(t)
+                todo.append(t)
+        return seen
+
+    keep = reachable(0, succ) & reachable(accept, pred)
+    if accept not in keep:
+        return 0, [{}] * 256, matches_empty
+    number = {q: i for i, q in enumerate(sorted(keep))}
+    final = 1 << number[accept]
+    signature = [0] * 256
+    for label, mask in entered.items():
+        for byte in label:
+            signature[byte] |= mask
+    rows = {}
+    for sig in set(signature):
+        row = rows[sig] = {}
+        for q in sorted(keep - {accept}):
+            m = follow[q] & sig
+            targets = sum(1 << number[t] for t in iter_bits(m) if t in keep)
+            targets |= final if m & last else 0
+            if targets:
+                row[number[q]] = targets
+    return len(number), [rows[sig] for sig in signature], matches_empty
+
+
 def sample_from_pattern(rng: random.Random, pattern: str) -> bytes:
     """A random member of the pattern's language (may contain newlines)."""
     from zslp.automaton import Branch, ByteSet, Repeat, Seq, parse_pattern

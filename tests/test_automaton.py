@@ -6,13 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PATTERN_ERRORS, compiled_random_pattern, random_pattern
+from conftest import (
+    PATTERN_ERRORS,
+    compiled_random_pattern,
+    random_pattern,
+    reference_automaton,
+)
 from zslp.automaton import (
     NewlinePatternError,
     PatternSyntaxError,
+    _glushkov,
+    _reduce_line_edges,
     compile_line_pattern,
     compile_pattern,
     nfa_accepts,
+    parse_pattern,
 )
 from zslp.oracle import backtrack_match, line_matches
 
@@ -332,3 +340,60 @@ def test_line_edge_reduction_keeps_the_matching_lines(pattern, lines):
     assert reduced.state_count <= fsa.state_count
     for line in lines:
         assert line_matches(reduced, line) == line_matches(fsa, line), (pattern, line)
+
+
+# The benchmark's log-grep and prose-grep patterns, and regex-heavy's at seed 2
+# (seed 1's are the engine tests' REGEX_HEAVY_SHAPES).
+BENCH_PATTERNS = (
+    "POST",
+    "beta.*:1[0-9]:.*js",
+    "2026:0[0-9]:[0-5]9",
+    "404",
+    "GET /api",
+    "host-(alpha|gamma) .*(html|js)",
+    "HTTP/1\\.1",
+    "I .* you",
+    "river",
+    "love|miss",
+    "(king|queen) .*(ship|sea)",
+    "Mother",
+    "zebra",
+    "the",
+    ".{0,32}z",
+    "(GET|POST) .{0,20}(item|stat)",
+    "[a-z]{2,20}\\.htm",
+    "-(omega|alpha|sigma|gamma){1,2} ",
+    "\\[[0-9/A-Za-z]{4,12}:0[0-9]:.{0,10}\\]",
+    '(3|5)[0-9]\\] ".{0,12}(items|ico)',
+    '1\\.1" [0-9]{3} 104[0-9]{1,8}',
+    "x*",
+    ".{0,512}z",
+    "t.{0,200}g",
+    "t.{0,512}g",
+    "(.{512}){4}",
+)
+
+
+def sharing(rows) -> list:
+    """Per byte, the lowest byte whose row map is the same object."""
+    lowest: dict = {}
+    return [lowest.setdefault(id(row), byte) for byte, row in enumerate(rows)]
+
+
+def test_rows_match_cell_by_cell_reference():
+    # The compiler builds rows in state space; they equal rows built cell
+    # by cell, key order and the bytes sharing a row map included, for the
+    # whole-string and the line-reduced pattern.
+    from test_engine import REGEX_HEAVY_SHAPES
+
+    rng = random.Random(3535)
+    patterns = [*BENCH_PATTERNS, *REGEX_HEAVY_SHAPES]
+    patterns += [random_pattern(rng, 4, rng.choice(["ab", "abc", "a\nb"])) for _ in range(500)]
+    for pattern in patterns:
+        ast = parse_pattern(pattern)
+        for tree in (ast, _reduce_line_edges(ast)):
+            fsa = _glushkov(tree)
+            state_count, rows, matches_empty = reference_automaton(tree)
+            assert (fsa.state_count, fsa.matches_empty) == (state_count, matches_empty)
+            assert [list(row.items()) for row in fsa.rows] == [list(row.items()) for row in rows]
+            assert sharing(fsa.rows) == sharing(rows)

@@ -648,6 +648,43 @@ def test_wide_automaton_over_relation_budget_is_a_pattern_error(log_file, comman
     assert cpu < 10
 
 
+# stats --json on the generated corpora, as recorded before the compiler
+# built rows in state space and stats costed pairs from per-kind columns.
+PINNED_STATS = {
+    ("prose", "t.{0,64}g"): (
+        '{"states": 67, "states_cubed": 300763, "states_squared": 4489, "rules": 1795,'
+        ' "axiom_len": 9418, "rule_percentiles": {"50": 244, "75": 254, "95": 357,'
+        ' "98": 368, "100": 431}, "axiom_percentiles": {"50": 59, "75": 61, "95": 120,'
+        ' "98": 123, "100": 127}, "measured_ops": 251418}'
+    ),
+    ("prose", "(GET|POST) .{0,20}(item|stat)"): (
+        '{"states": 36, "states_cubed": 46656, "states_squared": 1296, "rules": 1795,'
+        ' "axiom_len": 9418, "rule_percentiles": {"50": 81, "75": 93, "95": 123,'
+        ' "98": 133, "100": 157}, "axiom_percentiles": {"50": 15, "75": 17, "95": 31,'
+        ' "98": 33, "100": 43}, "measured_ops": 87901}'
+    ),
+    ("log", "t.{0,64}g"): (
+        '{"states": 67, "states_cubed": 300763, "states_squared": 4489, "rules": 1687,'
+        ' "axiom_len": 826, "rule_percentiles": {"50": 104, "75": 134, "95": 258,'
+        ' "98": 258, "100": 387}, "axiom_percentiles": {"50": 2, "75": 2, "95": 63,'
+        ' "98": 63, "100": 91}, "measured_ops": 75060}'
+    ),
+    ("log", "(GET|POST) .{0,20}(item|stat)"): (
+        '{"states": 36, "states_cubed": 46656, "states_squared": 1296, "rules": 1687,'
+        ' "axiom_len": 826, "rule_percentiles": {"50": 38, "75": 56, "95": 95,'
+        ' "98": 95, "100": 140}, "axiom_percentiles": {"50": 1, "75": 1, "95": 19,'
+        ' "98": 19, "100": 19}, "measured_ops": 23877}'
+    ),
+}
+
+
+@pytest.mark.parametrize("corpus, pattern", sorted(PINNED_STATS))
+def test_stats_json_is_pinned(prose_file, log_file, capsys, corpus, pattern):
+    packed = prose_file[1] if corpus == "prose" else log_file
+    assert run_cli(["stats", "--json", "-e", pattern, packed]) == 0
+    assert capsys.readouterr().out == PINNED_STATS[corpus, pattern] + "\n"
+
+
 @st.composite
 def damaged_zslp(draw):
     """Valid ZSLP bytes of a short text, then mutated, truncated and extended."""

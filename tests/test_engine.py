@@ -3,6 +3,7 @@ import io
 import itertools
 import random
 import re
+import sys
 from math import ceil
 
 import pytest
@@ -486,15 +487,14 @@ REGEX_HEAVY_SHAPES = (
 
 
 def memo_work(rule_pairs, fsa):
-    """(distinct kind pairs, rows of A summed over distinct kind pairs).
+    """Distinct pairs of kinds among the rules.
 
     A symbol's kind is its relation's contents and its line flags, taken
     from the reference saturation.
     """
     infos, rels, _ = reference_saturate(rule_pairs, fsa)
     kinds = [(tuple(sorted(rel.items())), *info[:3]) for rel, info in zip(rels, infos)]
-    kind_pairs = {(kinds[a], kinds[b]): len(rels[a]) for a, b in rule_pairs}
-    return len(kind_pairs), sum(kind_pairs.values())
+    return len({(kinds[a], kinds[b]) for a, b in rule_pairs})
 
 
 def memo_cases():
@@ -507,40 +507,44 @@ def memo_cases():
         yield compile_pattern(pattern), log_rules
 
 
-def count_saturate_calls(monkeypatch) -> collections.Counter:
-    """Count saturate's calls of ``combine`` and of ``union_rows``.
+def saturate_composing(rule_pairs, fsa) -> tuple:
+    """``saturate``'s result and the pairs of kinds it composed, in order.
 
-    ``saturate`` calls ``union_rows`` once per row of A when it composes a
-    pair of relations, and nowhere else.
+    ``saturate`` composes a pair's relations, and combines its line flags,
+    in one call of its nested ``derive(kind_a, kind_b)``, which a profile
+    hook sees.
     """
-    calls = collections.Counter()
+    composed = []
+    target = ("derive", zslp.engine.__file__)
 
-    def counted(fn):
-        def wrapper(*args):
-            calls[fn.__name__] += 1
-            return fn(*args)
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and (code.co_name, code.co_filename) == target:
+            composed.append((frame.f_locals["kind_a"], frame.f_locals["kind_b"]))
 
-        return wrapper
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        saturation = saturate(rule_pairs, fsa)
+    finally:
+        sys.setprofile(previous)
+    return saturation, composed
 
-    monkeypatch.setattr(zslp.engine, "combine", counted(combine))
-    monkeypatch.setattr(zslp.engine, "union_rows", counted(union_rows))
-    return calls
 
-
-def test_saturate_memo_levels_match_reference(monkeypatch):
+def test_saturate_memo_levels_match_reference():
     # Per-symbol values equal one composition and one combine per rule,
-    # while saturate composes and combines once per distinct pair of kinds.
-    calls = count_saturate_calls(monkeypatch)
+    # while saturate composes once per distinct pair of kinds: every pair
+    # of its rules' kinds, none twice.
     for fsa, rules in memo_cases():
-        calls.clear()
-        saturation = saturate(rules, fsa)
-        work = (calls["combine"], calls["union_rows"])
+        saturation, composed = saturate_composing(rules, fsa)
         infos, rels, _ = reference_saturate(rules, fsa)
         assert symbol_summaries(saturation) == (infos, rels)
-        assert work == memo_work(rules, fsa)
+        kinds = saturation.kinds
+        assert set(composed) == {(kinds[a], kinds[b]) for a, b in rules}
+        assert len(composed) == len(set(composed)) == memo_work(rules, fsa)
 
 
-def test_saturate_kind_miss_composes_again(monkeypatch):
+def test_saturate_kind_miss_composes_again():
     # "b" and "b\n" share a relation but not the newline flag, so the
     # rules "b\n"+"a" and "b"+"a" share a pair of relations, not of kinds:
     # the second misses the kind memo and composes the relations again.
@@ -548,12 +552,29 @@ def test_saturate_kind_miss_composes_again(monkeypatch):
     rules = [(98, 10), (256, 97), (98, 97), (98, 97)]
     infos, rels, _ = reference_saturate(rules, fsa)
     assert rels[256] == rels[98] and infos[256][0] != infos[98][0]
-    calls = count_saturate_calls(monkeypatch)
-    saturation = saturate(rules, fsa)
+    saturation, composed = saturate_composing(rules, fsa)
     assert symbol_summaries(saturation) == (infos, rels)
-    # Three pairs of kinds, each A with one row.
-    assert (calls["combine"], calls["union_rows"]) == (3, 3)
-    assert saturation.kinds[257] != saturation.kinds[258] == saturation.kinds[259]
+    # Three pairs of kinds; the last rule repeats the third and composes nothing.
+    kinds = saturation.kinds
+    assert composed == [(kinds[a], kinds[b]) for a, b in rules[:3]]
+    assert kinds[257] != kinds[258] == kinds[259]
+
+
+def test_saturate_memo_keys_every_pair_apart():
+    # The memo holds one dict per kind of A, keyed by the kind of B, so no
+    # two pairs of kinds share an entry, whatever the kinds' ids: (a, b) and
+    # (b, a), (a, a) and (b, b) are each composed once, in rule order.
+    fsa = compile_pattern("a[bc]d|cb\n?a")
+    symbols = [97, 98, 99, 100, 10, 120]
+    rules = [(x, y) for x in symbols for y in symbols]
+    rules += [(256 + i, y) for i in range(len(rules)) for y in symbols]
+    infos, rels, _ = reference_saturate(rules, fsa)
+    saturation, composed = saturate_composing(rules, fsa)
+    assert symbol_summaries(saturation) == (infos, rels)
+    kinds = saturation.kinds
+    pairs = [(kinds[a], kinds[b]) for a, b in rules]
+    assert composed == list(dict.fromkeys(pairs))
+    assert len(saturation.table) > len(set(kinds[:256])) + 10
 
 
 def charged_rows(rule_pairs, fsa):
