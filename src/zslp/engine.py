@@ -393,8 +393,8 @@ def collect_stats(slp: Slp, fsa: Fsa) -> SearchStats:
         for kind_b, n in uses_b:
             # One per bit q of a row of A, plus the bits of B's row of q.
             rel_b = table[kind_b][0]
-            through = sum(map(mul, held_by, map(int.bit_count, map(rel_b.get, states, repeat(0)))))
-            rule_costs[pairs[kind_b] + s + bits + through] += n
+            b_bits = sum(map(mul, held_by, map(int.bit_count, map(rel_b.get, states, repeat(0)))))
+            rule_costs[pairs[kind_b] + s + bits + b_bits] += n
             measured += rule_measured * n
     uses = [0] * len(table)  # kind -> axiom symbols of that kind
     reached = 0  # fold's reached states, less the accept state

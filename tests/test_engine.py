@@ -505,6 +505,13 @@ def memo_cases():
     log_rules = compress(_log_like(16384)).rules
     for pattern in REGEX_HEAVY_SHAPES:
         yield compile_pattern(pattern), log_rules
+    # Every ordered pair of six byte classes' symbols, then every such rule
+    # with each of the six: (a, b) and (b, a), (a, a) and (b, b) are pairs
+    # of kinds the memo must keep apart (43 kinds, 120 pairs).
+    symbols = [97, 98, 99, 100, 10, 120]
+    rules = [(x, y) for x in symbols for y in symbols]
+    rules += [(256 + i, y) for i in range(len(rules)) for y in symbols]
+    yield compile_pattern("a[bc]d|cb\n?a"), rules
 
 
 def saturate_composing(rule_pairs, fsa) -> tuple:
@@ -533,15 +540,16 @@ def saturate_composing(rule_pairs, fsa) -> tuple:
 
 def test_saturate_memo_levels_match_reference():
     # Per-symbol values equal one composition and one combine per rule,
-    # while saturate composes once per distinct pair of kinds: every pair
-    # of its rules' kinds, none twice.
+    # while saturate composes once per distinct pair of kinds, where a
+    # rule first has it: a pair seen before composes nothing, and no two
+    # pairs share a memo entry.
     for fsa, rules in memo_cases():
         saturation, composed = saturate_composing(rules, fsa)
         infos, rels, _ = reference_saturate(rules, fsa)
         assert symbol_summaries(saturation) == (infos, rels)
         kinds = saturation.kinds
-        assert set(composed) == {(kinds[a], kinds[b]) for a, b in rules}
-        assert len(composed) == len(set(composed)) == memo_work(rules, fsa)
+        assert composed == list(dict.fromkeys((kinds[a], kinds[b]) for a, b in rules))
+        assert len(composed) == memo_work(rules, fsa)
 
 
 def test_saturate_kind_miss_composes_again():
@@ -558,23 +566,6 @@ def test_saturate_kind_miss_composes_again():
     kinds = saturation.kinds
     assert composed == [(kinds[a], kinds[b]) for a, b in rules[:3]]
     assert kinds[257] != kinds[258] == kinds[259]
-
-
-def test_saturate_memo_keys_every_pair_apart():
-    # The memo holds one dict per kind of A, keyed by the kind of B, so no
-    # two pairs of kinds share an entry, whatever the kinds' ids: (a, b) and
-    # (b, a), (a, a) and (b, b) are each composed once, in rule order.
-    fsa = compile_pattern("a[bc]d|cb\n?a")
-    symbols = [97, 98, 99, 100, 10, 120]
-    rules = [(x, y) for x in symbols for y in symbols]
-    rules += [(256 + i, y) for i in range(len(rules)) for y in symbols]
-    infos, rels, _ = reference_saturate(rules, fsa)
-    saturation, composed = saturate_composing(rules, fsa)
-    assert symbol_summaries(saturation) == (infos, rels)
-    kinds = saturation.kinds
-    pairs = [(kinds[a], kinds[b]) for a, b in rules]
-    assert composed == list(dict.fromkeys(pairs))
-    assert len(saturation.table) > len(set(kinds[:256])) + 10
 
 
 def charged_rows(rule_pairs, fsa):
