@@ -29,18 +29,22 @@ compression*, Proc. IEEE 2000), in plain lists:
   that stops holding its pair never holds it again, so dead leading entries
   are trimmed when the pair is read and the first one left is its first
   live occurrence.
-- A replacement sweep deletes nothing. After it, the replaced positions are
-  grouped by left and by right neighbour symbol: each group adds its size to
-  the loss count of the pair it destroyed and, if it holds two or more
-  positions, lists the new pair it formed. An unequal pair's live count is
-  its entries minus its losses; a pair ``(a, a)`` is counted greedily over
-  its live entries.
+- A rule is made in one ascending sweep over its pair's list, which
+  replaces each live occurrence and files it under its final left and right
+  neighbour symbols: the left one was swept already, and a right one that
+  starts the next occurrence is filed as the new symbol. Each group adds its
+  size to the losses of the pair it destroyed and, if it holds two or more
+  positions, lists the new pair it formed. Every entry of a listed pair
+  that stops holding it is one loss, so an unequal pair's live count is its
+  entries minus its losses, and a pair ``(a, a)`` is counted greedily over its live
+  entries. A pair whose losses leave it fewer than two entries is unlisted
+  at once.
 - Candidate pairs sit in a lazy min-heap of ``(-count, height, first
   position, key)`` snapshots, checked when popped. Only the newest
   variable's pairs gain occurrences, so known counts only fall and first
   positions only move right, while a pair's height never changes: a
   snapshot is a lower bound on its pair's key, and one that holds is the
-  minimum.
+  minimum. A snapshot of an unlisted pair costs one failed lookup.
 - RePair's lists of ints and its dicts form no reference cycles, so the
   cyclic garbage collector is paused while it runs; its passes over the
   millions of live objects cost 5-10% of the time on the seed-1 corpora.
@@ -56,7 +60,7 @@ from __future__ import annotations
 
 import gc
 import heapq
-from collections import Counter, defaultdict
+from collections import defaultdict
 from itertools import islice
 
 # Peak RSS grows by at most ~100 bytes per input byte (1-4 MB log, prose,
@@ -87,6 +91,19 @@ def compress(text: bytes) -> Slp:
             gc.enable()
 
 
+# Not a closure: one would turn _repair's sym and nxt into cell variables,
+# slower to read in its sweep.
+def _run_count(a: int, positions: list, sym: list, nxt: list) -> int:
+    """Occurrences of (a, a) at the live entries, counted greedily from the left."""
+    count = 0
+    barrier = -1
+    for i in positions:
+        if i != barrier and sym[i] == a and sym[nxt[i]] == a:
+            count += 1
+            barrier = nxt[i]
+    return count
+
+
 def _repair(text: bytes) -> Slp:
     n = len(text)
     base = _KEY_BASE
@@ -94,55 +111,49 @@ def _repair(text: bytes) -> Slp:
     nxt = list(range(1, n + 1))
     prv = [-1, 0] + nxt[:-1]  # shares nxt's int objects
     occ: dict[int, list[int]] = {}
-    lost: Counter = Counter()
+    lost: dict[int, int] = {}
     height = [0] * FIRST_VARIABLE  # by symbol id
     heap: list[tuple[int, int, int, int]] = []
-
-    def live_count(key: int, positions: list) -> int:
-        a, b = divmod(key, base)
-        if a != b:
-            return len(positions) - lost.get(key, 0)
-        count = 0  # greedy, left to right, over the live entries
-        barrier = -1
-        for i in positions:
-            if i != barrier and sym[i] == a and sym[nxt[i]] == a:
-                count += 1
-                barrier = nxt[i]
-        return count
-
-    def offer(key: int, pair_height: int, positions: list) -> None:
-        count = live_count(key, positions)
-        if count >= 2:
-            occ[key] = positions
-            heapq.heappush(heap, (-count, pair_height, positions[0], key))
+    heappush = heapq.heappush
 
     # The first scan keys byte pairs as 16-bit ints, cheaper to build and hash.
     byte_pairs: dict[int, list[int]] = defaultdict(list)
     for i, first, second in zip(islice(prv, 1, None), text, text[1:]):
         byte_pairs[first << 8 | second].append(i)
     for pair, positions in byte_pairs.items():
-        offer((pair >> 8) * base + (pair & 0xFF), 0, positions)
+        first, second = pair >> 8, pair & 0xFF
+        count = _run_count(first, positions, sym, nxt) if first == second else len(positions)
+        if count >= 2:
+            key = first * base + second
+            occ[key] = positions
+            heappush(heap, (-count, 0, positions[0], key))
     del byte_pairs  # lists of replaced pairs are freed as they go
 
     rules: list[tuple[int, int]] = []
     while heap:
         neg_count, pair_height, pos, key = heapq.heappop(heap)
-        # Each listed pair has one snapshot in the heap; it is unlisted on a pop.
-        positions = occ[key]
-        count = live_count(key, positions)
+        # Each listed pair has one snapshot in the heap; it is unlisted on a
+        # pop, or earlier once its losses leave it fewer than two entries.
+        positions = occ.get(key)
+        if positions is None:
+            continue
+        a, b = divmod(key, base)
+        if a != b:
+            count = len(positions) - lost.get(key, 0)
+        else:
+            count = _run_count(a, positions, sym, nxt)
         if count < 2:
             del occ[key]
             lost.pop(key, None)
             continue
-        a, b = divmod(key, base)
         dead = 0
         while sym[positions[dead]] != a or sym[nxt[positions[dead]]] != b:
             dead += 1
         if dead:
             del positions[:dead]
-            lost[key] -= dead  # read only for unequal pairs
+            lost[key] -= dead
         if (-neg_count, pos) != (count, positions[0]):  # stale: re-queue
-            heapq.heappush(heap, (-count, pair_height, positions[0], key))
+            heappush(heap, (-count, pair_height, positions[0], key))
             continue
 
         del occ[key]
@@ -151,41 +162,62 @@ def _repair(text: bytes) -> Slp:
         rules.append((a, b))
         new_height = pair_height + 1
         height.append(new_height)
-        replaced = []
+        # Replace each occurrence and file it under its final neighbours: the
+        # left one was swept already, and a right one that starts the next
+        # occurrence is filed as new_sym. A left x turned (x, a) into
+        # (x, new), a right y (b, y) into (new, y) and a right new_sym (b, a)
+        # into (new, new); a left new_sym is skipped, so that pair is listed
+        # once.
+        left_of: dict[int, list[int]] = defaultdict(list)
+        right_of: dict[int, list[int]] = defaultdict(list)
         for i in positions:
             if sym[i] != a:
                 continue
             j = nxt[i]
-            if sym[j] == b:
-                q = nxt[j]
-                sym[i] = new_sym
-                sym[j] = -1
-                nxt[i] = q
-                prv[q] = i
-                replaced.append(i)
-
-        # Final neighbours: a left x turned (x, a) into (x, new), a right y
-        # (b, y) into (new, y). A replaced right neighbour turned (b, a) into
-        # (new, new); seen from the left it is skipped, so it is listed once.
-        left_of: dict[int, list[int]] = defaultdict(list)
-        right_of: dict[int, list[int]] = defaultdict(list)
-        for i in replaced:
+            if sym[j] != b:
+                continue
+            q = nxt[j]
+            sym[i] = new_sym
+            sym[j] = -1
+            nxt[i] = q
+            prv[q] = i
             p = prv[i]
             left_of[sym[p]].append(p)
-            right_of[sym[nxt[i]]].append(i)
+            y = sym[q]
+            if y == a and sym[nxt[q]] == b:
+                y = new_sym
+            right_of[y].append(i)
         for x, group in left_of.items():
             if 0 <= x != new_sym:
-                if x * base + a in occ:
-                    lost[x * base + a] += len(group)
+                gone = x * base + a
+                listed = occ.get(gone)
+                if listed is not None:
+                    losses = lost.get(gone, 0) + len(group)
+                    if len(listed) - losses < 2:
+                        del occ[gone]
+                        lost.pop(gone, None)
+                    else:
+                        lost[gone] = losses
                 if len(group) > 1:
-                    offer(x * base + new_sym, max(height[x], new_height), group)
+                    key = x * base + new_sym
+                    occ[key] = group
+                    heappush(heap, (-len(group), max(height[x], new_height), group[0], key))
         for y, group in right_of.items():
             if y >= 0:
-                lost_key = b * base + (a if y == new_sym else y)
-                if lost_key in occ:
-                    lost[lost_key] += len(group)
-                if len(group) > 1:
-                    offer(new_sym * base + y, max(new_height, height[y]), group)
+                gone = b * base + (a if y == new_sym else y)
+                listed = occ.get(gone)
+                if listed is not None:
+                    losses = lost.get(gone, 0) + len(group)
+                    if len(listed) - losses < 2:
+                        del occ[gone]
+                        lost.pop(gone, None)
+                    else:
+                        lost[gone] = losses
+                count = _run_count(y, group, sym, nxt) if y == new_sym else len(group)
+                if count > 1:
+                    key = new_sym * base + y
+                    occ[key] = group
+                    heappush(heap, (-count, max(new_height, height[y]), group[0], key))
 
     axiom = []
     i = 0
