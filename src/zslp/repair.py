@@ -36,9 +36,9 @@ compression*, Proc. IEEE 2000), in plain lists:
   size to the losses of the pair it destroyed and, if it holds two or more
   positions, lists the new pair it formed. Every entry of a listed pair
   that stops holding it is one loss, so an unequal pair's live count is its
-  entries minus its losses, and a pair ``(a, a)`` is counted greedily over its live
-  entries. A pair whose losses leave it fewer than two entries is unlisted
-  at once.
+  entries minus its losses, and a pair ``(a, a)`` is counted greedily over
+  its live entries. A pair whose losses leave it fewer than two entries is
+  unlisted at once.
 - Candidate pairs sit in a lazy min-heap of ``(-count, height, first
   position, key)`` snapshots, checked when popped. Only the newest
   variable's pairs gain occurrences, so known counts only fall and first
@@ -49,11 +49,14 @@ compression*, Proc. IEEE 2000), in plain lists:
   cyclic garbage collector is paused while it runs; its passes over the
   millions of live objects cost 5-10% of the time on the seed-1 corpora.
 
-On the benchmark's seed-1 256 KiB corpora this takes about 0.8 s/MiB of
-CPU on log lines and 1.5 s/MiB on English-like text (in-process
-``process_time`` medians of 5 calls, three rounds: 0.75-1.00 and
-1.41-2.01 s/MiB; 2-vCPU Xeon KVM guest, CPython 3.11.7), and grows peak
-RSS by 69-97 bytes per input byte.
+On the benchmark's seed-1 corpora this takes about 1.8 s/MiB of CPU on
+log lines and 1.9 s/MiB on English-like text at 256 KiB, 2.0 and 2.3 at
+1 MB, and 2.5 s/MiB on 4 MiB of text (in-process ``process_time`` medians
+of 3-7 calls interleaved with the previous two-pass version, which took
+2.6, 2.7, 2.4, 3.0 and 3.6 s/MiB: 0.69-0.83x; 2-vCPU Xeon KVM guest,
+CPython 3.11.7, a host about twice as slow as in earlier measurements),
+and grows peak RSS by 63-83 bytes per input byte at 128-256 KiB (97
+before, on prose).
 """
 
 from __future__ import annotations
