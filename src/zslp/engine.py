@@ -31,9 +31,13 @@ per-nonterminal transition functions of an automaton over an SLP are
 usually computed (Lohrey, *Algorithmics on SLP-compressed strings: a
 survey*). The pair memo holds one dict per kind of A, keyed by the kind of
 B, one int: two pairs never share an entry, for any grammar and any number
-of kinds, and no key is built per rule. A composition walks the bits of
-each row of A inline, looking a single-bit row's one row of B up with one
-``get``.
+of kinds, and no key is built per rule. A composition (a memo miss) calls
+no helper: it walks the bits of each row of A inline, looking a single-bit
+row's one row of B up with one ``get``, then state 0's row, collects the
+composed states and rows in two lists that make the kind key, builds the
+relation's dict only for a kind not seen before, and computes the line
+flags and the seam's addition inline. The terminals' kinds are set up per
+distinct row map of the automaton, not per byte.
 
 Each kind has one record, ``(relation, row of state 0, nl, left, right)``;
 a ``Saturation`` holds every symbol's kind and count and the records,
@@ -80,25 +84,6 @@ MAX_RELATION_WORDS = 50_000_000
 Saturation = namedtuple("Saturation", "kinds counts table")
 
 
-def combine(a: tuple, b: tuple, new_match: bool) -> tuple:
-    """Counting tuple of a concatenation from its parts.
-
-    ``new_match`` reports a match that crosses the boundary between the two
-    expansions; it closes the seam line when both sides contain a newline.
-    """
-    a_nl, a_left, a_right, a_count = a
-    b_nl, b_left, b_right, b_count = b
-    if a_nl:
-        if b_nl:
-            seam = a_right or b_left or new_match
-            return (True, a_left, b_right, a_count + b_count + seam)
-        return (True, a_left, a_right or b_right or new_match, a_count)
-    if b_nl:
-        return (True, a_left or b_left or new_match, b_right, b_count)
-    hit = a_left or b_left or new_match
-    return (False, hit, hit, 0)
-
-
 def matching_lines(info: tuple) -> int:
     """Number of matching lines of a whole text from its counting tuple."""
     nl, left, right, count = info
@@ -119,15 +104,22 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
     then, from the memo's dict for the kind of A under the kind of B (kinds
     are dense ids, so the memo is a list of dicts, one per kind, and no pair
     of kinds is packed into one key: there is no bound on the kinds to keep);
-    otherwise the pair's relations are composed, ``combine`` runs,
-    and the result is looked up as a kind by its states, their rows, its
-    row of state 0 and its flags, as built. Every relation holds its states
-    in ascending order (a terminal's row map is sorted once per byte class,
-    a composition keeps A's order), so equal relations give equal keys
-    without a sort. Only a composition adds its rows, state 0's row
-    included when not 0, to the budget, so it bounds the relations saturate
-    builds: the compiler's "pattern too large" PatternSyntaxError is raised
-    once they outgrow MAX_RELATION_WORDS.
+    otherwise ``derive`` composes the pair's relations, walking A's rows
+    and then state 0's, collects the composed states and rows in two lists,
+    computes the line flags and seam increment inline, and looks the result
+    up as a kind by its states, their rows, its row of state 0 and its
+    flags, as built; the relation's dict is built only for a new kind.
+    Every relation holds its states in ascending order (a terminal's row
+    map is sorted once, a composition keeps A's order), so equal relations
+    give equal keys without a sort. Only a composition adds its rows, state
+    0's row included when not 0, to the budget, so it bounds the relations
+    saturate builds: the compiler's "pattern too large" PatternSyntaxError
+    is raised once they outgrow MAX_RELATION_WORDS.
+
+    The terminals get one kind per distinct row map of the 255 non-newline
+    bytes (the compiler shares one map per byte class; the maps are told
+    apart by identity, at C level, with no per-byte Python step) and one for
+    the newline byte, so no kind is made that no symbol has.
     """
     final = fsa.final
     row_budget = MAX_RELATION_WORDS // (fsa.state_count // 64 + 1)
@@ -138,13 +130,11 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
     # kind of A -> {kind of B: (kind of X, seam increment)}
     derived: list[dict] = []
 
-    def kind_of(rel: dict, row: int, nl: bool, left: bool, right: bool) -> int:
-        """Kind of a relation and the record's other fields."""
-        key = (tuple(rel), tuple(rel.values()), row, nl, left, right)
-        kind = kind_ids.setdefault(key, len(table))
-        if kind == len(table):
-            table.append((rel, row, nl, left, right))
-            derived.append({})
+    def new_kind(key: tuple, rel: dict) -> int:
+        """The kind of a key not seen before, whose relation is ``rel``."""
+        kind = kind_ids[key] = len(table)
+        table.append((rel, *key[2:]))
+        derived.append({})
         return kind
 
     def derive(kind_a: int, kind_b: int) -> tuple:
@@ -153,11 +143,11 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
         rel_a, row_a, nl_a, left_a, right_a = table[kind_a]
         rel_b, row_b, nl_b, left_b, right_b = table[kind_b]
         get = rel_b.get
-        rel = {}
+        states = []
+        held = []
         # Each row of A becomes the union of B's rows of its bits (the
-        # accept state has none) plus its accept bit. State 0's row comes
-        # last, so ``through`` is left as its union.
-        for q1, m in (*rel_a.items(), (0, row_a)):
+        # accept state has none) plus its accept bit.
+        for q1, m in rel_a.items():
             if m & (m - 1):
                 through = 0
                 bits = m
@@ -167,33 +157,62 @@ def saturate(rule_pairs, fsa: Fsa) -> Saturation:
                     bits ^= low
             else:  # one bit or none (get(-1) misses)
                 through = get(m.bit_length() - 1, 0)
-            if q1 and (out := through | m & final):
-                rel[q1] = out
+            if out := through | m & final:
+                states.append(q1)
+                held.append(out)
+        # State 0's row: a match through a middle state crosses the seam.
+        through = 0
+        bits = row_a
+        while bits:
+            low = bits & -bits
+            through |= get(low.bit_length() - 1, 0)
+            bits ^= low
         row = through | row_a & final | row_b
-        rows += len(rel) + (row != 0)
+        rows += len(states) + (row != 0)
         if rows > row_budget:
             raise PatternSyntaxError(
                 f"pattern too large: over {MAX_RELATION_WORDS} relation words"
             )
-        nl, left, right, seam = combine(
-            (nl_a, left_a, right_a, 0), (nl_b, left_b, right_b, 0), through & final != 0
-        )
-        return kind_of(rel, row, nl, left, right), seam
-
-    # The compiler shares one row map per byte class: each map, and the
-    # newline byte's, is given a kind once, its rows of middle states
-    # ordered by state and its row of state 0 kept in the record.
-    terminal_kinds: dict = {}  # (id of the row map, is newline) -> kind
-    kinds: list[int] = []
-    for byte, rel in enumerate(fsa.rows):
-        key = (id(rel), byte == NEWLINE)
-        kind = terminal_kinds.get(key)
+        # The line flags and the seam's addition to the count, as
+        # ``combine`` gives them (the tests keep it as the reference).
+        hit = through & final != 0
+        seam = 0
+        if nl_a:
+            if nl_b:
+                seam = right_a or left_b or hit
+                right = right_b
+            else:
+                right = right_a or right_b or hit
+            nl, left = True, left_a
+        elif nl_b:
+            nl, left, right = True, left_a or left_b or hit, right_b
+        else:
+            nl = False
+            left = right = left_a or left_b or hit
+        key = (tuple(states), tuple(held), row, nl, left, right)
+        kind = kind_ids.get(key)
         if kind is None:
-            row = rel.get(0, 0)
-            hit = row & final != 0
-            middle_rows = {q: m for q, m in sorted(rel.items()) if q}
-            kind = terminal_kinds[key] = kind_of(middle_rows, row, key[1], hit, hit)
-        kinds.append(kind)
+            kind = new_kind(key, dict(zip(states, held)))
+        return kind, seam
+
+    # The compiler shares one row map per byte class: each distinct map of
+    # the non-newline bytes is given one kind, and the newline byte one of
+    # its own, with the map's rows of middle states ordered by state and its
+    # row of state 0 kept in the record.
+    def terminal_kind(rel: dict, nl: bool) -> int:
+        row = rel.get(0, 0)
+        hit = row & final != 0
+        middle = {q: m for q, m in sorted(rel.items()) if q}
+        key = (tuple(middle), tuple(middle.values()), row, nl, hit, hit)
+        kind = kind_ids.get(key)
+        return new_kind(key, middle) if kind is None else kind
+
+    others = fsa.rows[:NEWLINE] + fsa.rows[NEWLINE + 1 :]
+    ids = list(map(id, others))
+    by_id = dict(zip(ids, others))
+    kind_by_id = {key: terminal_kind(rel, False) for key, rel in by_id.items()}
+    kinds: list[int] = list(map(kind_by_id.__getitem__, ids))
+    kinds.insert(NEWLINE, terminal_kind(fsa.rows[NEWLINE], True))
     counts: list[int] = [0] * len(kinds)
 
     for first, second in rule_pairs:

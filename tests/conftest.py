@@ -296,6 +296,27 @@ def relation_pairs(rel: dict) -> set:
     }
 
 
+def combine(a: tuple, b: tuple, new_match: bool) -> tuple:
+    """Counting tuple of a concatenation from its parts: the reference for
+    the line flags and seam increment ``saturate``'s ``derive`` computes
+    inline, and the step of the tests' one-tuple-per-symbol references.
+
+    ``new_match`` reports a match that crosses the boundary between the two
+    expansions; it closes the seam line when both sides contain a newline.
+    """
+    a_nl, a_left, a_right, a_count = a
+    b_nl, b_left, b_right, b_count = b
+    if a_nl:
+        if b_nl:
+            seam = a_right or b_left or new_match
+            return (True, a_left, b_right, a_count + b_count + seam)
+        return (True, a_left, a_right or b_right or new_match, a_count)
+    if b_nl:
+        return (True, a_left or b_left or new_match, b_right, b_count)
+    hit = a_left or b_left or new_match
+    return (False, hit, hit, 0)
+
+
 def symbol_summaries(saturation) -> tuple[list, list]:
     """Per symbol its counting tuple ``(nl, left, right, count)`` and relation.
 

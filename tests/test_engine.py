@@ -15,6 +15,7 @@ from conftest import (
     EXAMPLE_PAIRS,
     brute_anchored_pairs,
     brute_count_info,
+    combine,
     compiled_random_pattern,
     fsa_from_cells,
     is_deterministic,
@@ -36,7 +37,6 @@ from zslp.automaton import (
 from zslp.engine import (
     PERCENTILE_POINTS,
     SearchStats,
-    combine,
     collect_stats,
     contains_match,
     count_matching_lines,
@@ -90,6 +90,35 @@ def test_init_terminals_single_byte_pattern():
     infos, _ = symbol_summaries(saturate([], fsa))
     _, left, right, _ = infos[ord("a")]
     assert left and right
+
+
+@pytest.mark.parametrize(
+    "pattern, newline_map_shared",
+    [
+        ("ab", True),  # the newline's empty map is every other byte's too
+        ("a.*b", False),  # '.' enters every byte but the newline
+    ],
+)
+def test_init_terminals_one_kind_per_row_map(pattern, newline_map_shared):
+    # One kind per distinct row map of the non-newline bytes and one for the
+    # newline byte, and no kind that no terminal has.
+    fsa = compile_pattern(pattern)
+    others = [row for byte, row in enumerate(fsa.rows) if byte != NEWLINE]
+    assert any(row is fsa.rows[NEWLINE] for row in others) == newline_map_shared
+    saturation = saturate([], fsa)
+    kinds = saturation.kinds
+    kind_of_map = {}
+    for byte, row in enumerate(fsa.rows):
+        if byte != NEWLINE:
+            assert kind_of_map.setdefault(id(row), kinds[byte]) == kinds[byte]
+    assert len(set(kind_of_map.values())) == len(kind_of_map)
+    assert kinds[NEWLINE] not in kind_of_map.values()
+    assert sorted(set(kinds)) == list(range(len(saturation.table)))
+    assert len(saturation.table) == len(kind_of_map) + 1
+    for byte, row in enumerate(fsa.rows):
+        rel, row_0, nl, left, right = saturation.table[kinds[byte]]
+        assert {0: row_0, **rel} == {0: 0, **row} and nl == (byte == NEWLINE)
+        assert left == right == (row_0 & fsa.final != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -805,6 +834,16 @@ def test_engine_rejects_nonnormalised_automata():
         fsa_from_cells(2, {(0, 97): {0, 1}})
     with pytest.raises(ValueError, match="newline byte"):
         fsa_from_cells(2, {(0, 10): {1}})
+    # The rows are checked once per distinct row map: one shared by every
+    # byte but the newline is refused as one byte's is.
+    for row, message in (
+        ({0: 0b010, 2: 0b100}, "leaving a final state"),
+        ({0: 0b010, 1: 0b001}, "entering an initial state"),
+    ):
+        rows = [row] * 256
+        rows[NEWLINE] = {}
+        with pytest.raises(ValueError, match=message):
+            Fsa(3, rows, False)
     # One row map per byte: with more, every rule's kind would be read off
     # the wrong terminal; with fewer, some byte would have no row map.
     fsa = compile_pattern("ab")
